@@ -58,9 +58,13 @@ class OpticalElement:
         else:
             if len(modes) != 1:
                 raise ValueError(f"{self.kind} acts on exactly one mode")
-            if self.angle_rad is None or not math.isfinite(float(self.angle_rad)):
+            try:
+                angle = float(self.angle_rad)
+            except (TypeError, OverflowError):
+                angle = math.nan
+            if not math.isfinite(angle):
                 raise ValueError(f"{self.kind} needs a finite angle")
-            object.__setattr__(self, "angle_rad", float(self.angle_rad))
+            object.__setattr__(self, "angle_rad", angle)
 
 
 def pbs(i: int, j: int) -> OpticalElement:
@@ -183,8 +187,9 @@ def deserialize(text: str) -> OpticalCircuit:
         raise ValueError(f"malformed circuit JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("circuit JSON must be an object")
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported circuit version {doc.get('version')!r}")
+    version = doc.get("version")
+    if not isinstance(version, int) or isinstance(version, bool) or version != 1:
+        raise ValueError(f"unsupported circuit version {version!r}")
     convention = doc.get("convention")
     if convention not in ("ps", "sp"):
         raise ValueError(f"convention must be 'ps' or 'sp', got {convention!r}")
@@ -278,7 +283,7 @@ def _rewrite_merge_ps(elems: list) -> bool:
     return False
 
 
-def _rotation_pair(M: np.ndarray, mode: int, a_tol: float):
+def _rotation_pair(M: np.ndarray, a_tol: float):
     # two half-wave plates realize any real rotation: H(a)H(0) equals
     # the rotation by 2a - pi, a form the PS-QWP-HWP-QWP chain needs
     # three plates for
@@ -290,13 +295,15 @@ def _rotation_pair(M: np.ndarray, mode: int, a_tol: float):
     a = math.fmod((phi + math.pi) / 2.0, math.pi)
     if a < 0.0:
         a += math.pi
-    return [hwp(mode, 0.0), hwp(mode, a)]
+    return [("hwp", 0.0), ("hwp", a)]
 
 
-def _rewrite_resynthesize_run(elems: list, tol: ToleranceConfig) -> bool:
+def _rewrite_resynthesize_run(elems: list, tol: ToleranceConfig, shortest: dict) -> bool:
     # a same-mode run of plates collapses through synthesize_u2 when the
     # product admits a shorter chain; elements on other modes are
-    # transparent, a PBS touching the mode ends the run
+    # transparent, a PBS touching the mode ends the run.  shortest maps
+    # a run's (kind, angle) sequence to the length of its best
+    # replacement, so a rescan skips the runs it has already rejected.
     n = len(elems)
     for i, e in enumerate(elems):
         if e.kind == "pbs":
@@ -312,18 +319,23 @@ def _rewrite_resynthesize_run(elems: list, tol: ToleranceConfig) -> bool:
             run.append(j)
         if len(run) < 2:
             continue
+        key = tuple((elems[j].kind, elems[j].angle_rad) for j in run)
+        if key in shortest and shortest[key] >= len(run):
+            continue
         M = np.eye(2, dtype=complex)
-        for j in run:
-            g = elems[j]
-            M = _PLATE_MATRIX[g.kind](g.angle_rad) @ M
-        replacement = chain_elements(synthesize_u2(M, tol), mode)
-        pair = _rotation_pair(M, mode, tol.angle_tol)
-        if pair is not None and len(pair) < len(replacement):
-            replacement = pair
-        if len(replacement) < len(run):
+        for kind, angle in key:
+            M = _PLATE_MATRIX[kind](angle) @ M
+        plates = synthesize_u2(M, tol).plates()
+        # the two-plate rotation only wins over a longer chain and run
+        if len(run) > 2 and len(plates) > 2:
+            pair = _rotation_pair(M, tol.angle_tol)
+            if pair is not None:
+                plates = pair
+        shortest[key] = len(plates)
+        if len(plates) < len(run):
             for j in reversed(run):
                 del elems[j]
-            elems[run[0] : run[0]] = replacement
+            elems[run[0] : run[0]] = [OpticalElement(k, (mode,), a) for k, a in plates]
             return True
     return False
 
@@ -356,12 +368,13 @@ def optimize(circuit: OpticalCircuit, tol: ToleranceConfig = DEFAULT_TOL) -> Opt
     with a circuit of equal or smaller count and identical action.
     """
     elems = list(circuit.elements)
+    shortest = {}
     while True:
         if _rewrite_drop_zero_ps(elems, tol.angle_tol):
             continue
         if _rewrite_merge_ps(elems):
             continue
-        if _rewrite_resynthesize_run(elems, tol):
+        if _rewrite_resynthesize_run(elems, tol, shortest):
             continue
         if _rewrite_cancel_pbs(elems):
             continue

@@ -25,7 +25,12 @@ class ToleranceConfig:
     angle_tol: float = 1e-12
 
     def __post_init__(self):
-        if min(self.unitarity_tol, self.equivalence_tol, self.angle_tol) <= 0:
+        values = (self.unitarity_tol, self.equivalence_tol, self.angle_tol)
+        # NaN fails every comparison and inf passes every one, so either
+        # would silently disable the check it sets
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("tolerances must be finite")
+        if min(values) <= 0:
             raise ValueError("tolerances must be strictly positive")
         if self.equivalence_tol < self.unitarity_tol:
             raise ValueError("equivalence_tol must be >= unitarity_tol")
@@ -44,8 +49,9 @@ def _as_square(M) -> np.ndarray:
 def unitarity_residual(M) -> float:
     """Max-entry norm of M^dag M - I."""
     M = _as_square(M)
-    n = M.shape[0]
-    return float(np.abs(M.conj().T @ M - np.eye(n)).max())
+    G = M.conj().T @ M
+    G.flat[:: M.shape[0] + 1] -= 1.0
+    return float(np.abs(G).max())
 
 
 def is_unitary(M, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -99,16 +105,14 @@ def _cosine_sine(U: np.ndarray, half: int):
     W1 row, W2 row) is chosen so the first non-negligible component of
     the V1 column is real and positive.
     """
-    u, cs, vdh = cossin(U, p=half, q=half)
+    (V1, u2), theta, (W1, v2h) = cossin(U, p=half, q=half, separate=True)
     # LAPACK's central factor is [[C, -S], [S, C]]; conjugating by
     # diag(I, -I) converts to [[C, S], [-S, C]] at the cost of a sign
     # on the second left and right blocks.
-    V1 = u[:half, :half].copy()
-    V2 = -u[half:, half:]
-    W1 = vdh[:half, :half].copy()
-    W2 = -vdh[half:, half:]
-    c = np.clip(np.diag(cs[:half, :half]).real, 0.0, 1.0)
-    s = np.clip(np.diag(cs[half:, :half]).real, 0.0, 1.0)
+    V2 = -u2
+    W2 = -v2h
+    c = np.clip(np.cos(theta), 0.0, 1.0)
+    s = np.clip(np.sin(theta), 0.0, 1.0)
     thetas = np.arctan2(s, c)
     order = np.argsort(-thetas, kind="stable")
     thetas = thetas[order]
@@ -192,7 +196,10 @@ def matrix_from_json(obj) -> np.ndarray:
                     or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                                for v in cell)):
                 raise ValueError(f"entry ({i},{j}) must be a [re, im] pair of numbers")
-            re, im = float(cell[0]), float(cell[1])
+            try:
+                re, im = float(cell[0]), float(cell[1])
+            except OverflowError:
+                re = im = math.inf
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise ValueError(f"entry ({i},{j}) is not finite")
             M[i, j] = complex(re, im)

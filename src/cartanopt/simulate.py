@@ -1,11 +1,13 @@
 """Element-level circuit simulation on the single-photon state space.
 
-Each element embeds into the full 2m-dimensional space (m spatial
-modes, 2 polarizations): a PBS permutes the H components of its two
-modes and leaves every V component alone; plates and phase shifters act
-on one mode's polarization pair.  Computation runs in spatial-major
-index order internally; polarization-major circuits are permuted at the
-boundary, so both conventions share one embedding.
+The circuit's unitary on the full 2m-dimensional space (m spatial
+modes, 2 polarizations) is built by row updates in spatial-major index
+order, where mode k owns rows 2k (H) and 2k+1 (V): a PBS swaps the H
+rows of its two modes and leaves every V row alone; a plate or phase
+shifter left-multiplies its mode's two rows by its 2x2 matrix.  A
+polarization-major circuit is permuted once at the end.
+element_unitary gives one element's dense embedding in either
+convention, the reference the row updates must agree with.
 """
 
 from __future__ import annotations
@@ -46,7 +48,15 @@ def simulate(circuit: OpticalCircuit) -> np.ndarray:
     m = circuit.num_spatial_modes
     M = np.eye(2 * m, dtype=complex)
     for e in circuit.elements:
-        M = element_unitary(e, circuit.convention, m) @ M
+        if e.kind == "pbs":
+            i, j = 2 * e.modes[0], 2 * e.modes[1]
+            M[[i, j]] = M[[j, i]]
+        else:
+            k = 2 * e.modes[0]
+            M[k : k + 2] = _PLATE_MATRIX[e.kind](e.angle_rad) @ M[k : k + 2]
+    if circuit.convention is DofConvention.PS:
+        perm = ps_to_sp_indices(m)
+        M = M[np.ix_(perm, perm)]
     return M
 
 

@@ -113,6 +113,8 @@ def test_serialize_preserves_angle_bits():
         lambda d: d["elements"].append({"kind": "pbs", "modes": [0, 1], "angle_rad": 0.1}),
         lambda d: d["elements"].append({"kind": "hwp", "modes": [0]}),
         lambda d: d["elements"].append({"kind": "hwp", "modes": [9], "angle_rad": 0.1}),
+        lambda d: d.update(version=True),
+        lambda d: d["elements"].append({"kind": "hwp", "modes": [0], "angle_rad": 10**400}),
     ],
 )
 def test_deserialize_rejects_bad_documents(mutate):

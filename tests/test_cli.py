@@ -161,6 +161,54 @@ def test_verify_mismatch_exits_one(capsys, tmp_path):
     assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan"])
+def test_verify_rejects_nonfinite_tolerance(capsys, tmp_path, tolerance):
+    m_path = _write_matrix(tmp_path / "walk.json", WALK)
+    c_path = tmp_path / "walk_circuit.json"
+    assert main(["compile", "--matrix", m_path, "--convention", "ps", "--out", str(c_path)]) == 0
+    # one angle off by 0.5 rad must not pass under any tolerance
+    doc = json.loads(c_path.read_text())
+    plate = next(e for e in doc["elements"] if e["kind"] != "pbs")
+    plate["angle_rad"] += 0.5
+    c_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, out, err = _run(
+        capsys,
+        ["verify", "--circuit", str(c_path), "--matrix", m_path, "--tolerance", tolerance],
+    )
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_oversized_integers_are_invalid_input(capsys, tmp_path):
+    huge = 10**400
+    m_path = tmp_path / "huge.json"
+    m_path.write_text(json.dumps({"dim": 4, "entries": [[[huge, 0]] * 4] * 4}))
+    code, _, err = _run(capsys, ["compile", "--matrix", str(m_path), "--convention", "sp"])
+    assert code == 2
+    assert "error" in err
+    c_path = tmp_path / "huge_circuit.json"
+    c_path.write_text(
+        json.dumps(
+            {
+                "version": 1,
+                "convention": "sp",
+                "spatial_modes": 2,
+                "elements": [{"kind": "hwp", "modes": [0], "angle_rad": huge}],
+                "metadata": {},
+            }
+        )
+    )
+    code, _, err = _run(capsys, ["simulate", "--circuit", str(c_path)])
+    assert code == 2
+    assert "error" in err
+    w_path = _write_matrix(tmp_path / "walk.json", WALK)
+    code, _, err = _run(capsys, ["verify", "--circuit", str(c_path), "--matrix", w_path])
+    assert code == 2
+    assert "error" in err
+
+
 def test_verify_missing_file(capsys, tmp_path):
     m_path = _write_matrix(tmp_path / "walk.json", WALK)
     code, _, err = _run(

@@ -1,0 +1,105 @@
+"""Golden corpus: the serialized circuits of a seeded input set never move.
+
+Every case compiles a fixed matrix and compares the circuit JSON text,
+metadata included, byte for byte against tests/data/golden_circuits.json.
+A change that is meant to leave the emitted circuits alone (a faster
+simulator, a cheaper optimizer scan, a leaner CSD call) must pass this
+test unchanged.  The recorded angles are the bits this build of
+numpy/scipy/LAPACK produces; after a deliberate change to the circuits,
+or on a different LAPACK, re-record with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in the change why the circuits moved.
+"""
+
+import json
+import pathlib
+
+import numpy as np
+import pytest
+
+from cartanopt.circuit import serialize
+from cartanopt.compiler import CompileOptions, builtin_target, compile as compile4, compile_m4
+from cartanopt.linalg import haar_random_unitary
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_circuits.json"
+
+HAAR4_SEEDS = (0, 1, 2, 3, 4)
+HAAR8_SEEDS = (0, 1, 2)
+
+
+def _path_block(g1, g2, convention):
+    # polarization gate g1 on mode a1 and g2 on mode a2, the compiler's local form
+    idx = ((0, 1), (2, 3)) if convention == "sp" else ((0, 2), (1, 3))
+    M = np.zeros((4, 4), dtype=complex)
+    M[np.ix_(idx[0], idx[0])] = g1
+    M[np.ix_(idx[1], idx[1])] = g2
+    return M
+
+
+def _cases():
+    """(name, matrix, convention, optimize) for every corpus entry."""
+    cases = []
+    for conv in ("ps", "sp"):
+        for opt in (False, True):
+            for seed in HAAR4_SEEDS:
+                cases.append((f"haar4_{conv}_opt{int(opt)}_s{seed}",
+                              haar_random_unitary(4, seed), conv, opt))
+            for name in ("walk", "qft"):
+                cases.append((f"{name}_{conv}_opt{int(opt)}",
+                              builtin_target(name, conv), conv, opt))
+    for opt in (False, True):
+        for seed in HAAR8_SEEDS:
+            cases.append((f"haar8_sp_opt{int(opt)}_s{seed}",
+                          haar_random_unitary(8, seed), "sp", opt))
+    # inputs that take the local short-cut (optimize on): no central layer
+    phases = np.exp(1j * np.array([0.3, -1.2, 2.5, 0.9]))
+    flip = np.array([[0, 1], [1, 0]], dtype=complex)
+    for conv in ("ps", "sp"):
+        cases.append((f"diag_phase_{conv}", np.diag(phases), conv, True))
+        cases.append((f"block_perm_{conv}",
+                      _path_block(flip, np.eye(2), conv), conv, True))
+    # spatially block-diagonal 8x8: two independent 4x4 problems
+    block8 = np.zeros((8, 8), dtype=complex)
+    block8[:4, :4] = haar_random_unitary(4, 5)
+    block8[4:, 4:] = haar_random_unitary(4, 6)
+    cases.append(("block8_sp", block8, "sp", True))
+    return cases
+
+
+def _compile_json(U, convention, optimize):
+    opts = CompileOptions(convention=convention, optimize=optimize)
+    entry = compile_m4 if U.shape == (8, 8) else compile4
+    circuit, report = entry(U, opts)
+    assert report.passed
+    return serialize(circuit)
+
+
+CASES = _cases()
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_corpus_names_match(golden):
+    assert sorted(golden) == sorted(name for name, *_ in CASES)
+
+
+@pytest.mark.parametrize("name,U,convention,optimize", CASES, ids=[c[0] for c in CASES])
+def test_circuit_json_is_byte_identical(golden, name, U, convention, optimize):
+    assert _compile_json(U, convention, optimize) == golden[name]
+
+
+def test_local_cases_skip_the_central_layer(golden):
+    for name in ("diag_phase_ps", "diag_phase_sp", "block_perm_ps", "block_perm_sp"):
+        kinds = {e["kind"] for e in json.loads(golden[name])["elements"]}
+        assert "pbs" not in kinds, name
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    corpus = {name: _compile_json(U, conv, opt) for name, U, conv, opt in CASES}
+    GOLDEN.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")

@@ -1,6 +1,7 @@
 """Tolerances, phase-aware distance, the 2+2 cosine-sine split, and matrix I/O."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -34,6 +35,10 @@ def test_tolerance_rejects_nonpositive(field):
         ToleranceConfig(**{field: 0.0})
     with pytest.raises(ValueError):
         ToleranceConfig(**{field: -1e-9})
+    # NaN compares false and inf true against every residual
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            ToleranceConfig(**{field: value})
 
 
 def test_is_unitary_identity_and_walk():
@@ -190,6 +195,8 @@ def test_matrix_json_schema():
         '{"dim": 4}',
         '{"dim": 2, "entries": [[[1, 0]], [[0, 0], [1, 0]]]}',
         '{"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], "x"]]}',
+        pytest.param('{"dim": 1, "entries": [[[1' + "0" * 400 + ', 0]]]}',
+                     id="integer_too_large_for_float"),
     ],
 )
 def test_load_matrix_rejects_malformed(text):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cartanopt.circuit import OpticalCircuit, hwp, pbs, ps, qwp
+from cartanopt.circuit import KINDS, OpticalCircuit, OpticalElement, hwp, pbs, ps, qwp
 from cartanopt.simulate import element_unitary, simulate, verify
 from cartanopt.linalg import ToleranceConfig, haar_random_unitary, is_unitary
 from cartanopt.waveplates import hwp_matrix, qwp_matrix
@@ -203,3 +203,48 @@ def test_walk_and_qft_distinct():
 
     d, _ = phase_distance(WALK, QFT)
     assert d > 0.3
+
+
+def _random_circuit(rng, conv, m, n):
+    """n random elements of every kind; PBS pairs include non-adjacent modes."""
+    pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+    elements = []
+    for k in range(n):
+        kind = KINDS[k % len(KINDS)] if k < len(KINDS) else KINDS[rng.integers(len(KINDS))]
+        if kind == "pbs":
+            i, j = pairs[rng.integers(len(pairs))]
+            elements.append(pbs(i, j))
+        else:
+            mode = int(rng.integers(m))
+            elements.append(OpticalElement(kind, (mode,), rng.uniform(-7.0, 7.0)))
+    if m == 4:
+        for i, j in ((0, 2), (1, 3), (3, 1), (2, 0)):
+            elements.insert(int(rng.integers(len(elements) + 1)), pbs(i, j))
+    return _circ(elements, conv, m)
+
+
+def _element_product(c):
+    m = c.num_spatial_modes
+    M = np.eye(2 * m, dtype=complex)
+    for e in c.elements:
+        M = element_unitary(e, c.convention, m) @ M
+    return M
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("conv", ["ps", "sp"])
+def test_simulate_matches_element_product(conv, m, seed):
+    # row updates against the dense per-element embedding; the bound is
+    # set for a complex128 product of about 100 unitary factors
+    rng = np.random.default_rng([seed, m, conv == "ps"])
+    c = _random_circuit(rng, conv, m, 100)
+    assert {e.kind for e in c.elements} == set(KINDS)
+    assert np.abs(simulate(c) - _element_product(c)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("conv", ["ps", "sp"])
+def test_simulate_pbs_network_is_exact(conv):
+    # a PBS-only circuit is a permutation: no rounding at all
+    c = _circ([pbs(0, 2), pbs(1, 3), pbs(2, 1), pbs(3, 0), pbs(0, 1)], conv, 4)
+    assert np.array_equal(simulate(c), _element_product(c))
