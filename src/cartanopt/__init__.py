@@ -7,15 +7,16 @@ and half-wave plates, simulates the resulting circuit element by element,
 and reports element counts against reference baselines.
 """
 
+# set before the submodule imports: the compiler records it in every circuit
+__version__ = "0.1.0"
+
 from .dof import DofConvention
 from .linalg import (
     ToleranceConfig,
     DEFAULT_TOL,
-    BlockCsdResult,
     is_unitary,
     unitarity_residual,
     phase_distance,
-    block_csd,
     haar_random_unitary,
     matrix_to_json,
     matrix_from_json,
@@ -63,5 +64,3 @@ from .compiler import (
     reference_decompositions,
     HAND_COUNTS,
 )
-
-__version__ = "0.1.0"

@@ -18,17 +18,15 @@ import numpy as np
 from .dof import DofConvention
 from .linalg import DEFAULT_TOL, ToleranceConfig
 from .waveplates import (
+    PLATE_MATRIX,
     WaveplateChain,
-    chain_matrix,
-    hwp_matrix,
-    ps_matrix,
-    qwp_matrix,
+    _canon_phase,
+    _canon_plate,
+    _elide_phase,
     synthesize_u2,
 )
 
 KINDS = ("pbs", "hwp", "qwp", "ps")
-
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclasses.dataclass(frozen=True)
@@ -183,7 +181,8 @@ def serialize(circuit: OpticalCircuit) -> str:
 def deserialize(text: str) -> OpticalCircuit:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's stack
         raise ValueError(f"malformed circuit JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("circuit JSON must be an object")
@@ -238,16 +237,6 @@ def deserialize(text: str) -> OpticalCircuit:
 
 # -- peephole optimization ---------------------------------------------------
 
-_PLATE_MATRIX = {"ps": ps_matrix, "hwp": hwp_matrix, "qwp": qwp_matrix}
-
-
-def _zero_phase(angle: float, a_tol: float) -> bool:
-    a = math.fmod(angle, _TWO_PI)
-    if a < 0:
-        a += _TWO_PI
-    return min(a, _TWO_PI - a) <= a_tol
-
-
 def _disjoint(e: OpticalElement, f: OpticalElement) -> bool:
     return not set(e.modes) & set(f.modes)
 
@@ -256,7 +245,7 @@ def _rewrite_drop_zero_ps(elems: list, a_tol: float) -> bool:
     # a zero-angle PS is the only element whose matrix is identity:
     # wave plates are never proportional to I2 at any angle
     for i, e in enumerate(elems):
-        if e.kind == "ps" and _zero_phase(e.angle_rad, a_tol):
+        if e.kind == "ps" and _elide_phase(e.angle_rad, a_tol) is None:
             del elems[i]
             return True
     return False
@@ -273,10 +262,7 @@ def _rewrite_merge_ps(elems: list) -> bool:
             if _disjoint(e, f):
                 continue
             if f.kind == "ps" and f.modes == e.modes:
-                merged = math.fmod(e.angle_rad + f.angle_rad, _TWO_PI)
-                if merged < 0:
-                    merged += _TWO_PI
-                elems[i] = ps(e.modes[0], merged)
+                elems[i] = ps(e.modes[0], _canon_phase(e.angle_rad + f.angle_rad))
                 del elems[j]
                 return True
             break
@@ -292,10 +278,7 @@ def _rotation_pair(M: np.ndarray, a_tol: float):
     if (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]).real < 0.0:
         return None
     phi = math.atan2(M[1, 0].real, M[0, 0].real)
-    a = math.fmod((phi + math.pi) / 2.0, math.pi)
-    if a < 0.0:
-        a += math.pi
-    return [("hwp", 0.0), ("hwp", a)]
+    return [("hwp", 0.0), ("hwp", _canon_plate((phi + math.pi) / 2.0))]
 
 
 def _rewrite_resynthesize_run(elems: list, tol: ToleranceConfig, shortest: dict) -> bool:
@@ -324,7 +307,7 @@ def _rewrite_resynthesize_run(elems: list, tol: ToleranceConfig, shortest: dict)
             continue
         M = np.eye(2, dtype=complex)
         for kind, angle in key:
-            M = _PLATE_MATRIX[kind](angle) @ M
+            M = PLATE_MATRIX[kind](angle) @ M
         plates = synthesize_u2(M, tol).plates()
         # the two-plate rotation only wins over a longer chain and run
         if len(run) > 2 and len(plates) > 2:

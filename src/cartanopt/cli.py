@@ -74,11 +74,7 @@ def _count_lines(circuit) -> list[str]:
 def _cmd_compile(args) -> int:
     U = load_matrix(_read(args.matrix))
     opts = CompileOptions(
-        convention=args.convention,
-        optimize=args.optimize,
-        verify=args.verify,
-        tolerances=_tolerances(args),
-        emit_global_phase_ps=args.emit_phase_ps,
+        convention=args.convention, optimize=args.optimize, tolerances=_tolerances(args)
     )
     if U.shape == (4, 4):
         circuit, report = compile_matrix(U, opts)
@@ -126,7 +122,7 @@ def _cmd_target(args) -> int:
     if not args.compile:
         _emit(dump_matrix(U), None)
         return EXIT_OK
-    opts = CompileOptions(convention=args.convention, optimize=True, verify=True)
+    opts = CompileOptions(convention=args.convention, optimize=True)
     circuit, report = compile_matrix(U, opts)
     doc = {
         "matrix": matrix_to_json(U),
@@ -165,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--convention", required=True, choices=["ps", "sp"])
     c.add_argument("--optimize", action="store_true")
     c.add_argument("--verify", action="store_true")
-    c.add_argument("--emit-phase-ps", dest="emit_phase_ps", action="store_true")
     c.add_argument("--tolerance", type=float)
     c.add_argument("--out")
     c.set_defaults(func=_cmd_compile)

@@ -1,13 +1,16 @@
 """End-to-end pipeline from a unitary matrix to an optical circuit.
 
-A 4x4 input factors as local gates around one central layer of two PBSs
-enclosing one HWP per arm; the fixed unit matrices that complete the
-central layer's identity are folded into the neighboring single-qubit
-gates before chain synthesis, so the element budget is four chains of
-at most 4 plus the 4 central elements: at most 20.  An 8x8 input gets
-one more cosine-sine level at the 4+4 spatial split, whose central
-layer is two PBS-HWP-HWP-PBS gadgets across mode pairs (a1,a3) and
-(a2,a4), and whose four 4x4 blocks recurse through the same 4x4 path.
+One recursion over cosine-sine (CSD) levels does the work for both
+sizes.  A 4x4 input takes one Cartan level: local gates around a
+central layer of two PBSs enclosing one HWP per arm.  An 8x8 input
+takes one CSD level at the 4+4 spatial split, whose central layer is
+two PBS-HWP-HWP-PBS gadgets across mode pairs (a1,a3) and (a2,a4), and
+whose four 4x4 halves recurse through the 4x4 level.  Each level folds
+the fixed unit gates that complete its central layer into its halves;
+2x2 halves become PS-QWP-HWP-QWP chains.  The budget is therefore 4 x 4
++ 4 = 20 elements for dim 4 and 4 x 20 + 8 = 88 for dim 8.  When every
+central angle of a level vanishes and local collapsing is on, the level
+emits no central layer and each half is the product of its two gates.
 
 Also ships the built-in walk and Fourier targets and their hand-drawn
 factorizations as transcription fixtures.
@@ -21,6 +24,7 @@ import math
 
 import numpy as np
 
+from . import __version__
 from .cartan import decompose, decompose_m4
 from .circuit import OpticalCircuit, chain_elements, hwp, optimize, pbs, ps, qwp
 from .dof import DofConvention
@@ -31,13 +35,10 @@ from .linalg import (
     _as_square,
     dump_matrix,
     is_unitary,
-    phase_distance,
     unitarity_residual,
 )
-from .simulate import VerificationReport, simulate, verify
+from .simulate import VerificationReport, verify
 from .waveplates import _canon_phase, _canon_plate, _chain_params, synthesize_u2
-
-COMPILER_VERSION = "0.1.0"
 
 # Element counts of the hand-drawn reference circuits for the built-in
 # targets, keyed by (target name, convention tag).  Informational only:
@@ -54,19 +55,15 @@ HAND_COUNTS = {
 class CompileOptions:
     """Knobs for the compile entry points.
 
-    verify selects whether a failed verification should be treated as a
-    failure by callers (the CLI exits nonzero); the report itself is
-    always computed.  emit_global_phase_ps appends one phase shifter on
-    the first mode when the compiled circuit differs from the target by
-    a residual global phase beyond angle_tol; the pipeline is exact, so
-    in practice this never fires.
+    optimize runs the peephole pass on the compiled circuit and lets a
+    CSD level whose central angles all vanish skip its central layer.
+    The verification report is always computed; whether a failed one is
+    an error is the caller's decision.
     """
 
     convention: object
     optimize: bool = False
-    verify: bool = True
     tolerances: ToleranceConfig = DEFAULT_TOL
-    emit_global_phase_ps: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "convention", DofConvention(self.convention))
@@ -104,137 +101,102 @@ def _canonical_chain(g: np.ndarray, mode: int) -> list:
     ]
 
 
-def _compile4_elements(
-    U: np.ndarray,
-    conv: DofConvention,
-    tol: ToleranceConfig,
-    collapse_local: bool,
-    offset: int = 0,
+def _gadget(i: int, j: int, a: float, b: float) -> list:
+    """PBS-HWP-HWP-PBS across modes i and j realizing mixing angles a and b."""
+    return [pbs(i, j), hwp(i, a / 2.0), hwp(j, b / 2.0), pbs(i, j)]
+
+
+def _elements(
+    U: np.ndarray, conv: DofConvention, tol: ToleranceConfig, collapse: bool, mode: int
 ):
-    """Element list realizing a 4x4 unitary on modes (offset, offset+1).
+    """Element list realizing an n x n unitary (n = 4 or 8) from spatial mode `mode` on.
 
-    Returns (elements, factors).  When collapse_local is set and both
-    central angles vanish, the two arms reduce to independent
-    single-qubit chains with no central layer.
+    Does one CSD level and returns (elements, factors).  The two halves
+    of each side act on modes `mode` and `mode + n/4`: 2x2 halves become
+    plate chains, 4x4 halves recurse.  When collapse is set and every
+    central angle is at most angle_tol, the level emits no central layer
+    and each half is its left gate times its right gate, a 2x2 one taking
+    the shortest chain.
     """
-    f = decompose(U, conv, tol)
-    m0, m1 = offset, offset + 1
-    if collapse_local and f.theta1 <= tol.angle_tol:
-        g0 = f.left_gates[0] @ f.right_gates[0]
-        g1 = f.left_gates[1] @ f.right_gates[1]
-        els = chain_elements(synthesize_u2(g0, tol), m0)
-        els += chain_elements(synthesize_u2(g1, tol), m1)
-        return els, f
-    if conv is DofConvention.PS:
-        left = (f.left_gates[0] @ _PS_BOOKEND_L[0], f.left_gates[1] @ _PS_BOOKEND_L[1])
-        right = (_PS_BOOKEND_R[0] @ f.right_gates[0], _PS_BOOKEND_R[1] @ f.right_gates[1])
-        central = [hwp(m0, f.theta1 / 2.0), hwp(m1, f.theta2 / 2.0)]
+    n = U.shape[0]
+    if n == 4:
+        f = decompose(U, conv, tol)
+        left, right, angles = f.left_gates, f.right_gates, (f.theta1, f.theta2)
     else:
-        left = (f.left_gates[0] @ _SP_BOOKEND_L, f.left_gates[1] @ _SP_BOOKEND_L)
-        right = f.right_gates
-        central = [hwp(m0, f.theta2 / 2.0), hwp(m1, f.theta1 / 2.0)]
-    els = _canonical_chain(right[0], m0)
-    els += _canonical_chain(right[1], m1)
-    els.append(pbs(m0, m1))
-    els += central
-    els.append(pbs(m0, m1))
-    els += _canonical_chain(left[0], m0)
-    els += _canonical_chain(left[1], m1)
-    return els, f
+        f = decompose_m4(U, tol)
+        left, right, angles = f.left_blocks, f.right_blocks, f.angles
+    local = collapse and max(angles) <= tol.angle_tol
+    modes = (mode, mode + n // 4)
+
+    def halves(gates) -> list:
+        els = []
+        for g, m in zip(gates, modes):
+            if len(g) == 4:
+                els += _elements(g, conv, tol, collapse, m)[0]
+            elif local:
+                els += chain_elements(synthesize_u2(g, tol), m)
+            else:
+                els += _canonical_chain(g, m)
+        return els
+
+    if local:
+        return halves([left[0] @ right[0], left[1] @ right[1]]), f
+    if n == 8:
+        left = (left[0] @ _M4_DL_TOP, 1j * (left[1] @ _SXSX))
+        right = (right[0], _M4_DR_BOT @ _SXSX @ right[1])
+        t1, t2, t3, t4 = angles
+        central = _gadget(mode, mode + 2, t2, t1) + _gadget(mode + 1, mode + 3, t4, t3)
+    elif conv is DofConvention.PS:
+        left = (left[0] @ _PS_BOOKEND_L[0], left[1] @ _PS_BOOKEND_L[1])
+        right = (_PS_BOOKEND_R[0] @ right[0], _PS_BOOKEND_R[1] @ right[1])
+        central = _gadget(mode, mode + 1, angles[0], angles[1])
+    else:
+        left = (left[0] @ _SP_BOOKEND_L, left[1] @ _SP_BOOKEND_L)
+        central = _gadget(mode, mode + 1, angles[1], angles[0])
+    return halves(right) + central + halves(left), f
 
 
-def _finish(
-    elements, conv, num_modes, metadata, U, opts
-) -> tuple[OpticalCircuit, VerificationReport]:
+def _compile(U, opts: CompileOptions, dim: int) -> tuple[OpticalCircuit, VerificationReport]:
+    """Validate a dim x dim unitary, compile it, optimize if asked, and verify."""
+    U = _as_square(U)
+    if U.shape != (dim, dim):
+        raise ValueError(f"compile expects {dim}x{dim} input, got shape {U.shape}")
+    tol = opts.tolerances
+    if not is_unitary(U, tol):
+        raise ValueError(
+            f"compile requires a unitary input (residual {unitarity_residual(U):.3e})"
+        )
+    els, f = _elements(U, opts.convention, tol, opts.optimize, 0)
+    if dim == 4:
+        angles = {"theta1_rad": f"{f.theta1:.17g}", "theta2_rad": f"{f.theta2:.17g}"}
+    else:
+        angles = {"thetas_rad": ",".join(f"{t:.17g}" for t in f.angles)}
     circuit = OpticalCircuit(
-        convention=conv,
-        num_spatial_modes=num_modes,
-        elements=tuple(elements),
-        metadata=metadata,
+        convention=opts.convention,
+        num_spatial_modes=dim // 2,
+        elements=tuple(els),
+        metadata={
+            "source_sha256": hashlib.sha256(dump_matrix(U).encode()).hexdigest(),
+            **angles,
+            "global_phase_rad": f"{f.global_phase:.17g}",
+            "compiler_version": __version__,
+        },
     )
     if opts.optimize:
-        circuit = optimize(circuit, opts.tolerances)
-    if opts.emit_global_phase_ps:
-        _, phase = phase_distance(simulate(circuit), U)
-        a = _canon_phase(phase)
-        if min(a, 2.0 * math.pi - a) > opts.tolerances.angle_tol:
-            circuit = OpticalCircuit(
-                convention=conv,
-                num_spatial_modes=num_modes,
-                elements=circuit.elements + (ps(0, a),),
-                metadata=circuit.metadata,
-            )
-    return circuit, verify(circuit, U, opts.tolerances)
+        circuit = optimize(circuit, tol)
+    return circuit, verify(circuit, U, tol)
 
 
 def compile(U, opts: CompileOptions) -> tuple[OpticalCircuit, VerificationReport]:
     """Compile a 4x4 unitary to an optical circuit of at most 20 elements."""
-    U = _as_square(U)
-    if U.shape != (4, 4):
-        raise ValueError(f"compile expects a 4x4 matrix, got {U.shape}")
-    if not is_unitary(U, opts.tolerances):
-        raise ValueError(
-            f"compile requires a unitary input (residual {unitarity_residual(U):.3e})"
-        )
-    conv = DofConvention(opts.convention)
-    els, f = _compile4_elements(U, conv, opts.tolerances, collapse_local=opts.optimize)
-    metadata = {
-        "source_sha256": hashlib.sha256(dump_matrix(U).encode()).hexdigest(),
-        "theta1_rad": f"{f.theta1:.17g}",
-        "theta2_rad": f"{f.theta2:.17g}",
-        "global_phase_rad": f"{f.global_phase:.17g}",
-        "compiler_version": COMPILER_VERSION,
-    }
-    return _finish(els, conv, 2, metadata, U, opts)
+    return _compile(U, opts, 4)
 
 
 def compile_m4(U, opts: CompileOptions) -> tuple[OpticalCircuit, VerificationReport]:
     """Compile an 8x8 unitary on four spatial modes, SP convention only."""
-    conv = DofConvention(opts.convention)
-    if conv is not DofConvention.SP:
+    if opts.convention is not DofConvention.SP:
         raise ValueError("four-mode compilation supports the SP convention only")
-    U = _as_square(U)
-    if U.shape != (8, 8):
-        raise ValueError(f"compile_m4 expects an 8x8 matrix, got {U.shape}")
-    if not is_unitary(U, opts.tolerances):
-        raise ValueError(
-            f"compile_m4 requires a unitary input (residual {unitarity_residual(U):.3e})"
-        )
-    tol = opts.tolerances
-    f = decompose_m4(U, tol)
-    if opts.optimize and max(f.angles) <= tol.angle_tol:
-        # spatially block-diagonal: two independent 4x4 problems
-        top = f.left_blocks[0] @ f.right_blocks[0]
-        bot = f.left_blocks[1] @ f.right_blocks[1]
-        els = _compile4_elements(top, conv, tol, True, offset=0)[0]
-        els += _compile4_elements(bot, conv, tol, True, offset=2)[0]
-    else:
-        lt = f.left_blocks[0] @ _M4_DL_TOP
-        lb = 1j * (f.left_blocks[1] @ _SXSX)
-        rt = f.right_blocks[0]
-        rb = _M4_DR_BOT @ _SXSX @ f.right_blocks[1]
-        t1, t2, t3, t4 = f.angles
-        els = _compile4_elements(rt, conv, tol, opts.optimize, offset=0)[0]
-        els += _compile4_elements(rb, conv, tol, opts.optimize, offset=2)[0]
-        els += [
-            pbs(0, 2),
-            hwp(0, t2 / 2.0),
-            hwp(2, t1 / 2.0),
-            pbs(0, 2),
-            pbs(1, 3),
-            hwp(1, t4 / 2.0),
-            hwp(3, t3 / 2.0),
-            pbs(1, 3),
-        ]
-        els += _compile4_elements(lt, conv, tol, opts.optimize, offset=0)[0]
-        els += _compile4_elements(lb, conv, tol, opts.optimize, offset=2)[0]
-    metadata = {
-        "source_sha256": hashlib.sha256(dump_matrix(U).encode()).hexdigest(),
-        "thetas_rad": ",".join(f"{t:.17g}" for t in f.angles),
-        "global_phase_rad": f"{f.global_phase:.17g}",
-        "compiler_version": COMPILER_VERSION,
-    }
-    return _finish(els, conv, 4, metadata, U, opts)
+    return _compile(U, opts, 8)
 
 
 _WALK = 0.5 * np.array(

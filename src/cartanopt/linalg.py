@@ -1,9 +1,8 @@
 """Dense complex linear algebra shared by every stage of the compiler.
 
 Holds the tolerance configuration, unitarity and phase-aware distance
-checks, the 2x2-block cosine-sine decomposition that drives both
-factorization routes, Haar-random sampling for tests, and the matrix
-JSON wire format.
+checks, the cosine-sine decomposition that drives both factorization
+routes, Haar-random sampling for tests, and the matrix JSON wire format.
 """
 
 from __future__ import annotations
@@ -79,20 +78,6 @@ def phase_distance(A, B) -> tuple[float, float]:
     return distance, phase
 
 
-@dataclasses.dataclass(frozen=True)
-class BlockCsdResult:
-    """U = blkdiag(left) . CS(angles) . blkdiag(right) at the 2+2 partition.
-
-    CS(theta_a, theta_b) couples position i of the top block with
-    position i of the bottom block as [[C, S], [-S, C]] with
-    C = diag(cos), S = diag(sin).  Angles lie in [0, pi/2], descending.
-    """
-
-    left_blocks: tuple[np.ndarray, np.ndarray]
-    right_blocks: tuple[np.ndarray, np.ndarray]
-    angles: tuple[float, float]
-
-
 def _cosine_sine(U: np.ndarray, half: int):
     """Cosine-sine decomposition of a 2k x 2k unitary at the k+k partition.
 
@@ -129,23 +114,6 @@ def _cosine_sine(U: np.ndarray, half: int):
         W1[i, :] = W1[i, :] * ph
         W2[i, :] = W2[i, :] * ph
     return V1, V2, thetas, W1, W2
-
-
-def block_csd(U, tol: ToleranceConfig = DEFAULT_TOL) -> BlockCsdResult:
-    """Cosine-sine decomposition of a 4x4 unitary at the natural 2+2 split."""
-    U = _as_square(U)
-    if U.shape != (4, 4):
-        raise ValueError(f"block_csd expects a 4x4 matrix, got {U.shape}")
-    if not is_unitary(U, tol):
-        raise ValueError(
-            f"block_csd requires a unitary input (residual {unitarity_residual(U):.3e})"
-        )
-    V1, V2, thetas, W1, W2 = _cosine_sine(U, 2)
-    return BlockCsdResult(
-        left_blocks=(V1, V2),
-        right_blocks=(W1, W2),
-        angles=(float(thetas[0]), float(thetas[1])),
-    )
 
 
 def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
@@ -187,10 +155,12 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError("matrix JSON needs a positive integer 'dim'")
     if not isinstance(entries, list) or len(entries) != dim:
         raise ValueError(f"'entries' must be a list of {dim} rows")
-    M = np.empty((dim, dim), dtype=complex)
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"row {i} length != dim ({dim})")
+    # allocated only now: the rows above bound dim by the input's length
+    M = np.empty((dim, dim), dtype=complex)
+    for i, row in enumerate(entries):
         for j, cell in enumerate(row):
             if (not isinstance(cell, (list, tuple)) or len(cell) != 2
                     or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -213,6 +183,7 @@ def dump_matrix(M) -> str:
 def load_matrix(text: str) -> np.ndarray:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's stack
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     return matrix_from_json(obj)

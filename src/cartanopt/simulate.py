@@ -19,9 +19,7 @@ import numpy as np
 from .circuit import OpticalCircuit, OpticalElement, element_count
 from .dof import DofConvention, ps_to_sp_indices
 from .linalg import DEFAULT_TOL, ToleranceConfig, _as_square, phase_distance
-from .waveplates import hwp_matrix, ps_matrix, qwp_matrix
-
-_PLATE_MATRIX = {"ps": ps_matrix, "hwp": hwp_matrix, "qwp": qwp_matrix}
+from .waveplates import PLATE_MATRIX
 
 
 def element_unitary(e: OpticalElement, convention, m: int) -> np.ndarray:
@@ -36,7 +34,7 @@ def element_unitary(e: OpticalElement, convention, m: int) -> np.ndarray:
         M[i, j] = M[j, i] = 1.0
     else:
         k = 2 * e.modes[0]
-        M[k : k + 2, k : k + 2] = _PLATE_MATRIX[e.kind](e.angle_rad)
+        M[k : k + 2, k : k + 2] = PLATE_MATRIX[e.kind](e.angle_rad)
     if conv is DofConvention.PS:
         perm = ps_to_sp_indices(m)
         M = M[np.ix_(perm, perm)]
@@ -53,7 +51,7 @@ def simulate(circuit: OpticalCircuit) -> np.ndarray:
             M[[i, j]] = M[[j, i]]
         else:
             k = 2 * e.modes[0]
-            M[k : k + 2] = _PLATE_MATRIX[e.kind](e.angle_rad) @ M[k : k + 2]
+            M[k : k + 2] = PLATE_MATRIX[e.kind](e.angle_rad) @ M[k : k + 2]
     if circuit.convention is DofConvention.PS:
         perm = ps_to_sp_indices(m)
         M = M[np.ix_(perm, perm)]

@@ -71,14 +71,15 @@ class WaveplateChain:
         return len(self.plates())
 
 
-_KIND_MATRIX = {"ps": ps_matrix, "hwp": hwp_matrix, "qwp": qwp_matrix}
+# 2x2 matrix of each single-mode element kind as a function of its angle
+PLATE_MATRIX = {"ps": ps_matrix, "hwp": hwp_matrix, "qwp": qwp_matrix}
 
 
 def chain_matrix(chain: WaveplateChain) -> np.ndarray:
     """Ordered product of the chain's plates; the empty chain is identity."""
     M = np.eye(2, dtype=complex)
     for kind, angle in chain.plates():
-        M = _KIND_MATRIX[kind](angle) @ M
+        M = PLATE_MATRIX[kind](angle) @ M
     return M
 
 

@@ -127,6 +127,8 @@ def test_deserialize_rejects_bad_documents(mutate):
 def test_deserialize_rejects_malformed_json():
     with pytest.raises(ValueError):
         deserialize("{not json")
+    with pytest.raises(ValueError):
+        deserialize("[" * 100_000 + "]" * 100_000)
 
 
 def test_optimize_drops_zero_ps():
@@ -149,6 +151,9 @@ def test_optimize_merges_phase_shifters():
     assert c.elements == (ps(0, 3.5),)
     c = optimize(_circ([ps(0, 1.0), qwp(1, 0.2), ps(0, 2.5)]))
     assert ps(0, 3.5) in c.elements and qwp(1, 0.2) in c.elements
+    # a negative sum wraps into [0, 2pi)
+    c = optimize(_circ([ps(0, -1.0), ps(0, -2.5)]))
+    assert c.elements == (ps(0, 2 * np.pi - 3.5),)
 
 
 def test_optimize_collapses_plate_run():
@@ -200,7 +205,10 @@ def test_optimize_random_circuits_safe():
                 elems.append(ps(int(rng.integers(0, m)), 0.0))
             else:
                 factory = {"hwp": hwp, "qwp": qwp, "ps": ps}[kind]
-                elems.append(factory(int(rng.integers(0, m)), float(rng.uniform(0, 2 * np.pi))))
+                # angles outside [0, 2pi) drive the wrap-around paths of the
+                # merge and rotation rules
+                angle = float(rng.uniform(-4 * np.pi, 4 * np.pi))
+                elems.append(factory(int(rng.integers(0, m)), angle))
         before = _circ(elems, conv=conv, m=m)
         after = optimize(before)
         assert element_count(after).total <= element_count(before).total

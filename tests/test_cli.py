@@ -209,6 +209,21 @@ def test_oversized_integers_are_invalid_input(capsys, tmp_path):
     assert "error" in err
 
 
+def test_deeply_nested_json_is_invalid_input(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    w_path = _write_matrix(tmp_path / "walk.json", WALK)
+    for argv in (
+        ["compile", "--matrix", str(deep), "--convention", "sp"],
+        ["simulate", "--circuit", str(deep)],
+        ["verify", "--circuit", str(deep), "--matrix", w_path],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
+
 def test_verify_missing_file(capsys, tmp_path):
     m_path = _write_matrix(tmp_path / "walk.json", WALK)
     code, _, err = _run(

@@ -155,11 +155,12 @@ def test_compile_deterministic():
 
 
 def test_emit_global_phase_is_plain_equality():
+    # the pipeline hits the target on the nose, global phase included, so
+    # no phase shifter is ever needed to correct it
     for conv in ("ps", "sp"):
         U = haar_random_unitary(4, seed=3)
-        circuit, rep = compile(U, _opts(conv, emit_global_phase_ps=True))
+        circuit, rep = compile(U, _opts(conv))
         assert rep.passed
-        # the pipeline hits the target on the nose, so no shifter appears
         assert element_count(circuit).total == 20
         assert np.abs(simulate(circuit) - U).max() <= 1e-9
 

@@ -9,7 +9,7 @@ import pytest
 from cartanopt.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
-    block_csd,
+    _cosine_sine,
     dump_matrix,
     haar_random_unitary,
     is_unitary,
@@ -87,12 +87,17 @@ def test_phase_distance_dimension_mismatch():
         phase_distance(np.eye(4, dtype=complex), np.eye(2, dtype=complex))
 
 
+def _block_csd(U):
+    V1, V2, thetas, W1, W2 = _cosine_sine(U, 2)
+    return (V1, V2), tuple(float(t) for t in thetas), (W1, W2)
+
+
 def test_block_csd_identity():
     # block signs are a gauge choice; only angles and the product are pinned
-    res = block_csd(np.eye(4, dtype=complex))
-    assert res.angles == (0.0, 0.0)
-    np.testing.assert_allclose(_reassemble(res), np.eye(4), atol=1e-14)
-    for B in res.left_blocks + res.right_blocks:
+    left, angles, right = _block_csd(np.eye(4, dtype=complex))
+    assert angles == (0.0, 0.0)
+    np.testing.assert_allclose(_reassemble(left, angles, right), np.eye(4), atol=1e-14)
+    for B in left + right:
         np.testing.assert_allclose(B @ B.conj().T, np.eye(2), atol=1e-14)
 
 
@@ -105,17 +110,17 @@ def test_block_csd_known_angles():
         [[c1, 0, 0, s1], [0, c2, -s2, 0], [0, s2, c2, 0], [-s1, 0, 0, c1]],
         dtype=complex,
     )
-    res = block_csd(F)
-    np.testing.assert_allclose(res.angles, (3 * np.pi / 8, np.pi / 8), atol=1e-12)
+    _, angles, _ = _block_csd(F)
+    np.testing.assert_allclose(angles, (3 * np.pi / 8, np.pi / 8), atol=1e-12)
 
 
-def _reassemble(res):
+def _reassemble(left, angles, right):
     L = np.zeros((4, 4), dtype=complex)
     R = np.zeros((4, 4), dtype=complex)
-    L[:2, :2], L[2:, 2:] = res.left_blocks
-    R[:2, :2], R[2:, 2:] = res.right_blocks
-    C = np.diag(np.cos(res.angles))
-    S = np.diag(np.sin(res.angles))
+    L[:2, :2], L[2:, 2:] = left
+    R[:2, :2], R[2:, 2:] = right
+    C = np.diag(np.cos(angles))
+    S = np.diag(np.sin(angles))
     CS = np.block([[C, S], [-S, C]])
     return L @ CS @ R
 
@@ -123,9 +128,9 @@ def _reassemble(res):
 @pytest.mark.parametrize("seed", range(25))
 def test_block_csd_round_trip(seed):
     U = haar_random_unitary(4, seed=seed)
-    res = block_csd(U)
-    assert np.abs(_reassemble(res) - U).max() < 1e-9
-    a, b = res.angles
+    left, angles, right = _block_csd(U)
+    assert np.abs(_reassemble(left, angles, right) - U).max() < 1e-9
+    a, b = angles
     assert 0.0 <= b <= a <= np.pi / 2 + 1e-15
 
 
@@ -133,24 +138,16 @@ def test_block_csd_round_trip_bulk():
     worst = 0.0
     for seed in range(300):
         U = haar_random_unitary(4, seed=seed)
-        res = block_csd(U)
-        worst = max(worst, np.abs(_reassemble(res) - U).max())
+        worst = max(worst, np.abs(_reassemble(*_block_csd(U)) - U).max())
     assert worst < 1e-9
 
 
 def test_block_csd_deterministic():
     U = haar_random_unitary(4, seed=99)
-    r1, r2 = block_csd(U), block_csd(U)
-    assert r1.angles == r2.angles
-    for A, B in zip(r1.left_blocks + r1.right_blocks, r2.left_blocks + r2.right_blocks):
+    (l1, a1, r1), (l2, a2, r2) = _block_csd(U), _block_csd(U)
+    assert a1 == a2
+    for A, B in zip(l1 + r1, l2 + r2):
         assert A.tobytes() == B.tobytes()
-
-
-def test_block_csd_rejects_bad_input():
-    with pytest.raises(ValueError):
-        block_csd(np.ones((4, 4), dtype=complex))
-    with pytest.raises(ValueError):
-        block_csd(np.eye(2, dtype=complex))
 
 
 def test_haar_deterministic_per_seed():
@@ -197,6 +194,9 @@ def test_matrix_json_schema():
         '{"dim": 2, "entries": [[[1, 0], [0, 0]], [[0, 0], "x"]]}',
         pytest.param('{"dim": 1, "entries": [[[1' + "0" * 400 + ', 0]]]}',
                      id="integer_too_large_for_float"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested_too_deeply"),
+        pytest.param('{"dim": 100000, "entries": [' + ", ".join(["[]"] * 100_000) + "]}",
+                     id="dim_larger_than_rows"),
     ],
 )
 def test_load_matrix_rejects_malformed(text):
