@@ -25,7 +25,6 @@ from .linalg import (
 )
 from .lie import LieSpan, CartanConditionReport, lie_span, check_cartan_conditions
 from .waveplates import (
-    WaveplateChain,
     ps_matrix,
     hwp_matrix,
     qwp_matrix,

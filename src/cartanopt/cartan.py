@@ -40,14 +40,13 @@ _D = np.diag([-1.0 + 0j, 1.0])
 
 @dataclasses.dataclass(frozen=True)
 class CartanFactors:
-    """U = e^{i global_phase} . (L1, L2 embedded) . A(alpha, beta) . (R1, R2 embedded)."""
+    """U = (L1, L2 embedded) . A(alpha, beta) . (R1, R2 embedded), exactly."""
 
     convention: DofConvention
     left_gates: tuple[np.ndarray, np.ndarray]
     right_gates: tuple[np.ndarray, np.ndarray]
     alpha: float
     beta: float
-    global_phase: float = 0.0
 
     @property
     def theta1(self) -> float:
@@ -62,7 +61,7 @@ class CartanFactors:
 class RecursiveFactors:
     """One CSD level of an 8x8 unitary at the 4+4 spatial partition.
 
-    U = e^{i global_phase} . blkdiag(left_blocks) . CS(angles) . blkdiag(right_blocks)
+    U = blkdiag(left_blocks) . CS(angles) . blkdiag(right_blocks)
 
     with CS(angles) = [[C, S], [-S, C]], C = diag(cos), S = diag(sin).
     Angle k couples basis position k with position k+4, i.e. the same
@@ -72,7 +71,6 @@ class RecursiveFactors:
     left_blocks: tuple[np.ndarray, np.ndarray]
     right_blocks: tuple[np.ndarray, np.ndarray]
     angles: tuple[float, float, float, float]
-    global_phase: float = 0.0
 
 
 def central_a(alpha: float, beta: float, convention) -> np.ndarray:
@@ -154,7 +152,6 @@ def decompose(U, convention, tol: ToleranceConfig = DEFAULT_TOL) -> CartanFactor
             right_gates=(np.eye(2, dtype=complex), np.eye(2, dtype=complex)),
             alpha=0.0,
             beta=0.0,
-            global_phase=0.0,
         )
     V1, V2, thetas, W1, W2 = _cosine_sine(Uq, 2)
     t1, t2 = float(thetas[0]), float(thetas[1])
@@ -170,7 +167,6 @@ def decompose(U, convention, tol: ToleranceConfig = DEFAULT_TOL) -> CartanFactor
         right_gates=right,
         alpha=(t1 + t2) / 2.0,
         beta=(t1 - t2) / 2.0,
-        global_phase=0.0,
     )
 
 
@@ -180,7 +176,7 @@ def reassemble(f: CartanFactors) -> np.ndarray:
     K1 = _embed_pair(f.left_gates[0], f.left_gates[1], conv)
     K2 = _embed_pair(f.right_gates[0], f.right_gates[1], conv)
     A = central_a(f.alpha, f.beta, conv)
-    return np.exp(1j * f.global_phase) * (K1 @ A @ K2)
+    return K1 @ A @ K2
 
 
 def decompose_m4(U, tol: ToleranceConfig = DEFAULT_TOL) -> RecursiveFactors:
@@ -207,14 +203,12 @@ def decompose_m4(U, tol: ToleranceConfig = DEFAULT_TOL) -> RecursiveFactors:
             left_blocks=(U[:4, :4].copy(), U[4:, 4:].copy()),
             right_blocks=(np.eye(4, dtype=complex), np.eye(4, dtype=complex)),
             angles=(0.0, 0.0, 0.0, 0.0),
-            global_phase=0.0,
         )
     V1, V2, thetas, W1, W2 = _cosine_sine(U, 4)
     return RecursiveFactors(
         left_blocks=(V1, V2),
         right_blocks=(W1, W2),
         angles=tuple(float(t) for t in thetas),
-        global_phase=0.0,
     )
 
 
@@ -234,4 +228,4 @@ def reassemble_m4(f: RecursiveFactors) -> np.ndarray:
     R = np.zeros((8, 8), dtype=complex)
     L[:4, :4], L[4:, 4:] = f.left_blocks
     R[:4, :4], R[4:, 4:] = f.right_blocks
-    return np.exp(1j * f.global_phase) * (L @ central_cs_m4(f.angles) @ R)
+    return L @ central_cs_m4(f.angles) @ R

@@ -17,16 +17,12 @@ import numpy as np
 
 from .dof import DofConvention
 from .linalg import DEFAULT_TOL, ToleranceConfig
-from .waveplates import (
-    PLATE_MATRIX,
-    WaveplateChain,
-    _canon_phase,
-    _canon_plate,
-    _elide_phase,
-    synthesize_u2,
-)
+from .waveplates import _canon_phase, _canon_plate, _elide_phase, chain_matrix, synthesize_u2
 
 KINDS = ("pbs", "hwp", "qwp", "ps")
+# angle types an element accepts; bool, an int subclass, is rejected on
+# its own.  Modes accept exactly int and numpy integers, which excludes bool.
+_REAL = (float, int, np.floating, np.integer)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,7 +30,9 @@ class OpticalElement:
     """One element: kind, spatial mode(s), fast-axis or phase angle.
 
     PBS entries carry two distinct modes and no angle; plate and phase
-    entries carry one mode and a finite angle in radians.
+    entries carry one mode and a finite angle in radians.  Modes must be
+    non-negative integers and the angle a real number (bools are
+    neither); every violation is a ValueError.
     """
 
     kind: str
@@ -44,8 +42,12 @@ class OpticalElement:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown element kind {self.kind!r}")
-        modes = tuple(int(m) for m in self.modes)
-        if any(m < 0 for m in modes):
+        if not isinstance(self.modes, (tuple, list)) or not all(
+            type(m) is int or isinstance(m, np.integer) for m in self.modes
+        ):
+            raise ValueError(f"modes must be a list of integers, got {self.modes!r}")
+        modes = tuple(map(int, self.modes))
+        if modes and min(modes) < 0:
             raise ValueError(f"negative mode index in {modes}")
         object.__setattr__(self, "modes", modes)
         if self.kind == "pbs":
@@ -56,9 +58,12 @@ class OpticalElement:
         else:
             if len(modes) != 1:
                 raise ValueError(f"{self.kind} acts on exactly one mode")
+            angle = self.angle_rad
+            if type(angle) is bool or not isinstance(angle, _REAL):
+                raise ValueError(f"{self.kind} angle must be a number, got {angle!r}")
             try:
-                angle = float(self.angle_rad)
-            except (TypeError, OverflowError):
+                angle = float(angle)
+            except OverflowError:
                 angle = math.nan
             if not math.isfinite(angle):
                 raise ValueError(f"{self.kind} needs a finite angle")
@@ -81,9 +86,9 @@ def ps(mode: int, angle: float) -> OpticalElement:
     return OpticalElement("ps", (mode,), angle)
 
 
-def chain_elements(chain: WaveplateChain, mode: int) -> list[OpticalElement]:
-    """A synthesized single-qubit chain as circuit elements on one mode."""
-    return [OpticalElement(kind, (mode,), angle) for kind, angle in chain.plates()]
+def chain_elements(plates, mode: int) -> list[OpticalElement]:
+    """(kind, angle) plates as circuit elements on one mode, in order."""
+    return [OpticalElement(kind, (mode,), angle) for kind, angle in plates]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,37 +207,18 @@ def deserialize(text: str) -> OpticalCircuit:
     for i, rec in enumerate(raw):
         if not isinstance(rec, dict):
             raise ValueError(f"element {i} must be an object")
-        kind = rec.get("kind")
-        if kind not in KINDS:
-            raise ValueError(f"element {i}: unsupported kind {kind!r}")
-        ms = rec.get("modes")
-        if not isinstance(ms, list) or not all(
-            isinstance(m, int) and not isinstance(m, bool) for m in ms
-        ):
-            raise ValueError(f"element {i}: modes must be a list of integers")
-        angle = rec.get("angle_rad")
-        if kind == "pbs":
-            if angle is not None:
-                raise ValueError(f"element {i}: pbs carries no angle_rad")
-        else:
-            if not isinstance(angle, (int, float)) or isinstance(angle, bool):
-                raise ValueError(f"element {i}: angle_rad must be a number")
         try:
-            elements.append(OpticalElement(kind, tuple(ms), angle))
+            elements.append(
+                OpticalElement(rec.get("kind"), rec.get("modes"), rec.get("angle_rad"))
+            )
         except ValueError as exc:
             raise ValueError(f"element {i}: {exc}") from exc
     meta = doc.get("metadata", {})
     if not isinstance(meta, dict):
         raise ValueError("metadata must be an object")
-    try:
-        return OpticalCircuit(
-            convention=convention,
-            num_spatial_modes=modes,
-            elements=tuple(elements),
-            metadata=meta,
-        )
-    except ValueError as exc:
-        raise ValueError(str(exc)) from exc
+    return OpticalCircuit(
+        convention=convention, num_spatial_modes=modes, elements=tuple(elements), metadata=meta
+    )
 
 
 # -- peephole optimization ---------------------------------------------------
@@ -305,10 +291,8 @@ def _rewrite_resynthesize_run(elems: list, tol: ToleranceConfig, shortest: dict)
         key = tuple((elems[j].kind, elems[j].angle_rad) for j in run)
         if key in shortest and shortest[key] >= len(run):
             continue
-        M = np.eye(2, dtype=complex)
-        for kind, angle in key:
-            M = PLATE_MATRIX[kind](angle) @ M
-        plates = synthesize_u2(M, tol).plates()
+        M = chain_matrix(key)
+        plates = synthesize_u2(M, tol)
         # the two-plate rotation only wins over a longer chain and run
         if len(run) > 2 and len(plates) > 2:
             pair = _rotation_pair(M, tol.angle_tol)
@@ -318,7 +302,7 @@ def _rewrite_resynthesize_run(elems: list, tol: ToleranceConfig, shortest: dict)
         if len(plates) < len(run):
             for j in reversed(run):
                 del elems[j]
-            elems[run[0] : run[0]] = [OpticalElement(k, (mode,), a) for k, a in plates]
+            elems[run[0] : run[0]] = chain_elements(plates, mode)
             return True
     return False
 

@@ -8,6 +8,7 @@ success, 1 verification failed, 2 invalid input, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -89,9 +90,7 @@ def _cmd_compile(args) -> int:
         f"verification: distance={report.distance:.3e} passed={report.passed}",
         file=sys.stderr,
     )
-    if args.verify and not report.passed:
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 def _cmd_simulate(args) -> int:
@@ -104,16 +103,7 @@ def _cmd_verify(args) -> int:
     circuit = deserialize(_read(args.circuit))
     target = load_matrix(_read(args.matrix))
     rep = verify(circuit, target, _tolerances(args))
-    print(
-        json.dumps(
-            {
-                "distance": rep.distance,
-                "global_phase": rep.global_phase,
-                "passed": rep.passed,
-                "element_total": rep.element_total,
-            }
-        )
-    )
+    print(json.dumps(dataclasses.asdict(rep)))
     return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
 
 
@@ -127,12 +117,7 @@ def _cmd_target(args) -> int:
     doc = {
         "matrix": matrix_to_json(U),
         "circuit": json.loads(serialize(circuit)),
-        "report": {
-            "distance": report.distance,
-            "global_phase": report.global_phase,
-            "passed": report.passed,
-            "element_total": report.element_total,
-        },
+        "report": dataclasses.asdict(report),
     }
     print(json.dumps(doc))
     hand = HAND_COUNTS[(args.name, args.convention)]
@@ -160,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--matrix", required=True, help="path to matrix JSON")
     c.add_argument("--convention", required=True, choices=["ps", "sp"])
     c.add_argument("--optimize", action="store_true")
-    c.add_argument("--verify", action="store_true")
     c.add_argument("--tolerance", type=float)
     c.add_argument("--out")
     c.set_defaults(func=_cmd_compile)
@@ -194,12 +178,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+    # LinAlgError subclasses ValueError, so it must be caught first
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
 
 
 def main_entry() -> None:

@@ -178,7 +178,6 @@ def _compile(U, opts: CompileOptions, dim: int) -> tuple[OpticalCircuit, Verific
         metadata={
             "source_sha256": hashlib.sha256(dump_matrix(U).encode()).hexdigest(),
             **angles,
-            "global_phase_rad": f"{f.global_phase:.17g}",
             "compiler_version": __version__,
         },
     )

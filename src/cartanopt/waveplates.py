@@ -17,7 +17,6 @@ quarter-wave plate times a phase.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -44,41 +43,14 @@ def qwp_matrix(theta: float) -> np.ndarray:
     return np.array([[1 + 1j * c, 1j * s], [1j * s, 1 - 1j * c]]) / math.sqrt(2)
 
 
-@dataclasses.dataclass(frozen=True)
-class WaveplateChain:
-    """Up to PS, QWP, HWP, QWP applied in that order; absent plates are None."""
-
-    ps_angle: float | None = None
-    qwp1_angle: float | None = None
-    hwp_angle: float | None = None
-    qwp2_angle: float | None = None
-
-    def plates(self) -> list[tuple[str, float]]:
-        """Present plates as (kind, angle) pairs in application order."""
-        out = []
-        if self.ps_angle is not None:
-            out.append(("ps", self.ps_angle))
-        if self.qwp1_angle is not None:
-            out.append(("qwp", self.qwp1_angle))
-        if self.hwp_angle is not None:
-            out.append(("hwp", self.hwp_angle))
-        if self.qwp2_angle is not None:
-            out.append(("qwp", self.qwp2_angle))
-        return out
-
-    @property
-    def element_count(self) -> int:
-        return len(self.plates())
-
-
 # 2x2 matrix of each single-mode element kind as a function of its angle
 PLATE_MATRIX = {"ps": ps_matrix, "hwp": hwp_matrix, "qwp": qwp_matrix}
 
 
-def chain_matrix(chain: WaveplateChain) -> np.ndarray:
-    """Ordered product of the chain's plates; the empty chain is identity."""
+def chain_matrix(plates) -> np.ndarray:
+    """Ordered product of (kind, angle) plates; the empty chain is identity."""
     M = np.eye(2, dtype=complex)
-    for kind, angle in chain.plates():
+    for kind, angle in plates:
         M = PLATE_MATRIX[kind](angle) @ M
     return M
 
@@ -128,12 +100,13 @@ def _chain_params(U: np.ndarray) -> tuple[float, float, float, float]:
     return delta, a_first / 2.0, a_h / 2.0, a_last / 2.0
 
 
-def synthesize_u2(U, tol: ToleranceConfig = DEFAULT_TOL) -> WaveplateChain:
+def synthesize_u2(U, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[str, float]]:
     """Shortest wave-plate chain realizing U exactly (not just up to phase).
 
-    The phase shifter carries the determinant phase; plates that a
-    shorter realization does not need are omitted.  Chain length is at
-    most 4 and the identity yields the empty chain.
+    Returns (kind, angle) pairs in application order: an optional PS
+    carrying the determinant phase, then at most QWP, HWP, QWP; plates
+    that a shorter realization does not need are omitted.  The identity
+    yields the empty chain.
     """
     U = np.asarray(U, dtype=complex)
     if U.shape != (2, 2):
@@ -148,31 +121,31 @@ def synthesize_u2(U, tol: ToleranceConfig = DEFAULT_TOL) -> WaveplateChain:
     V = U * np.exp(-1j * delta)
     w, x, y, z = _quaternion(V)
 
-    ps: float | None
     if math.sqrt(x * x + y * y + z * z) <= a_tol:
         # scalar: all of U is a phase
         if w < 0.0:
             delta += math.pi
-        return WaveplateChain(ps_angle=_elide_phase(delta, a_tol))
+        return _phase_then(delta, a_tol)
     if math.hypot(w, y) <= a_tol:
         # i times a reflection in the x-z plane: a single half-wave plate
-        ps = _elide_phase(delta, a_tol)
-        return WaveplateChain(ps_angle=ps, hwp_angle=_canon_plate(math.atan2(x, z) / 2.0))
+        return _phase_then(delta, a_tol, ("hwp", _canon_plate(math.atan2(x, z) / 2.0)))
     if abs(y) <= a_tol and abs(abs(w) - 1.0 / math.sqrt(2.0)) <= a_tol:
         # a single quarter-wave plate times a phase; the SU(2) factor is
         # only fixed up to sign, so flip into the +w representative
         if w < 0.0:
             delta += math.pi
             x, z = -x, -z
-        ps = _elide_phase(delta, a_tol)
-        return WaveplateChain(ps_angle=ps, qwp1_angle=_canon_plate(math.atan2(x, z) / 2.0))
+        return _phase_then(delta, a_tol, ("qwp", _canon_plate(math.atan2(x, z) / 2.0)))
     d, q1, h, q2 = _chain_params(U)
-    return WaveplateChain(
-        ps_angle=_elide_phase(d, a_tol),
-        qwp1_angle=_canon_plate(q1),
-        hwp_angle=_canon_plate(h),
-        qwp2_angle=_canon_plate(q2),
+    return _phase_then(
+        d, a_tol, ("qwp", _canon_plate(q1)), ("hwp", _canon_plate(h)), ("qwp", _canon_plate(q2))
     )
+
+
+def _phase_then(delta: float, a_tol: float, *plates) -> list[tuple[str, float]]:
+    """A PS of angle delta, unless it is the identity, followed by the plates."""
+    a = _elide_phase(delta, a_tol)
+    return list(plates) if a is None else [("ps", a), *plates]
 
 
 def _elide_phase(angle: float, a_tol: float) -> float | None:

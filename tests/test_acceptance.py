@@ -157,7 +157,7 @@ def test_waveplate_synthesis_contract():
         U = haar_random_unitary(2, seed=seed)
         chain = synthesize_u2(U)
         worst = max(worst, np.abs(chain_matrix(chain) - U).max())
-        kinds = Counter(kind for kind, _ in chain.plates())
+        kinds = Counter(kind for kind, _ in chain)
         assert kinds["qwp"] <= 2 and kinds["hwp"] <= 1 and kinds["ps"] <= 1, kinds
     rng = np.random.default_rng(0)
     worst_id = 0.0

@@ -105,7 +105,8 @@ def test_round_trip_haar(conv):
 
 def test_round_trip_qft_sp_tight():
     f = decompose(QFT, "sp")
-    assert np.abs(reassemble(f) - np.exp(1j * f.global_phase) * QFT).max() < 1e-12
+    # exact equality, global phase included: the factors carry no phase
+    assert np.abs(reassemble(f) - QFT).max() < 1e-12
 
 
 def test_reassemble_trivial_factors():
@@ -115,7 +116,6 @@ def test_reassemble_trivial_factors():
         right_gates=(I2.copy(), I2.copy()),
         alpha=0.0,
         beta=0.0,
-        global_phase=0.0,
     )
     np.testing.assert_allclose(reassemble(f), np.eye(4), atol=1e-15)
 
@@ -123,7 +123,7 @@ def test_reassemble_trivial_factors():
 def test_decompose_deterministic():
     U = haar_random_unitary(4, seed=11)
     f1, f2 = decompose(U, "sp"), decompose(U, "sp")
-    assert (f1.alpha, f1.beta, f1.global_phase) == (f2.alpha, f2.beta, f2.global_phase)
+    assert (f1.alpha, f1.beta) == (f2.alpha, f2.beta)
     for A, B in zip(f1.left_gates + f1.right_gates, f2.left_gates + f2.right_gates):
         assert A.tobytes() == B.tobytes()
 

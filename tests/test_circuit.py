@@ -43,6 +43,30 @@ def test_element_validation():
         OpticalElement("hwp", (0,), float("nan"))
     with pytest.raises(ValueError):
         OpticalElement("bs", (0,), 0.1)
+    # numpy scalars are accepted and stored as Python numbers
+    e = OpticalElement("qwp", (np.int64(1),), np.float64(0.25))
+    assert e.modes == (1,) and type(e.modes[0]) is int
+    assert e.angle_rad == 0.25 and type(e.angle_rad) is float
+
+
+@pytest.mark.parametrize(
+    "kind,modes,angle",
+    [
+        ("hwp", (True,), 0.1),
+        ("hwp", (0.0,), 0.1),
+        ("hwp", ("0",), 0.1),
+        ("hwp", 0, 0.1),
+        ("hwp", "0", 0.1),
+        ("hwp", None, 0.1),
+        ("pbs", (0, 1.5), None),
+        ("hwp", (-1,), 0.1),
+        ("hwp", (0,), "0.1"),
+        ("hwp", (0,), True),
+    ],
+)
+def test_element_rejects_loose_types(kind, modes, angle):
+    with pytest.raises(ValueError):
+        OpticalElement(kind, modes, angle)
 
 
 def test_circuit_validates_mode_range():
@@ -115,6 +139,12 @@ def test_serialize_preserves_angle_bits():
         lambda d: d["elements"].append({"kind": "hwp", "modes": [9], "angle_rad": 0.1}),
         lambda d: d.update(version=True),
         lambda d: d["elements"].append({"kind": "hwp", "modes": [0], "angle_rad": 10**400}),
+        lambda d: d["elements"].append({"kind": "hwp", "modes": [True], "angle_rad": 0.1}),
+        lambda d: d["elements"].append({"kind": "hwp", "modes": 0, "angle_rad": 0.1}),
+        lambda d: d["elements"].append({"kind": "hwp", "modes": [0], "angle_rad": "0.1"}),
+        lambda d: d["elements"].append({"kind": "hwp", "modes": [0], "angle_rad": False}),
+        lambda d: d["elements"].append({"kind": ["hwp"], "modes": [0], "angle_rad": 0.1}),
+        lambda d: d["elements"].append("hwp"),
     ],
 )
 def test_deserialize_rejects_bad_documents(mutate):

@@ -1,11 +1,13 @@
 """Command-line interface, exercised in process through main(argv)."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from cartanopt.circuit import OpticalCircuit, deserialize, serialize
+from cartanopt import cli, linalg
 from cartanopt.cli import main
 from cartanopt.linalg import dump_matrix, haar_random_unitary, is_unitary, load_matrix
 
@@ -44,7 +46,7 @@ def test_random_rejects_unsupported_dim(capsys):
 
 def test_compile_walk_with_verification(capsys, tmp_path):
     p = _write_matrix(tmp_path / "walk.json", WALK)
-    code, out, err = _run(capsys, ["compile", "--matrix", p, "--convention", "ps", "--verify"])
+    code, out, err = _run(capsys, ["compile", "--matrix", p, "--convention", "ps"])
     assert code == 0
     circuit = deserialize(out)
     assert len(circuit.elements) == 20
@@ -57,11 +59,41 @@ def test_compile_walk_with_verification(capsys, tmp_path):
 def test_compile_identity_optimized(capsys, tmp_path):
     p = _write_matrix(tmp_path / "id.json", np.eye(4, dtype=complex))
     code, out, err = _run(
-        capsys, ["compile", "--matrix", p, "--convention", "sp", "--optimize", "--verify"]
+        capsys, ["compile", "--matrix", p, "--convention", "sp", "--optimize"]
     )
     assert code == 0
     assert len(deserialize(out).elements) == 0
     assert "elements: 0" in err
+
+
+def test_compile_exits_one_when_verification_fails(capsys, tmp_path, monkeypatch):
+    # compile always verifies: a failed report is exit 1 with no flag,
+    # and the circuit is still written
+    real = cli.compile_matrix
+
+    def failing(U, opts):
+        circuit, report = real(U, opts)
+        return circuit, dataclasses.replace(report, passed=False)
+
+    monkeypatch.setattr(cli, "compile_matrix", failing)
+    p = _write_matrix(tmp_path / "walk.json", WALK)
+    code, out, err = _run(capsys, ["compile", "--matrix", p, "--convention", "ps"])
+    assert code == 1
+    assert len(deserialize(out).elements) == 20
+    assert "passed=False" in err
+
+
+def test_compile_linalg_failure_exits_three(capsys, tmp_path, monkeypatch):
+    # LinAlgError subclasses ValueError; it must still map to exit 3
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("CSD did not converge")
+
+    monkeypatch.setattr(linalg, "cossin", broken)
+    p = _write_matrix(tmp_path / "m.json", haar_random_unitary(4, seed=1))
+    code, out, err = _run(capsys, ["compile", "--matrix", p, "--convention", "ps"])
+    assert code == 3
+    assert out == ""
+    assert "numerical failure" in err
 
 
 def test_compile_rejects_nonunitary(capsys, tmp_path):
@@ -99,7 +131,6 @@ def test_random_compile_verify_round_trip(capsys, tmp_path):
                     m_path,
                     "--convention",
                     conv,
-                    "--verify",
                     "--out",
                     c_path,
                 ]

@@ -1,13 +1,14 @@
 """Full pipeline: matrix in, verified optical circuit out."""
 
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cartanopt.cartan import central_a
-from cartanopt.circuit import element_count, serialize
+from cartanopt.circuit import deserialize, element_count, serialize
 from cartanopt.compiler import (
     HAND_COUNTS,
     CompileOptions,
@@ -17,7 +18,7 @@ from cartanopt.compiler import (
     reference_decompositions,
 )
 from cartanopt.linalg import dump_matrix, haar_random_unitary, is_unitary, phase_distance
-from cartanopt.simulate import simulate
+from cartanopt.simulate import simulate, verify
 
 WALK = 0.5 * np.array(
     [[-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1], [1, 1, 1, -1]], dtype=complex
@@ -143,8 +144,22 @@ def test_metadata_records_source_and_angles():
     assert md["source_sha256"] == hashlib.sha256(dump_matrix(WALK).encode()).hexdigest()
     assert abs(float(md["theta1_rad"]) - math.pi / 2) < 1e-12
     assert abs(float(md["theta2_rad"])) < 1e-12
-    assert float(md["global_phase_rad"]) == 0.0
+    # the circuit equals its target exactly, so no global phase is recorded
+    assert "global_phase_rad" not in md
     assert md["compiler_version"]
+
+
+def test_older_documents_with_global_phase_still_load():
+    # circuits written before the metadata lost its always-zero
+    # global_phase_rad entry still deserialize and verify; metadata is
+    # free-form str -> str
+    circuit, _ = compile(WALK, _opts("ps"))
+    doc = json.loads(serialize(circuit))
+    doc["metadata"]["global_phase_rad"] = "0"
+    old = deserialize(json.dumps(doc))
+    assert old.metadata["global_phase_rad"] == "0"
+    assert old.elements == circuit.elements
+    assert verify(old, WALK).passed
 
 
 def test_compile_deterministic():

@@ -5,7 +5,6 @@ import pytest
 
 from cartanopt.linalg import haar_random_unitary
 from cartanopt.waveplates import (
-    WaveplateChain,
     chain_matrix,
     hwp_matrix,
     ps_matrix,
@@ -48,58 +47,60 @@ def test_plate_identities():
 
 
 def test_chain_matrix_empty_is_identity():
-    assert np.array_equal(chain_matrix(WaveplateChain()), np.eye(2, dtype=complex))
+    assert np.array_equal(chain_matrix([]), np.eye(2, dtype=complex))
 
 
 def test_chain_matrix_phase_only():
-    ch = WaveplateChain(ps_angle=np.pi / 2)
+    ch = [("ps", np.pi / 2)]
     np.testing.assert_allclose(chain_matrix(ch), 1j * np.eye(2), atol=1e-15)
 
 
 def test_double_qwp_equals_hwp():
     for theta in (0.0, 0.3, 1.2, 2.9):
-        ch = WaveplateChain(qwp1_angle=theta, qwp2_angle=theta)
+        ch = [("qwp", theta), ("qwp", theta)]
         np.testing.assert_allclose(chain_matrix(ch), hwp_matrix(theta), atol=1e-14)
 
 
 def test_plates_listed_in_application_order():
-    ch = WaveplateChain(ps_angle=0.1, qwp1_angle=0.2, hwp_angle=0.3, qwp2_angle=0.4)
-    assert ch.plates() == [("ps", 0.1), ("qwp", 0.2), ("hwp", 0.3), ("qwp", 0.4)]
-    assert ch.element_count == 4
+    # the first plate acts first: the product is Q(0.4) H(0.3) Q(0.2) PS(0.1)
+    ch = [("ps", 0.1), ("qwp", 0.2), ("hwp", 0.3), ("qwp", 0.4)]
+    expected = qwp_matrix(0.4) @ hwp_matrix(0.3) @ qwp_matrix(0.2) @ ps_matrix(0.1)
+    np.testing.assert_allclose(chain_matrix(ch), expected, atol=1e-15)
+    full = synthesize_u2(haar_random_unitary(2, seed=3))
+    assert [k for k, _ in full] == ["ps", "qwp", "hwp", "qwp"]
 
 
 def test_synthesize_identity_is_empty():
-    ch = synthesize_u2(np.eye(2, dtype=complex))
-    assert ch.element_count == 0
+    assert synthesize_u2(np.eye(2, dtype=complex)) == []
 
 
 def test_synthesize_single_hwp():
     ch = synthesize_u2(1j * SX)
-    assert ch.plates() == [("hwp", pytest.approx(np.pi / 4))]
+    assert ch == [("hwp", pytest.approx(np.pi / 4))]
 
 
 def test_synthesize_phase_only():
     ch = synthesize_u2(np.exp(0.7j) * np.eye(2))
-    assert ch.plates() == [("ps", pytest.approx(0.7))]
+    assert ch == [("ps", pytest.approx(0.7))]
 
 
 def test_synthesize_reflection_with_phase():
     # sx = e^{i pi/2} times a pure half-wave reflection
     ch = synthesize_u2(SX.astype(complex))
-    kinds = [k for k, _ in ch.plates()]
+    kinds = [k for k, _ in ch]
     assert kinds == ["ps", "hwp"]
     np.testing.assert_allclose(chain_matrix(ch), SX, atol=1e-14)
 
 
 def test_synthesize_hadamard_two_elements():
     ch = synthesize_u2(HADAMARD)
-    assert ch.element_count == 2
+    assert len(ch) == 2
     np.testing.assert_allclose(chain_matrix(ch), HADAMARD, atol=1e-14)
 
 
 def test_synthesize_single_qwp_preserved():
     ch = synthesize_u2(qwp_matrix(0.4))
-    assert ch.plates() == [("qwp", pytest.approx(0.4))]
+    assert ch == [("qwp", pytest.approx(0.4))]
 
 
 def test_synthesize_round_trip_haar():
@@ -107,7 +108,7 @@ def test_synthesize_round_trip_haar():
     for seed in range(1000):
         U = haar_random_unitary(2, seed=seed)
         ch = synthesize_u2(U)
-        assert ch.element_count <= 4
+        assert len(ch) <= 4
         worst = max(worst, np.abs(chain_matrix(ch) - U).max())
     assert worst < 1e-10
 
@@ -139,7 +140,7 @@ def test_synthesize_round_trip_near_real_rotations():
 def test_synthesize_canonical_angle_ranges():
     for seed in range(50):
         ch = synthesize_u2(haar_random_unitary(2, seed=seed))
-        for kind, angle in ch.plates():
+        for kind, angle in ch:
             if kind == "ps":
                 assert 0.0 <= angle < 2 * np.pi
             else:
