@@ -17,7 +17,14 @@ import numpy as np
 
 from .dof import DofConvention
 from .linalg import DEFAULT_TOL, ToleranceConfig
-from .waveplates import _canon_phase, _canon_plate, _elide_phase, chain_matrix, synthesize_u2
+from .waveplates import (
+    _canon_phase,
+    _elide_phase,
+    _rotation_pair,
+    _suffixes_may_shrink,
+    chain_matrix,
+    synthesize_u2,
+)
 
 KINDS = ("pbs", "hwp", "qwp", "ps")
 # angle types an element accepts; bool, an int subclass, is rejected on
@@ -255,54 +262,63 @@ def _rewrite_merge_ps(elems: list) -> bool:
     return False
 
 
-def _rotation_pair(M: np.ndarray, a_tol: float):
-    # two half-wave plates realize any real rotation: H(a)H(0) equals
-    # the rotation by 2a - pi, a form the PS-QWP-HWP-QWP chain needs
-    # three plates for
-    if np.abs(M.imag).max() > a_tol:
-        return None
-    if (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]).real < 0.0:
-        return None
-    phi = math.atan2(M[1, 0].real, M[0, 0].real)
-    return [("hwp", 0.0), ("hwp", _canon_plate((phi + math.pi) / 2.0))]
+def _resynthesize(plates, tol: ToleranceConfig) -> list[tuple[str, float]]:
+    # the shortest exact chain for a run's product: synthesize_u2, or two
+    # half-wave plates for a real rotation when that beats a longer chain
+    # and a longer run
+    M = chain_matrix(plates)
+    chain = synthesize_u2(M, tol)
+    if len(plates) > 2 and len(chain) > 2:
+        pair = _rotation_pair(M, tol.angle_tol)
+        if pair is not None:
+            chain = pair
+    return chain
 
 
 def _rewrite_resynthesize_run(elems: list, tol: ToleranceConfig, shortest: dict) -> bool:
     # a same-mode run of plates collapses through synthesize_u2 when the
     # product admits a shorter chain; elements on other modes are
-    # transparent, a PBS touching the mode ends the run.  shortest maps
-    # a run's (kind, angle) sequence to the length of its best
-    # replacement, so a rescan skips the runs it has already rejected.
-    n = len(elems)
+    # transparent, a PBS touching the mode ends the run.  One pass finds
+    # the maximal runs; the candidates are each run and each of its proper
+    # suffixes, tried in order of their first element, and the first that
+    # shrinks is rewritten.  A full run always takes the exact path; a
+    # proper suffix reaches it only when _suffixes_may_shrink cannot rule
+    # a shorter chain out.  shortest maps a candidate's (kind, angle)
+    # sequence to the length of its exact replacement, so a rescan skips
+    # the candidates it has already rejected.
+    runs, open_runs, at = [], {}, {}
     for i, e in enumerate(elems):
         if e.kind == "pbs":
+            for m in e.modes:
+                open_runs.pop(m, None)
             continue
-        mode = e.modes[0]
-        run = [i]
-        for j in range(i + 1, n):
-            f = elems[j]
-            if mode not in f.modes:
+        r = open_runs.get(e.modes[0])
+        if r is None:
+            r = open_runs[e.modes[0]] = len(runs)
+            runs.append([])
+        at[i] = (r, len(runs[r]))
+        runs[r].append(i)
+    keys = [tuple((elems[j].kind, elems[j].angle_rad) for j in run) for run in runs]
+    may_shrink = {}
+    for i, (r, k) in at.items():
+        key = keys[r][k:]
+        if len(key) < 2:
+            continue
+        if k:
+            if r not in may_shrink:
+                may_shrink[r] = _suffixes_may_shrink(keys[r], tol.angle_tol)
+            if not may_shrink[r][k]:
                 continue
-            if f.kind == "pbs":
-                break
-            run.append(j)
-        if len(run) < 2:
+        if key in shortest and shortest[key] >= len(key):
             continue
-        key = tuple((elems[j].kind, elems[j].angle_rad) for j in run)
-        if key in shortest and shortest[key] >= len(run):
-            continue
-        M = chain_matrix(key)
-        plates = synthesize_u2(M, tol)
-        # the two-plate rotation only wins over a longer chain and run
-        if len(run) > 2 and len(plates) > 2:
-            pair = _rotation_pair(M, tol.angle_tol)
-            if pair is not None:
-                plates = pair
+        plates = _resynthesize(key, tol)
         shortest[key] = len(plates)
-        if len(plates) < len(run):
+        if len(plates) < len(key):
+            run = runs[r][k:]
+            mode = elems[i].modes[0]
             for j in reversed(run):
                 del elems[j]
-            elems[run[0] : run[0]] = chain_elements(plates, mode)
+            elems[i:i] = chain_elements(plates, mode)
             return True
     return False
 

@@ -17,6 +17,7 @@ quarter-wave plate times a phase.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -24,6 +25,12 @@ import numpy as np
 from .linalg import DEFAULT_TOL, ToleranceConfig, is_unitary, unitarity_residual
 
 _TWO_PI = 2.0 * math.pi
+# |w| of a single quarter-wave plate's quaternion
+_QWP_W = 1.0 / math.sqrt(2.0)
+# how far a closed-form bound must clear each threshold beyond angle_tol: far
+# above the ~1e-15 gap between a 2x2 product of at most four plates formed in
+# another order and chain_matrix's
+_BOUND_MARGIN = 1e-9
 
 
 def ps_matrix(theta: float) -> np.ndarray:
@@ -100,6 +107,25 @@ def _chain_params(U: np.ndarray) -> tuple[float, float, float, float]:
     return delta, a_first / 2.0, a_h / 2.0, a_last / 2.0
 
 
+def _branch_gaps(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:
+    """Distances of a quaternion from the short branches of synthesize_u2.
+
+    In order: a scalar (phase only), a single half-wave plate, a single
+    quarter-wave plate.  A branch is taken when its gap is <= angle_tol.
+    The gaps are invariant under flipping the quaternion's sign.
+    """
+    return (
+        math.sqrt(x * x + y * y + z * z),
+        math.hypot(w, y),
+        max(abs(y), abs(abs(w) - _QWP_W)),
+    )
+
+
+def _imag_gap(a: complex, b: complex, c: complex, d: complex) -> float:
+    """Largest imaginary part of [[a, b], [c, d]]; the rotation pair needs it <= angle_tol."""
+    return max(abs(a.imag), abs(b.imag), abs(c.imag), abs(d.imag))
+
+
 def synthesize_u2(U, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[str, float]]:
     """Shortest wave-plate chain realizing U exactly (not just up to phase).
 
@@ -121,15 +147,16 @@ def synthesize_u2(U, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[str, floa
     V = U * np.exp(-1j * delta)
     w, x, y, z = _quaternion(V)
 
-    if math.sqrt(x * x + y * y + z * z) <= a_tol:
+    scalar_gap, hwp_gap, qwp_gap = _branch_gaps(w, x, y, z)
+    if scalar_gap <= a_tol:
         # scalar: all of U is a phase
         if w < 0.0:
             delta += math.pi
         return _phase_then(delta, a_tol)
-    if math.hypot(w, y) <= a_tol:
+    if hwp_gap <= a_tol:
         # i times a reflection in the x-z plane: a single half-wave plate
         return _phase_then(delta, a_tol, ("hwp", _canon_plate(math.atan2(x, z) / 2.0)))
-    if abs(y) <= a_tol and abs(abs(w) - 1.0 / math.sqrt(2.0)) <= a_tol:
+    if qwp_gap <= a_tol:
         # a single quarter-wave plate times a phase; the SU(2) factor is
         # only fixed up to sign, so flip into the +w representative
         if w < 0.0:
@@ -153,3 +180,71 @@ def _elide_phase(angle: float, a_tol: float) -> float | None:
     if min(a, _TWO_PI - a) <= a_tol:
         return None
     return a
+
+
+def _rotation_pair(M: np.ndarray, a_tol: float):
+    """Two half-wave plates for a real rotation M, or None.
+
+    H(a)H(0) equals the rotation by 2a - pi, a form the PS-QWP-HWP-QWP
+    chain needs three plates for.
+    """
+    if _imag_gap(*M.flat) > a_tol:
+        return None
+    if (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]).real < 0.0:
+        return None
+    phi = math.atan2(M[1, 0].real, M[0, 0].real)
+    return [("hwp", 0.0), ("hwp", _canon_plate((phi + math.pi) / 2.0))]
+
+
+def _plate_entries(kind: str, angle: float) -> tuple[complex, complex, complex, complex]:
+    """Entries (a, b, c, d) of the plate [[a, b], [c, d]] as Python complex numbers.
+
+    The same matrices as PLATE_MATRIX, cheaper to multiply in a short
+    loop; used only where a bound with a margin absorbs the rounding
+    difference.
+    """
+    if kind == "ps":
+        p = cmath.exp(1j * angle)
+        return p, 0j, 0j, p
+    c, s = math.cos(2 * angle), math.sin(2 * angle)
+    if kind == "hwp":
+        return 1j * c, 1j * s, 1j * s, -1j * c
+    c, s = c * _QWP_W, s * _QWP_W
+    return complex(_QWP_W, c), 1j * s, 1j * s, complex(_QWP_W, -c)
+
+
+def _suffixes_may_shrink(plates, a_tol: float) -> list[bool]:
+    """For each proper suffix plates[j:], whether it may have a shorter exact chain.
+
+    The exact chain is synthesize_u2 of the product, replaced by
+    _rotation_pair when both the suffix and that chain exceed two plates.
+    Entry j (j >= 1) is False only when that chain surely has at least
+    len(plates) - j plates: the product's quaternion clears every short
+    branch, for three or more plates the product is clearly not real,
+    and for four its determinant phase clearly keeps the PS.  Each test
+    clears its threshold by angle_tol + _BOUND_MARGIN, so a product near
+    a threshold reads True and goes to the exact path.  Entry 0, the
+    whole sequence, is True: it always takes the exact path, as does any
+    suffix of five or more plates, which always shrinks.  One backward
+    pass forms the product of every suffix it tests.
+    """
+    bound = a_tol + _BOUND_MARGIN
+    may = [True] * len(plates)
+    a, b, c, d = 1 + 0j, 0j, 0j, 1 + 0j
+    for j in range(len(plates) - 1, max(len(plates) - 5, 0), -1):
+        p, q, r, s = _plate_entries(*plates[j])
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+        n = len(plates) - j
+        if n == 1:
+            # a single plate is never a candidate
+            continue
+        if n >= 3 and _imag_gap(a, b, c, d) <= bound:
+            continue
+        det = a * d - b * c
+        delta = math.atan2(det.imag, det.real) / 2.0
+        if n == 4 and abs(delta) <= bound:
+            continue
+        e = cmath.exp(-1j * delta)
+        va, vb = a * e, b * e
+        may[j] = min(_branch_gaps(va.real, vb.imag, vb.real, va.imag)) <= bound
+    return may

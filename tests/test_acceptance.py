@@ -6,6 +6,7 @@ not reach fail here with the achieved figures in the message; they are
 deliberately not weakened.
 """
 
+import itertools
 import math
 from collections import Counter
 
@@ -22,7 +23,7 @@ from cartanopt.compiler import (
     reference_decompositions,
 )
 from cartanopt.lie import check_cartan_conditions, lie_span
-from cartanopt.linalg import haar_random_unitary, phase_distance
+from cartanopt.linalg import haar_random_unitary
 from cartanopt.simulate import simulate
 from cartanopt.waveplates import chain_matrix, hwp_matrix, qwp_matrix, synthesize_u2
 
@@ -175,19 +176,30 @@ def test_waveplate_synthesis_contract():
     assert worst_id <= 1e-12
 
 
+def _signed_permutations():
+    # the 24 permutations of four basis states, each with its own sign pattern
+    for k, perm in enumerate(itertools.permutations(range(4))):
+        signs = [(-1.0) ** ((k >> b) & 1) for b in range(4)]
+        yield np.eye(4, dtype=complex)[list(perm)] * signs
+
+
 def test_optimizer_safety():
-    worst_drift, grew = 0.0, []
+    # optimize promises the same unitary exactly, global phase included,
+    # so drift is the plain max-entry difference
+    worst_drift, grew, shrunk = 0.0, [], 0
+    cases = [(conv, f"haar{seed}", haar_random_unitary(4, seed=seed))
+             for conv in ("ps", "sp") for seed in range(250)]
     for conv in ("ps", "sp"):
-        opts = CompileOptions(convention=conv)
-        for seed in range(250):
-            U = haar_random_unitary(4, seed=seed)
-            before, _ = compile(U, opts)
-            after = optimize(before)
-            n0, n1 = element_count(before).total, element_count(after).total
-            if n1 > n0:
-                grew.append((conv, seed, n0, n1))
-            d, _ = phase_distance(simulate(after), simulate(before))
-            worst_drift = max(worst_drift, d)
+        cases += [(conv, name, builtin_target(name, conv)) for name in ("walk", "qft")]
+        cases += [(conv, f"perm{k}", P) for k, P in enumerate(_signed_permutations())]
+    for conv, name, U in cases:
+        before, _ = compile(U, CompileOptions(convention=conv))
+        after = optimize(before)
+        n0, n1 = element_count(before).total, element_count(after).total
+        if n1 > n0:
+            grew.append((conv, name, n0, n1))
+        shrunk += n1 < n0
+        worst_drift = max(worst_drift, float(np.abs(simulate(after) - simulate(before)).max()))
     achieved = {}
     for name in ("walk", "qft"):
         for conv in ("ps", "sp"):
@@ -203,8 +215,9 @@ def test_optimizer_safety():
     )
     ok = not grew and worst_drift <= 1e-9
     print(
-        f"optimizer safety (500 compiled circuits): {'PASS' if ok else 'FAIL'} "
-        f"(worst drift {worst_drift:.2e}, count regressions {grew or 'none'}); "
+        f"optimizer safety ({len(cases)} compiled circuits, {shrunk} shrunk): "
+        f"{'PASS' if ok else 'FAIL'} "
+        f"(worst plain drift {worst_drift:.2e}, count regressions {grew or 'none'}); "
         f"achieved vs hand-drawn: {hand_vs}"
     )
     assert not grew

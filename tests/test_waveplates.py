@@ -1,10 +1,16 @@
 """Closed-form plate matrices and four-element synthesis of 2x2 unitaries."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cartanopt.linalg import haar_random_unitary
+from cartanopt.circuit import _resynthesize
+from cartanopt.linalg import DEFAULT_TOL, ToleranceConfig, haar_random_unitary
 from cartanopt.waveplates import (
+    _plate_entries,
+    _suffixes_may_shrink,
     chain_matrix,
     hwp_matrix,
     ps_matrix,
@@ -150,3 +156,50 @@ def test_synthesize_canonical_angle_ranges():
 def test_synthesize_rejects_non_unitary():
     with pytest.raises(ValueError):
         synthesize_u2(np.ones((2, 2), dtype=complex))
+
+
+def test_plate_entries_match_plate_matrices():
+    for kind in ("ps", "hwp", "qwp"):
+        for angle in (-7.0, -0.3, 0.0, np.pi / 8, 1.1, 5.0):
+            entries = np.array(_plate_entries(kind, angle)).reshape(2, 2)
+            np.testing.assert_allclose(entries, chain_matrix([(kind, angle)]), atol=1e-15)
+
+
+def test_generic_chain_suffixes_are_ruled_out():
+    # the proper suffixes of a generic PS-QWP-HWP-QWP chain are themselves
+    # generic, so the bound spares synthesize_u2 every one of them
+    for seed in range(20):
+        plates = synthesize_u2(haar_random_unitary(2, seed))
+        assert len(plates) == 4
+        assert _suffixes_may_shrink(plates, DEFAULT_TOL.angle_tol)[1:3] == [False, False]
+
+
+SUFFIX_TOLS = (
+    DEFAULT_TOL,
+    ToleranceConfig(angle_tol=1e-6),
+    ToleranceConfig(unitarity_tol=1e-6, equivalence_tol=1e-6, angle_tol=1e-3),
+)
+# multiples of pi/8 put products on the short branches; the offsets sit
+# around each angle_tol and around the bound's margin
+_special_angles = st.builds(
+    lambda k, sign, offset: k * math.pi / 8 + sign * offset,
+    st.integers(-16, 16),
+    st.sampled_from((-1.0, 1.0)),
+    st.sampled_from((0.0, 1e-13, 1e-12, 2e-12, 1e-9, 3e-9, 1e-6, 2e-6, 1e-3, 2e-3)),
+)
+_plates = st.tuples(
+    st.sampled_from(("ps", "hwp", "qwp")),
+    st.one_of(_special_angles, st.floats(-4 * math.pi, 4 * math.pi)),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.lists(_plates, min_size=3, max_size=6), st.sampled_from(SUFFIX_TOLS))
+def test_suffix_bound_never_rules_out_a_shorter_chain(plates, tol):
+    # proper suffixes of 2-5 plates
+    may = _suffixes_may_shrink(plates, tol.angle_tol)
+    assert may[0]
+    for j in range(1, len(plates) - 1):
+        if not may[j]:
+            assert len(_resynthesize(plates[j:], tol)) >= len(plates) - j
+
