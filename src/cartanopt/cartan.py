@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .dof import DofConvention
+from .dof import DofConvention, ps_to_sp_indices
 from .lie import SX
 from .linalg import (
     DEFAULT_TOL,
@@ -28,9 +28,9 @@ from .linalg import (
     unitarity_residual,
 )
 
-# PS basis order interleaves polarization-major; this permutation
-# rewrites it as spatial-major so the K-factors become block-diagonal.
-_PS_TO_BLOCK = [0, 2, 1, 3]
+# PS basis order is polarization-major; rewriting it as spatial-major
+# makes the K-factors block-diagonal.
+_PS_TO_BLOCK = ps_to_sp_indices(2)
 # SP basis order is already spatial-major; swapping the second mode's
 # polarization pair aligns the central coupling with the CSD layout.
 _SP_TO_BLOCK = [0, 1, 3, 2]
@@ -107,17 +107,37 @@ def central_a(alpha: float, beta: float, convention) -> np.ndarray:
 def _embed_pair(g1: np.ndarray, g2: np.ndarray, conv: DofConvention) -> np.ndarray:
     """Two 2x2 gates as a 4x4 in the convention's basis order.
 
-    In SP order the gates are literal diagonal blocks; in PS order the
-    first gate sits on index pair (0, 2) and the second on (1, 3).
+    In SP order the gates are literal diagonal blocks; PS order permutes
+    that block-diagonal matrix.
     """
     M = np.zeros((4, 4), dtype=complex)
+    M[:2, :2] = g1
+    M[2:, 2:] = g2
     if conv is DofConvention.PS:
-        M[np.ix_((0, 2), (0, 2))] = g1
-        M[np.ix_((1, 3), (1, 3))] = g2
-    else:
-        M[:2, :2] = g1
-        M[2:, 2:] = g2
+        M = M[np.ix_(_PS_TO_BLOCK, _PS_TO_BLOCK)]
     return M
+
+
+def _csd_level(U, n: int, name: str, tol: ToleranceConfig, perm=None):
+    """Check an n x n unitary, permute its basis by perm, and split it at n/2 + n/2.
+
+    Returns (Uq, csd): the permuted matrix, and _cosine_sine's output or
+    None when Uq is block-diagonal within angle_tol.  An error reports
+    the residual of the input as given.
+    """
+    U = _as_square(U)
+    if U.shape != (n, n):
+        raise ValueError(f"{name} expects {n}x{n} input, got shape {U.shape}")
+    if not is_unitary(U, tol):
+        raise ValueError(
+            f"{name} requires a unitary input (residual {unitarity_residual(U):.3e})"
+        )
+    if perm is not None:
+        U = U[np.ix_(perm, perm)]
+    k = n // 2
+    if np.abs(U[:k, k:]).max() <= tol.angle_tol and np.abs(U[k:, :k]).max() <= tol.angle_tol:
+        return U, None
+    return U, _cosine_sine(U, k)
 
 
 def decompose(U, convention, tol: ToleranceConfig = DEFAULT_TOL) -> CartanFactors:
@@ -127,19 +147,9 @@ def decompose(U, convention, tol: ToleranceConfig = DEFAULT_TOL) -> CartanFactor
     identical factors.  Central angles satisfy theta1 >= theta2 >= 0.
     """
     conv = DofConvention(convention)
-    U = _as_square(U)
-    if U.shape != (4, 4):
-        raise ValueError(f"decompose expects a 4x4 matrix, got {U.shape}")
-    if not is_unitary(U, tol):
-        raise ValueError(
-            f"decompose requires a unitary input (residual {unitarity_residual(U):.3e})"
-        )
     perm = _PS_TO_BLOCK if conv is DofConvention.PS else _SP_TO_BLOCK
-    Uq = U[np.ix_(perm, perm)]
-    if (
-        np.abs(Uq[:2, 2:]).max() <= tol.angle_tol
-        and np.abs(Uq[2:, :2]).max() <= tol.angle_tol
-    ):
+    Uq, csd = _csd_level(U, 4, "decompose", tol, perm)
+    if csd is None:
         # already local: both central angles vanish and the gates can be
         # read off directly, with identity right gates
         g1 = Uq[:2, :2].copy()
@@ -153,7 +163,7 @@ def decompose(U, convention, tol: ToleranceConfig = DEFAULT_TOL) -> CartanFactor
             alpha=0.0,
             beta=0.0,
         )
-    V1, V2, thetas, W1, W2 = _cosine_sine(Uq, 2)
+    V1, V2, thetas, W1, W2 = csd
     t1, t2 = float(thetas[0]), float(thetas[1])
     if conv is DofConvention.PS:
         left = (V1, 1j * V2)
@@ -188,23 +198,14 @@ def decompose_m4(U, tol: ToleranceConfig = DEFAULT_TOL) -> RecursiveFactors:
     the central factor through physical elements belong to the compile
     stage, which folds them into the blocks it recurses on.
     """
-    U = _as_square(U)
-    if U.shape != (8, 8):
-        raise ValueError(f"decompose_m4 expects an 8x8 matrix, got {U.shape}")
-    if not is_unitary(U, tol):
-        raise ValueError(
-            f"decompose_m4 requires a unitary input (residual {unitarity_residual(U):.3e})"
-        )
-    if (
-        np.abs(U[:4, 4:]).max() <= tol.angle_tol
-        and np.abs(U[4:, :4]).max() <= tol.angle_tol
-    ):
+    U, csd = _csd_level(U, 8, "decompose_m4", tol)
+    if csd is None:
         return RecursiveFactors(
             left_blocks=(U[:4, :4].copy(), U[4:, 4:].copy()),
             right_blocks=(np.eye(4, dtype=complex), np.eye(4, dtype=complex)),
             angles=(0.0, 0.0, 0.0, 0.0),
         )
-    V1, V2, thetas, W1, W2 = _cosine_sine(U, 4)
+    V1, V2, thetas, W1, W2 = csd
     return RecursiveFactors(
         left_blocks=(V1, V2),
         right_blocks=(W1, W2),

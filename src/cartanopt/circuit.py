@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .dof import DofConvention
-from .linalg import DEFAULT_TOL, ToleranceConfig
+from .linalg import DEFAULT_TOL, ToleranceConfig, _parse_json
 from .waveplates import (
     _canon_phase,
     _elide_phase,
@@ -27,9 +27,13 @@ from .waveplates import (
 )
 
 KINDS = ("pbs", "hwp", "qwp", "ps")
-# angle types an element accepts; bool, an int subclass, is rejected on
-# its own.  Modes accept exactly int and numpy integers, which excludes bool.
+# angle types an element accepts; bool (an int subclass) is rejected separately
 _REAL = (float, int, np.floating, np.integer)
+
+
+def _is_int(v) -> bool:
+    """Mode indices and mode counts are exactly int or a numpy integer, never bool."""
+    return type(v) is int or isinstance(v, np.integer)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,9 +53,7 @@ class OpticalElement:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown element kind {self.kind!r}")
-        if not isinstance(self.modes, (tuple, list)) or not all(
-            type(m) is int or isinstance(m, np.integer) for m in self.modes
-        ):
+        if not isinstance(self.modes, (tuple, list)) or not all(map(_is_int, self.modes)):
             raise ValueError(f"modes must be a list of integers, got {self.modes!r}")
         modes = tuple(map(int, self.modes))
         if modes and min(modes) < 0:
@@ -109,10 +111,11 @@ class OpticalCircuit:
 
     def __post_init__(self):
         object.__setattr__(self, "convention", DofConvention(self.convention))
-        if self.num_spatial_modes not in (2, 4):
+        if not _is_int(self.num_spatial_modes) or self.num_spatial_modes not in (2, 4):
             raise ValueError(
                 f"num_spatial_modes must be 2 or 4, got {self.num_spatial_modes}"
             )
+        object.__setattr__(self, "num_spatial_modes", int(self.num_spatial_modes))
         elements = tuple(self.elements)
         for e in elements:
             if not isinstance(e, OpticalElement):
@@ -134,9 +137,10 @@ class OpticalCircuit:
 class CountReport:
     """Element totals and the saving against the reference baseline.
 
-    baseline_comparisons maps a baseline name to (baseline - total), so
-    a positive delta is an improvement.  Only the baseline matching the
-    circuit's convention and mode count appears.
+    by_kind counts each kind in KINDS order; baseline_comparisons maps a
+    baseline name to (baseline - total), so a positive delta is an
+    improvement.  Only the baseline matching the circuit's convention and
+    mode count appears.
     """
 
     total: int
@@ -191,11 +195,7 @@ def serialize(circuit: OpticalCircuit) -> str:
 
 
 def deserialize(text: str) -> OpticalCircuit:
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the decoder's stack
-        raise ValueError(f"malformed circuit JSON: {exc}") from exc
+    doc = _parse_json(text, "circuit")
     if not isinstance(doc, dict):
         raise ValueError("circuit JSON must be an object")
     version = doc.get("version")
@@ -205,8 +205,6 @@ def deserialize(text: str) -> OpticalCircuit:
     if convention not in ("ps", "sp"):
         raise ValueError(f"convention must be 'ps' or 'sp', got {convention!r}")
     modes = doc.get("spatial_modes")
-    if not isinstance(modes, int) or isinstance(modes, bool):
-        raise ValueError("spatial_modes must be an integer")
     raw = doc.get("elements")
     if not isinstance(raw, list):
         raise ValueError("'elements' must be a list")
@@ -230,8 +228,13 @@ def deserialize(text: str) -> OpticalCircuit:
 
 # -- peephole optimization ---------------------------------------------------
 
-def _disjoint(e: OpticalElement, f: OpticalElement) -> bool:
-    return not set(e.modes) & set(f.modes)
+def _next_on_modes(elems: list, i: int) -> int | None:
+    """Index of the first element after elems[i] that shares a mode with it."""
+    modes = set(elems[i].modes)
+    for j in range(i + 1, len(elems)):
+        if not modes.isdisjoint(elems[j].modes):
+            return j
+    return None
 
 
 def _rewrite_drop_zero_ps(elems: list, a_tol: float) -> bool:
@@ -250,15 +253,11 @@ def _rewrite_merge_ps(elems: list) -> bool:
     for i, e in enumerate(elems):
         if e.kind != "ps":
             continue
-        for j in range(i + 1, len(elems)):
-            f = elems[j]
-            if _disjoint(e, f):
-                continue
-            if f.kind == "ps" and f.modes == e.modes:
-                elems[i] = ps(e.modes[0], _canon_phase(e.angle_rad + f.angle_rad))
-                del elems[j]
-                return True
-            break
+        j = _next_on_modes(elems, i)
+        if j is not None and elems[j].kind == "ps":
+            elems[i] = ps(e.modes[0], _canon_phase(e.angle_rad + elems[j].angle_rad))
+            del elems[j]
+            return True
     return False
 
 
@@ -329,15 +328,11 @@ def _rewrite_cancel_pbs(elems: list) -> bool:
     for i, e in enumerate(elems):
         if e.kind != "pbs":
             continue
-        for j in range(i + 1, len(elems)):
-            f = elems[j]
-            if _disjoint(e, f):
-                continue
-            if f.kind == "pbs" and set(f.modes) == set(e.modes):
-                del elems[j]
-                del elems[i]
-                return True
-            break
+        j = _next_on_modes(elems, i)
+        if j is not None and elems[j].kind == "pbs" and set(elems[j].modes) == set(e.modes):
+            del elems[j]
+            del elems[i]
+            return True
     return False
 
 

@@ -62,7 +62,7 @@ def _tolerances(args) -> ToleranceConfig:
 
 def _count_lines(circuit) -> list[str]:
     rep = element_count(circuit)
-    kinds = ", ".join(f"{k}={rep.by_kind[k]}" for k in ("pbs", "hwp", "qwp", "ps"))
+    kinds = ", ".join(f"{k}={n}" for k, n in rep.by_kind.items())
     lines = [f"elements: {rep.total} ({kinds})"]
     for name, delta in rep.baseline_comparisons.items():
         baseline = rep.total + delta

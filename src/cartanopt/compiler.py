@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .cartan import decompose, decompose_m4
-from .circuit import OpticalCircuit, chain_elements, hwp, optimize, pbs, ps, qwp
+from .circuit import OpticalCircuit, chain_elements, hwp, optimize, pbs
 from .dof import DofConvention
 from .lie import SX, SY, SZ
 from .linalg import (
@@ -38,7 +38,7 @@ from .linalg import (
     unitarity_residual,
 )
 from .simulate import VerificationReport, verify
-from .waveplates import _canon_phase, _canon_plate, _chain_params, synthesize_u2
+from .waveplates import _chain_params, _full_chain, synthesize_u2
 
 # Element counts of the hand-drawn reference circuits for the built-in
 # targets, keyed by (target name, convention tag).  Informational only:
@@ -86,21 +86,6 @@ _M4_DL_TOP = np.diag([-1j, 1j, -1j, 1j])
 _M4_DR_BOT = np.diag([-1.0 + 0j, 1.0, -1.0, 1.0])
 
 
-def _canonical_chain(g: np.ndarray, mode: int) -> list:
-    """Full four-element chain for one gate, angles in canonical ranges.
-
-    Always emits PS, QWP, HWP, QWP even when a plate's angle is zero;
-    the optimizer is the single place where elements get elided.
-    """
-    d, q1, h, q2 = _chain_params(g)
-    return [
-        ps(mode, _canon_phase(d)),
-        qwp(mode, _canon_plate(q1)),
-        hwp(mode, _canon_plate(h)),
-        qwp(mode, _canon_plate(q2)),
-    ]
-
-
 def _gadget(i: int, j: int, a: float, b: float) -> list:
     """PBS-HWP-HWP-PBS across modes i and j realizing mixing angles a and b."""
     return [pbs(i, j), hwp(i, a / 2.0), hwp(j, b / 2.0), pbs(i, j)]
@@ -136,7 +121,8 @@ def _elements(
             elif local:
                 els += chain_elements(synthesize_u2(g, tol), m)
             else:
-                els += _canonical_chain(g, m)
+                # every plate, even at angle zero: only the optimizer elides
+                els += chain_elements(_full_chain(*_chain_params(g)), m)
         return els
 
     if local:

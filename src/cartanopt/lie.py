@@ -22,6 +22,12 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
+# _span_projector drops a generator whose QR diagonal entry is at most this
+# floor.  Distinct Pauli words are orthogonal, so an independent one gives
+# its norm sqrt(2^n) >= 1.41 and a dependent one rounding noise (~1e-15).
+# It sets a span's dimension, not an agreement, so it is no ToleranceConfig.
+_RANK_FLOOR = 1e-12
+
 
 def _pauli_words(n: int) -> list[np.ndarray]:
     """All n-fold Kronecker products of {I, x, y, z}, identity word first."""
@@ -109,7 +115,7 @@ def _span_projector(basis) -> np.ndarray:
     A = np.stack([b.ravel() for b in basis], axis=1)
     A_real = np.vstack([A.real, A.imag])
     q, r = np.linalg.qr(A_real)
-    keep = np.abs(np.diag(r)) > 1e-12
+    keep = np.abs(np.diag(r)) > _RANK_FLOOR
     return q[:, keep]
 
 

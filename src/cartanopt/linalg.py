@@ -37,6 +37,12 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 
+# The CSD gauge pins the phase of each V1 column's first entry above this
+# floor: far above rounding noise, whose phase is arbitrary, and far below
+# the largest entry of a unit column (>= 0.5).  A gauge, not a tolerance, so
+# the same input gets the same factors under every ToleranceConfig.
+_GAUGE_FLOOR = 1e-8
+
 
 def _as_square(M) -> np.ndarray:
     M = np.asarray(M, dtype=complex)
@@ -107,7 +113,7 @@ def _cosine_sine(U: np.ndarray, half: int):
     W2 = W2[order, :]
     for i in range(half):
         col = V1[:, i]
-        j = int(np.argmax(np.abs(col) > 1e-8))
+        j = int(np.argmax(np.abs(col) > _GAUGE_FLOOR))
         ph = col[j] / abs(col[j])
         V1[:, i] = V1[:, i] * ph.conjugate()
         V2[:, i] = V2[:, i] * ph.conjugate()
@@ -180,10 +186,14 @@ def dump_matrix(M) -> str:
     return json.dumps(matrix_to_json(M))
 
 
-def load_matrix(text: str) -> np.ndarray:
+def _parse_json(text: str, what: str):
+    """json.loads, raising ValueError on a malformed document."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the decoder's stack
-        raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    return matrix_from_json(obj)
+        raise ValueError(f"malformed {what} JSON: {exc}") from exc
+
+
+def load_matrix(text: str) -> np.ndarray:
+    return matrix_from_json(_parse_json(text, "matrix"))

@@ -33,21 +33,38 @@ _QWP_W = 1.0 / math.sqrt(2.0)
 _BOUND_MARGIN = 1e-9
 
 
+def _plate_entries(kind: str, angle: float) -> tuple[complex, complex, complex, complex]:
+    """Entries (a, b, c, d) of the plate [[a, b], [c, d]] as Python complex numbers.
+
+    The one table of plate matrices: the *_matrix functions wrap it as
+    arrays, and a short loop can multiply the scalars directly.
+    """
+    if kind == "ps":
+        # e^{i angle} on both polarizations
+        p = cmath.exp(1j * angle)
+        return p, 0j, 0j, p
+    c, s = math.cos(2 * angle), math.sin(2 * angle)
+    if kind == "hwp":
+        # i [[c, s], [s, -c]]
+        return 1j * c, 1j * s, 1j * s, -1j * c
+    # (I + i [[c, s], [s, -c]]) / sqrt 2
+    c, s = c * _QWP_W, s * _QWP_W
+    return complex(_QWP_W, c), 1j * s, 1j * s, complex(_QWP_W, -c)
+
+
 def ps_matrix(theta: float) -> np.ndarray:
     """Phase shifter: e^{i theta} on both polarizations of one path."""
-    return np.exp(1j * theta) * np.eye(2)
+    return np.array(_plate_entries("ps", theta)).reshape(2, 2)
 
 
 def hwp_matrix(theta: float) -> np.ndarray:
     """Half-wave plate at fast-axis angle theta."""
-    c, s = math.cos(2 * theta), math.sin(2 * theta)
-    return 1j * np.array([[c, s], [s, -c]])
+    return np.array(_plate_entries("hwp", theta)).reshape(2, 2)
 
 
 def qwp_matrix(theta: float) -> np.ndarray:
     """Quarter-wave plate at fast-axis angle theta."""
-    c, s = math.cos(2 * theta), math.sin(2 * theta)
-    return np.array([[1 + 1j * c, 1j * s], [1j * s, 1 - 1j * c]]) / math.sqrt(2)
+    return np.array(_plate_entries("qwp", theta)).reshape(2, 2)
 
 
 # 2x2 matrix of each single-mode element kind as a function of its angle
@@ -73,9 +90,12 @@ def _canon_phase(angle: float) -> float:
     return a + _TWO_PI if a < 0 else a + 0.0
 
 
-def _quaternion(V: np.ndarray) -> tuple[float, float, float, float]:
-    """Components (w, x, y, z) of V = w I + i(x sx + y sy + z sz) in SU(2)."""
-    return (V[0, 0].real, V[0, 1].imag, V[0, 1].real, V[0, 0].imag)
+def _su2(U: np.ndarray) -> tuple[float, float, float, float, float]:
+    """(delta, w, x, y, z) with U = e^{i delta} (w I + i(x sx + y sy + z sz)), in SU(2)."""
+    det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
+    delta = math.atan2(det.imag, det.real) / 2.0
+    V = U * np.exp(-1j * delta)
+    return delta, V[0, 0].real, V[0, 1].imag, V[0, 1].real, V[0, 0].imag
 
 
 def _chain_params(U: np.ndarray) -> tuple[float, float, float, float]:
@@ -90,10 +110,7 @@ def _chain_params(U: np.ndarray) -> tuple[float, float, float, float]:
     intermediate arctangents ill-conditioned in a direction the
     reconstruction does not depend on.
     """
-    det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
-    delta = math.atan2(det.imag, det.real) / 2.0
-    V = U * np.exp(-1j * delta)
-    w, x, y, z = _quaternion(V)
+    delta, w, x, y, z = _su2(U)
     # hypot(x, z) rather than sqrt(1 - r*r): the latter loses half the
     # significant digits whenever the gate is close to a pure y-rotation.
     r = math.hypot(w, y)
@@ -142,10 +159,7 @@ def synthesize_u2(U, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[str, floa
             f"synthesize_u2 requires a unitary input (residual {unitarity_residual(U):.3e})"
         )
     a_tol = tol.angle_tol
-    det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
-    delta = math.atan2(det.imag, det.real) / 2.0
-    V = U * np.exp(-1j * delta)
-    w, x, y, z = _quaternion(V)
+    delta, w, x, y, z = _su2(U)
 
     scalar_gap, hwp_gap, qwp_gap = _branch_gaps(w, x, y, z)
     if scalar_gap <= a_tol:
@@ -163,10 +177,14 @@ def synthesize_u2(U, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[str, floa
             delta += math.pi
             x, z = -x, -z
         return _phase_then(delta, a_tol, ("qwp", _canon_plate(math.atan2(x, z) / 2.0)))
-    d, q1, h, q2 = _chain_params(U)
-    return _phase_then(
-        d, a_tol, ("qwp", _canon_plate(q1)), ("hwp", _canon_plate(h)), ("qwp", _canon_plate(q2))
-    )
+    (_, phase), *plates = _full_chain(*_chain_params(U))
+    return _phase_then(phase, a_tol, *plates)
+
+
+def _full_chain(delta: float, q_first: float, h: float, q_last: float) -> list[tuple[str, float]]:
+    """PS, QWP, HWP, QWP for _chain_params output, angles canonical, none left out."""
+    plates = [("qwp", q_first), ("hwp", h), ("qwp", q_last)]
+    return [("ps", _canon_phase(delta))] + [(k, _canon_plate(a)) for k, a in plates]
 
 
 def _phase_then(delta: float, a_tol: float, *plates) -> list[tuple[str, float]]:
@@ -194,23 +212,6 @@ def _rotation_pair(M: np.ndarray, a_tol: float):
         return None
     phi = math.atan2(M[1, 0].real, M[0, 0].real)
     return [("hwp", 0.0), ("hwp", _canon_plate((phi + math.pi) / 2.0))]
-
-
-def _plate_entries(kind: str, angle: float) -> tuple[complex, complex, complex, complex]:
-    """Entries (a, b, c, d) of the plate [[a, b], [c, d]] as Python complex numbers.
-
-    The same matrices as PLATE_MATRIX, cheaper to multiply in a short
-    loop; used only where a bound with a margin absorbs the rounding
-    difference.
-    """
-    if kind == "ps":
-        p = cmath.exp(1j * angle)
-        return p, 0j, 0j, p
-    c, s = math.cos(2 * angle), math.sin(2 * angle)
-    if kind == "hwp":
-        return 1j * c, 1j * s, 1j * s, -1j * c
-    c, s = c * _QWP_W, s * _QWP_W
-    return complex(_QWP_W, c), 1j * s, 1j * s, complex(_QWP_W, -c)
 
 
 def _suffixes_may_shrink(plates, a_tol: float) -> list[bool]:

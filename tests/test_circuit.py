@@ -75,6 +75,15 @@ def test_circuit_validates_mode_range():
         _circ([pbs(0, 3)], m=2)
     with pytest.raises(ValueError):
         _circ([hwp(0, 0.1)], m=3)
+    # the mode count follows the rule for mode indices: int or a numpy
+    # integer, never bool or float, stored as int so it serializes
+    c = _circ([hwp(1, 0.1)], m=np.int64(2))
+    assert type(c.num_spatial_modes) is int
+    assert json.loads(serialize(c))["spatial_modes"] == 2
+    assert deserialize(serialize(c)) == c
+    for bad in (2.0, 4.0, True, "2", None):
+        with pytest.raises(ValueError):
+            _circ([], m=bad)
 
 
 def test_count_report_empty():

@@ -12,7 +12,8 @@ deliberate change to the rewrites, re-record with
 
     PYTHONPATH=src python tests/test_optimize_corpus.py
 
-and say in the change why the outputs moved.
+and say in the change why the outputs moved.  The same circuits, not
+optimized, also pin simulate's output bytes (SIMULATE_SHA256).
 """
 
 import hashlib
@@ -23,7 +24,8 @@ import pathlib
 import numpy as np
 
 from cartanopt.circuit import OpticalCircuit, OpticalElement, optimize, serialize
-from cartanopt.linalg import DEFAULT_TOL, ToleranceConfig
+from cartanopt.linalg import DEFAULT_TOL, ToleranceConfig, dump_matrix
+from cartanopt.simulate import simulate
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "optimize_corpus.json"
 
@@ -36,6 +38,9 @@ TOLERANCES = {
 }
 # offsets from k*pi/8: around the default angle_tol, then around the looser ones
 OFFSETS = (0.0, 1e-13, 1e-12, 2e-12, 1e-9, 3e-9, 5e-7, 1e-6, 2e-6, 5e-4, 1e-3, 2e-3)
+# SHA-256 over dump_matrix(simulate(c)) of the corpus circuits in order: pins
+# the plate matrices and the simulator to the bit, signed zeros included
+SIMULATE_SHA256 = "dfeb76ac4b2e38e3c01211b82e238b13fe175980abb5fdb382e2d7de3516cc75"
 
 
 def _angle(rng) -> float:
@@ -81,6 +86,13 @@ def test_optimize_outputs_are_byte_identical():
     assert sorted(current) == sorted(recorded)
     moved = [name for name in current if current[name] != recorded[name]]
     assert not moved, f"{len(moved)} cases moved, first: {moved[:10]}"
+
+
+def test_corpus_circuits_simulate_to_the_same_bytes():
+    h = hashlib.sha256()
+    for circuit in _circuits():
+        h.update(dump_matrix(simulate(circuit)).encode())
+    assert h.hexdigest() == SIMULATE_SHA256
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from cartanopt.circuit import _resynthesize
 from cartanopt.linalg import DEFAULT_TOL, ToleranceConfig, haar_random_unitary
 from cartanopt.waveplates import (
-    _plate_entries,
     _suffixes_may_shrink,
     chain_matrix,
     hwp_matrix,
@@ -156,13 +155,6 @@ def test_synthesize_canonical_angle_ranges():
 def test_synthesize_rejects_non_unitary():
     with pytest.raises(ValueError):
         synthesize_u2(np.ones((2, 2), dtype=complex))
-
-
-def test_plate_entries_match_plate_matrices():
-    for kind in ("ps", "hwp", "qwp"):
-        for angle in (-7.0, -0.3, 0.0, np.pi / 8, 1.1, 5.0):
-            entries = np.array(_plate_entries(kind, angle)).reshape(2, 2)
-            np.testing.assert_allclose(entries, chain_matrix([(kind, angle)]), atol=1e-15)
 
 
 def test_generic_chain_suffixes_are_ruled_out():
