@@ -3,6 +3,8 @@
 Holds the tolerance configuration, unitarity and phase-aware distance
 checks, the cosine-sine decomposition that drives both factorization
 routes, Haar-random sampling for tests, and the matrix JSON wire format.
+numpy is the only dependency: the CSD is Stewart's split on numpy's SVD
+and QR, run on Python scalars for 2+2 blocks, with a fixed gauge.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import json
 import math
 
 import numpy as np
-from scipy.linalg import cossin
 
 
 @dataclasses.dataclass(frozen=True)
@@ -42,6 +43,12 @@ DEFAULT_TOL = ToleranceConfig()
 # the largest entry of a unit column (>= 0.5).  A gauge, not a tolerance, so
 # the same input gets the same factors under every ToleranceConfig.
 _GAUGE_FLOOR = 1e-8
+
+# A sine (cosine) at most this leaves the relative phase of a V2 column and
+# its W2 (W1) row to rounding noise.  Re-phasing that pair moves the product
+# by at most twice this, a few units of rounding, so the CSD gauge pins it:
+# exactly degenerate inputs then get factors that do not hang on the noise.
+_FREE_PHASE_FLOOR = 1e-15
 
 
 def _as_square(M) -> np.ndarray:
@@ -84,6 +91,140 @@ def phase_distance(A, B) -> tuple[float, float]:
     return distance, phase
 
 
+# -- cosine-sine decomposition ----------------------------------------------
+#
+# Stewart's split (G. W. Stewart, Numer. Math. 40, 297 (1982); B. D. Sutton,
+# Numer. Algorithms 50, 33 (2009)): the SVD of the cosine block U11 fixes V1,
+# W1 and the cosines.  An angle whose cosine is at most sqrt(1/2) takes its
+# V2 column from a QR of the sine block -U21 W1^H and its W2 row from
+# V1^H U12, both divided by a sine >= sqrt(1/2).  The other angles take W1,
+# V2 and their sines from the SVD of the sine block on the complement of
+# those V2 columns; V1 and the cosines are then rebuilt from U11 and W2 from
+# U22, divided by a cosine > sqrt(1/2).  No step divides by less than
+# sqrt(1/2), so the product is exact to rounding even where the cosine
+# block's singular vectors are not (near block-diagonal inputs).
+_SPLIT = math.sqrt(0.5)
+
+
+def cossin(U: np.ndarray, half: int):
+    """Cosine-sine decomposition of a 2k x 2k unitary at the k+k partition.
+
+    Returns (V1, V2, theta, W1, W2) with
+
+        U = blkdiag(V1, V2) @ [[C, S], [-S, C]] @ blkdiag(W1, W2),
+
+    C = diag(cos theta), S = diag(sin theta), theta in [0, pi/2].  U is
+    not checked.  The factors are unitary to rounding; their gauge is
+    whatever the split leaves (_cosine_sine pins it).
+    """
+    if half == 2:
+        return _cossin_2x2(U)
+    k = half
+    U11, U12, U21, U22 = U[:k, :k], U[:k, k:], U[k:, :k], U[k:, k:]
+    V1, c, W1 = np.linalg.svd(U11)
+    V1, c, W1 = V1[:, ::-1], c[::-1], W1[::-1]  # cosines ascending: large angles first
+    n = int(np.count_nonzero(c <= _SPLIT))
+    Q, R = np.linalg.qr(-U21 @ W1.conj().T)  # = V2 S on the first n columns
+    d = R.diagonal()[:n]
+    s = np.empty(k)
+    s[:n] = np.abs(d)
+    V2 = Q.copy()
+    V2[:, :n] *= d / s[:n]
+    W2 = np.empty((k, k), dtype=complex)
+    W2[:n] = (V1[:, :n].conj().T @ U12) / s[:n, None]
+    if n < k:
+        A, s[n:], B = np.linalg.svd(R[n:, n:])
+        V2[:, n:] = Q[:, n:] @ A
+        W1[n:] = B @ W1[n:]
+        Y = U11 @ W1[n:].conj().T  # = V1 C on the small-angle columns
+        c[n:] = np.linalg.norm(Y, axis=0)
+        V1[:, n:] = Y / c[n:]
+        W2[n:] = (V2[:, n:].conj().T @ U22) / c[n:, None]
+    return V1, V2, np.arctan2(s, c), W1, W2
+
+
+# 2x2 matrices as row-major 4-tuples of Python scalars: at half=2 numpy's
+# per-call cost is several times the arithmetic, so cossin runs the same
+# split on scalars there.
+
+
+def _mul2(A, B):
+    a, b, c, d = A
+    e, f, g, h = B
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _adj2(A):
+    a, b, c, d = A
+    return (a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate())
+
+
+def _unit2(x, y):
+    """(x, y) / |(x, y)| and the norm; (1, 0) for the zero vector."""
+    n = math.hypot(abs(x), abs(y))
+    return (x / n, y / n, n) if n else (1.0, 0.0, 0.0)
+
+
+def _svd2(M):
+    """M = u diag(s1, s2) vh with s1 >= s2 >= 0, for a 2x2 4-tuple M.
+
+    v's first column is the top eigenvector of M^H M and u's is M v / s1.
+    Their second columns complete v to determinant 1 and u to determinant
+    det M / |det M|, which leaves s2 = |det M| / s1, capped at s1 where
+    rounding lifts it above (equal singular values).  The rotation angle
+    depends only on ratios of M's entries (until their squares underflow),
+    so every output is accurate to rounding relative to |M|, small or not.
+    """
+    a, b, c, d = M
+    q = a.conjugate() * b + c.conjugate() * d
+    t = 0.5 * math.atan2(2.0 * abs(q), abs(a) ** 2 + abs(c) ** 2 - abs(b) ** 2 - abs(d) ** 2)
+    v0 = math.cos(t)
+    v1 = math.sin(t) * (q.conjugate() / abs(q) if q else 1.0)
+    u0, u1, s1 = _unit2(a * v0 + b * v1, c * v0 + d * v1)
+    det = a * d - b * c
+    z = det / abs(det) if det else 1.0
+    u = (u0, -u1.conjugate() * z, u1, u0.conjugate() * z)
+    return u, s1, min(abs(det) / s1, s1) if s1 else 0.0, (v0, v1.conjugate(), -v1, v0)
+
+
+def _cossin_2x2(U):
+    """cossin at half=2, on Python complex scalars."""
+    r0, r1, r2, r3 = U.tolist()
+    U11, U12 = (r0[0], r0[1], r1[0], r1[1]), (r0[2], r0[3], r1[2], r1[3])
+    U21, U22 = (r2[0], r2[1], r3[0], r3[1]), (r2[2], r2[3], r3[2], r3[3])
+    u, c1, c0, w = _svd2(U11)
+    V1, W1 = [u[1], u[0], u[3], u[2]], (w[2], w[3], w[0], w[1])  # c0 <= c1
+    X = tuple(-x for x in _mul2(U21, _adj2(W1)))  # = V2 S
+    if c0 > _SPLIT:  # both angles small
+        V2, s0, s1, B = _svd2(X)
+        W1 = _mul2(B, W1)
+    else:  # QR of X: angle 0 is large, angle 1 fills the complement
+        q0, q1, s0 = _unit2(X[0], X[2])
+        r = q0 * X[3] - q1 * X[1]
+        s1 = abs(r)
+        z = r / s1 if s1 else 1.0
+        V2 = (q0, -q1.conjugate() * z, q1, q0.conjugate() * z)
+    Y = _mul2(U11, _adj2(W1))  # = V1 C
+    SW2 = _mul2(_adj2(V1), U12)
+    CW2 = _mul2(_adj2(V2), U22)
+    cs, ss, W2 = [c0, c1], (s0, s1), [0.0] * 4
+    for t in (0, 1):
+        if cs[t] > _SPLIT:  # rebuilt from the diagonal blocks
+            V1[t], V1[2 + t], cs[t] = _unit2(Y[t], Y[2 + t])
+            W2[2 * t], W2[2 * t + 1] = CW2[2 * t] / cs[t], CW2[2 * t + 1] / cs[t]
+        else:
+            W2[2 * t], W2[2 * t + 1] = SW2[2 * t] / ss[t], SW2[2 * t + 1] / ss[t]
+    theta = np.array([math.atan2(s0, cs[0]), math.atan2(s1, cs[1])])
+    V1, V2, W1, W2 = (np.array(F, dtype=complex).reshape(2, 2) for F in (V1, V2, W1, W2))
+    return V1, V2, theta, W1, W2
+
+
+def _lead_phases(M: np.ndarray) -> np.ndarray:
+    """Unit phase of each column's first entry above _GAUGE_FLOOR."""
+    firsts = [next(x for x in col if abs(x) > _GAUGE_FLOOR) for col in M.T.tolist()]
+    return np.array([x / abs(x) for x in firsts])
+
+
 def _cosine_sine(U: np.ndarray, half: int):
     """Cosine-sine decomposition of a 2k x 2k unitary at the k+k partition.
 
@@ -91,34 +232,30 @@ def _cosine_sine(U: np.ndarray, half: int):
 
         U = blkdiag(V1, V2) @ [[C, S], [-S, C]] @ blkdiag(W1, W2),
 
-    thetas descending in [0, pi/2].  The result is made deterministic by
-    a fixed gauge: for each index the common phase of (V1 col, V2 col,
-    W1 row, W2 row) is chosen so the first non-negligible component of
-    the V1 column is real and positive.
+    thetas descending in [0, pi/2], from cossin's Stewart split.  A fixed
+    gauge makes the factors deterministic.  For each index the common
+    phase of (V1 col, V2 col, W1 row, W2 row) is chosen so the first
+    non-negligible entry of the V1 column is real and positive.  Where
+    sin theta is at most _FREE_PHASE_FLOOR the V2 column and W2 row have
+    a free relative phase, and where cos theta is, the V2 column and W1
+    row do; that phase is chosen so the first non-negligible entry of the
+    V2 column is real and positive.
     """
-    (V1, u2), theta, (W1, v2h) = cossin(U, p=half, q=half, separate=True)
-    # LAPACK's central factor is [[C, -S], [S, C]]; conjugating by
-    # diag(I, -I) converts to [[C, S], [-S, C]] at the cost of a sign
-    # on the second left and right blocks.
-    V2 = -u2
-    W2 = -v2h
-    c = np.clip(np.cos(theta), 0.0, 1.0)
-    s = np.clip(np.sin(theta), 0.0, 1.0)
-    thetas = np.arctan2(s, c)
+    V1, V2, thetas, W1, W2 = cossin(U, half)
     order = np.argsort(-thetas, kind="stable")
     thetas = thetas[order]
-    V1 = V1[:, order]
-    V2 = V2[:, order]
-    W1 = W1[order, :]
-    W2 = W2[order, :]
-    for i in range(half):
-        col = V1[:, i]
-        j = int(np.argmax(np.abs(col) > _GAUGE_FLOOR))
-        ph = col[j] / abs(col[j])
-        V1[:, i] = V1[:, i] * ph.conjugate()
-        V2[:, i] = V2[:, i] * ph.conjugate()
-        W1[i, :] = W1[i, :] * ph
-        W2[i, :] = W2[i, :] * ph
+    V1, V2, W1, W2 = V1[:, order], V2[:, order], W1[order], W2[order]
+    ph = _lead_phases(V1)
+    V1 *= ph.conj()
+    V2 *= ph.conj()
+    W1 *= ph[:, None]
+    W2 *= ph[:, None]
+    for i, t in enumerate(thetas.tolist()):
+        sin_free = math.sin(t) <= _FREE_PHASE_FLOOR
+        if sin_free or math.cos(t) <= _FREE_PHASE_FLOOR:
+            ph = _lead_phases(V2[:, i:i + 1])[0]
+            V2[:, i] *= ph.conjugate()
+            (W2 if sin_free else W1)[i] *= ph
     return V1, V2, thetas, W1, W2
 
 

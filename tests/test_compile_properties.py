@@ -3,19 +3,22 @@
 Signed permutations (8x8 ones with a zero CSD block among them), diagonal
 phases, Kronecker products, Cartan products of plate-alphabet gates with
 central angles at multiples of pi/8, and each of those times expm(eps X)
-for a small anti-Hermitian X.  Every compile must pass verification within the
-20/88 budget, equal its target by plain max-entry distance with the
-global phase included, never grow under optimize, survive the wire
-format, and give the same JSON twice.
+for a small anti-Hermitian X.  Clustered angles (cos = sin) come from the
+walk and QFT targets times a global phase and local plate-alphabet gates,
+and from 8x8 products with four equal central angles.  Every compile must
+pass verification within the 20/88 budget, equal its target by plain
+max-entry distance with the global phase included, never grow under
+optimize, survive the wire format, and give the same JSON twice.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag, expm
 
-from cartanopt.cartan import central_a, central_cs_m4
+from cartanopt.cartan import _embed_pair, central_a, central_cs_m4
 from cartanopt.circuit import deserialize, serialize
-from cartanopt.compiler import CompileOptions, compile, compile_m4
+from cartanopt.compiler import CompileOptions, builtin_target, compile, compile_m4
+from cartanopt.dof import DofConvention
 from cartanopt.linalg import haar_random_unitary
 from cartanopt.simulate import simulate
 from cartanopt.waveplates import chain_matrix
@@ -99,6 +102,35 @@ def _targets(draw, n: int):
     return B @ expm(1j * 10.0**exponent * H / np.abs(H).max())
 
 
+@st.composite
+def _phased_builtins(draw, convention):
+    # the walk and the QFT have all their central angles at pi/4 (cos = sin)
+    target = builtin_target(draw(st.sampled_from(("walk", "qft"))), convention)
+    return np.exp(1j * draw(st.floats(-np.pi, np.pi))) * target
+
+
+@st.composite
+def _clustered4(draw):
+    convention = draw(st.sampled_from(("ps", "sp")))
+    conv = DofConvention(convention)
+    left = _embed_pair(draw(_special_gates), draw(_special_gates), conv)
+    right = _embed_pair(draw(_special_gates), draw(_special_gates), conv)
+    return left @ draw(_phased_builtins(convention)) @ right, convention
+
+
+@st.composite
+def _clustered8(draw):
+    # blkdiag(A, B) CS(t, t, t, t) blkdiag(C, D): one four-fold angle cluster
+    block = st.one_of(
+        st.integers(0, 10**6).map(lambda seed: haar_random_unitary(4, seed)),
+        _cartan_products(4),
+        _phased_builtins("sp"),
+    )
+    left = block_diag(draw(block), draw(block))
+    right = block_diag(draw(block), draw(block))
+    return left @ central_cs_m4([draw(_eighths)] * 4) @ right
+
+
 def _check(U, convention):
     n = U.shape[0]
     compile_fn = compile if n == 4 else compile_m4
@@ -129,3 +161,14 @@ def test_dim4_structured_inputs_compile_exactly(U, convention):
 def test_dim8_structured_inputs_compile_exactly(U):
     _check(U, "sp")
 
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_clustered4())
+def test_dim4_clustered_angles_compile_exactly(target):
+    _check(*target)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_clustered8())
+def test_dim8_clustered_angles_compile_exactly(U):
+    _check(U, "sp")

@@ -3,6 +3,11 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -260,3 +265,24 @@ def test_optimized_builtin_counts_at_most_canonical():
             assert element_count(circuit).total <= 20
     walk_ps, _ = compile(WALK, _opts("ps", optimize=True))
     assert element_count(walk_ps).total <= 14
+
+
+def test_compile_runs_without_scipy():
+    # scipy is a test-only dependency: a fresh interpreter compiles dim-4
+    # (both conventions) and dim-8 inputs without loading any of it
+    code = textwrap.dedent("""
+        import sys
+        from cartanopt.compiler import CompileOptions, compile, compile_m4
+        from cartanopt.linalg import haar_random_unitary
+
+        for conv in ("ps", "sp"):
+            assert compile(haar_random_unitary(4, 1), CompileOptions(convention=conv))[1].passed
+        assert compile_m4(haar_random_unitary(8, 1), CompileOptions(convention="sp"))[1].passed
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+    """)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -4,9 +4,10 @@ Every case compiles a fixed matrix and compares the circuit JSON text,
 metadata included, byte for byte against tests/data/golden_circuits.json.
 A change that is meant to leave the emitted circuits alone (a faster
 simulator, a cheaper optimizer scan, a leaner CSD call) must pass this
-test unchanged.  The recorded angles are the bits this build of
-numpy/scipy/LAPACK produces; after a deliberate change to the circuits,
-or on a different LAPACK, re-record with
+test unchanged.  The recorded angles are the bits this code produces on
+this build of numpy and the LAPACK under its SVD and QR; after a
+deliberate change to the circuits, or on a different numpy or LAPACK,
+re-record with
 
     PYTHONPATH=src python tests/test_golden.py
 

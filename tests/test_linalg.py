@@ -1,12 +1,16 @@
-"""Tolerances, phase-aware distance, the 2+2 cosine-sine split, and matrix I/O."""
+"""Tolerances, phase-aware distance, the cosine-sine split, and matrix I/O."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from cartanopt.linalg import (
+    _FREE_PHASE_FLOOR,
+    _GAUGE_FLOOR,
     DEFAULT_TOL,
     ToleranceConfig,
     _cosine_sine,
@@ -148,6 +152,110 @@ def test_block_csd_deterministic():
     assert a1 == a2
     for A, B in zip(l1 + r1, l2 + r2):
         assert A.tobytes() == B.tobytes()
+
+
+def _signed_permutation(n, perm, signs):
+    P = np.zeros((n, n), dtype=complex)
+    P[np.arange(n), perm] = signs
+    return P
+
+
+def _near(B, eps, rng):
+    """B expm(i eps H) for a random Hermitian H of unit max-entry norm."""
+    n = B.shape[0]
+    H = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    H = (H + H.conj().T) / 2
+    return B @ scipy.linalg.expm(1j * eps * H / np.abs(H).max())
+
+
+def _fourier_like(n, name):
+    # the walk is 2J/n - I; the QFT is the n-point DFT
+    if name == "walk":
+        return np.full((n, n), 2.0 / n, dtype=complex) - np.eye(n)
+    j = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
+
+
+def _cs(angles):
+    C, S = np.diag(np.cos(angles)), np.diag(np.sin(angles))
+    return np.block([[C, S], [-S, C]]).astype(complex)
+
+
+@st.composite
+def _csd_inputs(draw, n):
+    k = n // 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def haar(d):
+        return haar_random_unitary(d, int(rng.integers(2**31)))
+
+    family = draw(st.sampled_from(
+        ("haar", "near_block", "near_anti", "signed_perm", "fourier", "cluster")))
+    if family == "haar":
+        return haar(n)
+    if family in ("near_block", "near_anti"):
+        B = scipy.linalg.block_diag(haar(k), haar(k))
+        if family == "near_anti":
+            B = B[:, np.r_[k:n, 0:k]]
+        return _near(B, 10.0 ** draw(st.integers(-16, -6)), rng)
+    if family == "signed_perm":
+        signs = draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=n, max_size=n))
+        return _signed_permutation(n, draw(st.permutations(range(n))), signs)
+    if family == "fourier":
+        phase = np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+        return phase * _fourier_like(n, draw(st.sampled_from(("walk", "qft"))))
+    # exact clusters of equal angles, pi/4 (cos = sin), 0 and pi/2 among them
+    angles = draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+    left = scipy.linalg.block_diag(haar(k), haar(k))
+    right = scipy.linalg.block_diag(haar(k), haar(k))
+    return left @ _cs(np.array(angles) * np.pi / 8) @ right
+
+
+def _check_csd(U):
+    k = U.shape[0] // 2
+    V1, V2, thetas, W1, W2 = _cosine_sine(U, k)
+    left = scipy.linalg.block_diag(V1, V2)
+    right = scipy.linalg.block_diag(W1, W2)
+    assert np.abs(left @ _cs(thetas) @ right - U).max() <= 1e-13
+    for F in (V1, V2, W1, W2):
+        assert np.abs(F @ F.conj().T - np.eye(k)).max() <= 1e-13
+    assert np.all(np.diff(thetas) <= 0)
+    assert thetas[-1] >= 0.0 and thetas[0] <= np.pi / 2
+    oracle = scipy.linalg.cossin(U, p=k, q=k, separate=True)[1]
+    assert np.abs(np.sort(oracle)[::-1] - thetas).max() <= 1e-12
+    for i, t in enumerate(thetas):
+        pinned = [V1[:, i]]
+        if min(math.sin(t), math.cos(t)) <= _FREE_PHASE_FLOOR:
+            pinned.append(V2[:, i])
+        for col in pinned:
+            lead = col[np.abs(col) > _GAUGE_FLOOR][0]
+            assert lead.real > 0 and abs(lead.imag) <= 1e-15
+    again = _cosine_sine(U, k)
+    for A, B in zip((V1, V2, thetas, W1, W2), again):
+        assert A.tobytes() == B.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_csd_inputs(4))
+def test_csd_property_2x2_blocks(U):
+    _check_csd(U)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_csd_inputs(8))
+def test_csd_property_4x4_blocks(U):
+    _check_csd(U)
+
+
+@pytest.mark.parametrize("half", [2, 4])
+def test_csd_equal_angles_at_the_split(half):
+    # every angle pi/4 puts every cosine on the split point sqrt(1/2), where
+    # rounding may leave equal cosines on both sides of it, in either order
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        L1, L2, R1, R2 = (haar_random_unitary(half, int(rng.integers(2**31))) for _ in range(4))
+        U = scipy.linalg.block_diag(L1, L2) @ _cs(np.full(half, np.pi / 4))
+        _check_csd(U @ scipy.linalg.block_diag(R1, R2))
 
 
 def test_haar_deterministic_per_seed():
