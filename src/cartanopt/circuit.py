@@ -274,17 +274,20 @@ def _resynthesize(plates, tol: ToleranceConfig) -> list[tuple[str, float]]:
     return chain
 
 
-def _rewrite_resynthesize_run(elems: list, tol: ToleranceConfig, shortest: dict) -> bool:
+def _rewrite_resynthesize_run(
+    elems: list, tol: ToleranceConfig, shortest: dict, screen_runs: bool
+) -> bool:
     # a same-mode run of plates collapses through synthesize_u2 when the
     # product admits a shorter chain; elements on other modes are
     # transparent, a PBS touching the mode ends the run.  One pass finds
     # the maximal runs; the candidates are each run and each of its proper
     # suffixes, tried in order of their first element, and the first that
-    # shrinks is rewritten.  A full run always takes the exact path; a
-    # proper suffix reaches it only when _suffixes_may_shrink cannot rule
-    # a shorter chain out.  shortest maps a candidate's (kind, angle)
-    # sequence to the length of its exact replacement, so a rescan skips
-    # the candidates it has already rejected.
+    # shrinks is rewritten.  A proper suffix reaches the exact path only
+    # when _suffixes_may_shrink cannot rule a shorter chain out; a full run
+    # always takes it, unless screen_runs puts it through the same test.
+    # shortest maps a candidate's (kind, angle) sequence to the length of
+    # its exact replacement, so a rescan skips the candidates it has
+    # already rejected.
     runs, open_runs, at = [], {}, {}
     for i, e in enumerate(elems):
         if e.kind == "pbs":
@@ -300,14 +303,14 @@ def _rewrite_resynthesize_run(elems: list, tol: ToleranceConfig, shortest: dict)
     keys = [tuple((elems[j].kind, elems[j].angle_rad) for j in run) for run in runs]
     may_shrink = {}
     for i, (r, k) in at.items():
-        key = keys[r][k:]
-        if len(key) < 2:
+        if len(runs[r]) - k < 2:
             continue
-        if k:
+        if k or screen_runs:
             if r not in may_shrink:
-                may_shrink[r] = _suffixes_may_shrink(keys[r], tol.angle_tol)
+                may_shrink[r] = _suffixes_may_shrink(keys[r], tol.angle_tol, screen_runs)
             if not may_shrink[r][k]:
                 continue
+        key = keys[r][k:]
         if key in shortest and shortest[key] >= len(key):
             continue
         plates = _resynthesize(key, tol)
@@ -336,27 +339,78 @@ def _rewrite_cancel_pbs(elems: list) -> bool:
     return False
 
 
-def optimize(circuit: OpticalCircuit, tol: ToleranceConfig = DEFAULT_TOL) -> OpticalCircuit:
-    """Exact peephole pass to fixpoint; never increases the element count.
+def _sweep_phases(elems: list, a_tol: float) -> list:
+    # a PS scales its whole mode, so it commutes with every plate on that
+    # mode, and a phase common to modes i and j commutes with PBS(i, j)
+    # (Clements et al., Optica 3, 1460 (2016)).  One pass carries a pending
+    # phase per mode: at PBS(i, j) the difference stays behind as a PS on
+    # mode i and the common part passes; what is left comes out at the end.
+    # Each PS goes to the first slot of its run (the run's elements up to
+    # the PBS all commute with it), so a run reads PS then plates, the
+    # order synthesize_u2 emits.
+    pending, start, out = {}, {}, []
+    for e in elems:
+        for m in e.modes:
+            if m not in start:
+                start[m] = len(out)
+                out.append(None)
+        if e.kind == "ps":
+            m = e.modes[0]
+            pending[m] = pending.get(m, 0.0) + e.angle_rad
+            continue
+        if e.kind == "pbs":
+            i, j = e.modes
+            a = _elide_phase(pending.get(i, 0.0) - pending.get(j, 0.0), a_tol)
+            if a is not None:
+                out[start[i]] = ps(i, a)
+            pending[i] = pending.get(j, 0.0)
+            del start[i], start[j]
+        out.append(e)
+    for m in sorted(pending):
+        a = _elide_phase(pending[m], a_tol)
+        if a is not None:
+            if m in start:
+                out[start[m]] = ps(m, a)
+            else:
+                out.append(ps(m, a))
+    return [e for e in out if e is not None]
 
-    Rules: drop identity phase shifters, merge same-mode phase-shifter
-    pairs, resynthesize same-mode plate runs into shorter chains, cancel
-    adjacent PBS pairs.  Every rewrite preserves the simulated unitary
-    exactly (not merely up to phase), so repeated application terminates
-    with a circuit of equal or smaller count and identical action.
+
+def optimize(circuit: OpticalCircuit, tol: ToleranceConfig = DEFAULT_TOL) -> OpticalCircuit:
+    """Exact peephole rewrites to fixpoint; never grows a circuit.
+
+    Rules, one rewrite at a time until none fires: drop identity phase
+    shifters, merge same-mode phase-shifter pairs, resynthesize same-mode
+    plate runs into shorter chains, cancel adjacent PBS pairs, and, when
+    none of those fires, sweep every phase shifter forward through its
+    mode's plates and through the common part of each PBS, kept only
+    when that is strictly shorter.  Every rewrite preserves the simulated
+    unitary exactly (not merely up to phase), so repeated application
+    terminates with a circuit of equal or smaller count and identical
+    action, global phase included.
     """
     elems = list(circuit.elements)
-    shortest = {}
+    # screen: full runs go through the closed-form test too; sweep: a rule
+    # fired since the last sweep (a sweep's output sweeps to itself)
+    shortest, screen, sweep = {}, False, True
     while True:
-        if _rewrite_drop_zero_ps(elems, tol.angle_tol):
+        if (
+            _rewrite_drop_zero_ps(elems, tol.angle_tol)
+            or _rewrite_merge_ps(elems)
+            or _rewrite_resynthesize_run(elems, tol, shortest, screen)
+            or _rewrite_cancel_pbs(elems)
+        ):
+            sweep = True
             continue
-        if _rewrite_merge_ps(elems):
-            continue
-        if _rewrite_resynthesize_run(elems, tol, shortest):
-            continue
-        if _rewrite_cancel_pbs(elems):
-            continue
-        break
+        if not sweep:
+            break
+        # a moved phase can make a run shorter to resynthesize, so the
+        # rules run again; the sweep changed only the runs' phases, and
+        # most full runs clear the closed-form test
+        swept = _sweep_phases(elems, tol.angle_tol)
+        if len(swept) >= len(elems):
+            break
+        elems, screen, sweep = swept, True, False
     return OpticalCircuit(
         convention=circuit.convention,
         num_spatial_modes=circuit.num_spatial_modes,

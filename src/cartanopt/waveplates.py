@@ -214,7 +214,7 @@ def _rotation_pair(M: np.ndarray, a_tol: float):
     return [("hwp", 0.0), ("hwp", _canon_plate((phi + math.pi) / 2.0))]
 
 
-def _suffixes_may_shrink(plates, a_tol: float) -> list[bool]:
+def _suffixes_may_shrink(plates, a_tol: float, whole: bool = False) -> list[bool]:
     """For each proper suffix plates[j:], whether it may have a shorter exact chain.
 
     The exact chain is synthesize_u2 of the product, replaced by
@@ -225,14 +225,15 @@ def _suffixes_may_shrink(plates, a_tol: float) -> list[bool]:
     and for four its determinant phase clearly keeps the PS.  Each test
     clears its threshold by angle_tol + _BOUND_MARGIN, so a product near
     a threshold reads True and goes to the exact path.  Entry 0, the
-    whole sequence, is True: it always takes the exact path, as does any
-    suffix of five or more plates, which always shrinks.  One backward
-    pass forms the product of every suffix it tests.
+    whole sequence, is True unless whole is set, when it is tested like
+    the rest; any suffix of five or more plates always shrinks and reads
+    True.  One backward pass forms the product of every suffix it tests.
     """
     bound = a_tol + _BOUND_MARGIN
     may = [True] * len(plates)
     a, b, c, d = 1 + 0j, 0j, 0j, 1 + 0j
-    for j in range(len(plates) - 1, max(len(plates) - 5, 0), -1):
+    last = -1 if whole else 0
+    for j in range(len(plates) - 1, max(len(plates) - 5, last), -1):
         p, q, r, s = _plate_entries(*plates[j])
         a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
         n = len(plates) - j

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -285,3 +289,17 @@ def test_target_unknown_name(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["target", "--name", "grover", "--convention", "ps"])
     assert exc.value.code == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    # python -m cartanopt works from a checkout with src on the path,
+    # nothing installed
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "cartanopt", "target", "--name", "qft",
+            "--convention", "sp", "--compile"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["report"]["passed"]
+    assert len(doc["circuit"]["elements"]) == 19

@@ -124,11 +124,15 @@ def test_haar_batch_within_budget():
 
 
 def test_haar_batch_optimized():
+    # the phase sweep leaves one PS before the central layer and one per
+    # mode after it: 20 -> 19
     for conv in ("ps", "sp"):
         for seed in range(50):
             U = haar_random_unitary(4, seed=seed + 1000)
             circuit, rep = compile(U, _opts(conv, optimize=True))
-            assert element_count(circuit).total <= 20
+            count = element_count(circuit)
+            assert count.total == 19, (conv, seed)
+            assert count.by_kind == {"pbs": 2, "hwp": 6, "qwp": 8, "ps": 3}, (conv, seed)
             assert rep.distance <= 1e-9
 
 
@@ -207,6 +211,17 @@ def test_m4_unoptimized_kind_breakdown():
     assert element_count(circuit).by_kind == {"pbs": 12, "hwp": 28, "qwp": 32, "ps": 16}
 
 
+def test_m4_optimized_kind_breakdown():
+    # the phase sweep takes the 16 chain phase shifters down to 10
+    for seed in range(10):
+        U = haar_random_unitary(8, seed=seed)
+        circuit, rep = compile_m4(U, _opts("sp", optimize=True))
+        count = element_count(circuit)
+        assert count.total == 82, seed
+        assert count.by_kind == {"pbs": 12, "hwp": 28, "qwp": 32, "ps": 10}, seed
+        assert np.abs(simulate(circuit) - U).max() <= 1e-12, seed
+
+
 def test_m4_identity_optimizes_to_nothing():
     circuit, rep = compile_m4(np.eye(8, dtype=complex), _opts("sp", optimize=True))
     assert element_count(circuit).total == 0
@@ -265,6 +280,9 @@ def test_optimized_builtin_counts_at_most_canonical():
             assert element_count(circuit).total <= 20
     walk_ps, _ = compile(WALK, _opts("ps", optimize=True))
     assert element_count(walk_ps).total <= 14
+    # the phase sweep brings the Fourier circuit in sp to its hand-drawn 19
+    qft_sp, _ = compile(QFT, _opts("sp", optimize=True))
+    assert element_count(qft_sp).total == HAND_COUNTS[("qft", "sp")] == 19
 
 
 def test_compile_runs_without_scipy():

@@ -11,11 +11,16 @@ re-record with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and say in the change why the circuits moved.
+and say in the change why the circuits moved.  The re-record prints each
+moved case with its old and new element count and its plain (global
+phase included) distance to the input; it writes nothing and exits 1
+when a moved case got longer or misses plain equality by more than
+PLAIN_TOL.
 """
 
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -23,11 +28,14 @@ import pytest
 from cartanopt.circuit import serialize
 from cartanopt.compiler import CompileOptions, builtin_target, compile as compile4, compile_m4
 from cartanopt.linalg import haar_random_unitary
+from cartanopt.simulate import simulate
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_circuits.json"
 
 HAAR4_SEEDS = (0, 1, 2, 3, 4)
 HAAR8_SEEDS = (0, 1, 2)
+# a re-recorded circuit must equal its input entry by entry to this
+PLAIN_TOL = 1e-12
 
 
 def _path_block(g1, g2, convention):
@@ -69,10 +77,14 @@ def _cases():
     return cases
 
 
-def _compile_json(U, convention, optimize):
+def _compile(U, convention, optimize):
     opts = CompileOptions(convention=convention, optimize=optimize)
     entry = compile_m4 if U.shape == (8, 8) else compile4
-    circuit, report = entry(U, opts)
+    return entry(U, opts)
+
+
+def _compile_json(U, convention, optimize):
+    circuit, report = _compile(U, convention, optimize)
     assert report.passed
     return serialize(circuit)
 
@@ -100,7 +112,29 @@ def test_local_cases_skip_the_central_layer(golden):
         assert "pbs" not in kinds, name
 
 
-if __name__ == "__main__":
+def _rerecord() -> int:
+    """Write the corpus anew unless a moved case grew or lost plain equality."""
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    corpus, refused = {}, []
+    for name, U, conv, opt in CASES:
+        circuit, _ = _compile(U, conv, opt)
+        corpus[name] = text = serialize(circuit)
+        if old.get(name) == text:
+            continue
+        before = len(json.loads(old[name])["elements"]) if name in old else None
+        distance = float(np.abs(simulate(circuit) - U).max())
+        print(f"{name}: {before} -> {len(circuit.elements)} elements, "
+              f"plain distance {distance:.2e}")
+        if (before is not None and len(circuit.elements) > before) or distance > PLAIN_TOL:
+            refused.append(name)
+    if refused:
+        print(f"nothing written: {', '.join(refused)} grew or miss plain equality",
+              file=sys.stderr)
+        return 1
     GOLDEN.parent.mkdir(exist_ok=True)
-    corpus = {name: _compile_json(U, conv, opt) for name, U, conv, opt in CASES}
     GOLDEN.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_rerecord())

@@ -195,3 +195,12 @@ def test_suffix_bound_never_rules_out_a_shorter_chain(plates, tol):
         if not may[j]:
             assert len(_resynthesize(plates[j:], tol)) >= len(plates) - j
 
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.lists(_plates, min_size=2, max_size=5), st.sampled_from(SUFFIX_TOLS))
+def test_whole_bound_never_rules_out_a_shorter_chain(plates, tol):
+    # with whole set, entry 0 screens the whole sequence like a suffix
+    may = _suffixes_may_shrink(plates, tol.angle_tol, whole=True)
+    assert may[1:] == _suffixes_may_shrink(plates, tol.angle_tol)[1:]
+    if not may[0]:
+        assert len(_resynthesize(plates, tol)) >= len(plates)
