@@ -28,12 +28,14 @@ from .linalg import (
     unitarity_residual,
 )
 
+# Both basis permutations are np.ix_ indices, built once, that permute
+# the rows and columns of a 4x4 in one indexing.
 # PS basis order is polarization-major; rewriting it as spatial-major
 # makes the K-factors block-diagonal.
-_PS_TO_BLOCK = ps_to_sp_indices(2)
+_PS_TO_BLOCK = np.ix_(ps_to_sp_indices(2), ps_to_sp_indices(2))
 # SP basis order is already spatial-major; swapping the second mode's
 # polarization pair aligns the central coupling with the CSD layout.
-_SP_TO_BLOCK = [0, 1, 3, 2]
+_SP_TO_BLOCK = np.ix_([0, 1, 3, 2], [0, 1, 3, 2])
 
 _D = np.diag([-1.0 + 0j, 1.0])
 
@@ -114,16 +116,16 @@ def _embed_pair(g1: np.ndarray, g2: np.ndarray, conv: DofConvention) -> np.ndarr
     M[:2, :2] = g1
     M[2:, 2:] = g2
     if conv is DofConvention.PS:
-        M = M[np.ix_(_PS_TO_BLOCK, _PS_TO_BLOCK)]
+        M = M[_PS_TO_BLOCK]
     return M
 
 
 def _csd_level(U, n: int, name: str, tol: ToleranceConfig, perm=None):
     """Check an n x n unitary, permute its basis by perm, and split it at n/2 + n/2.
 
-    Returns (Uq, csd): the permuted matrix, and _cosine_sine's output or
-    None when Uq is block-diagonal within angle_tol.  An error reports
-    the residual of the input as given.
+    perm is an np.ix_ index or None.  Returns (Uq, csd): the permuted
+    matrix, and _cosine_sine's output or None when Uq is block-diagonal
+    within angle_tol.  An error reports the residual of the input as given.
     """
     U = _as_square(U)
     if U.shape != (n, n):
@@ -133,7 +135,7 @@ def _csd_level(U, n: int, name: str, tol: ToleranceConfig, perm=None):
             f"{name} requires a unitary input (residual {unitarity_residual(U):.3e})"
         )
     if perm is not None:
-        U = U[np.ix_(perm, perm)]
+        U = U[perm]
     k = n // 2
     if np.abs(U[:k, k:]).max() <= tol.angle_tol and np.abs(U[k:, :k]).max() <= tol.angle_tol:
         return U, None

@@ -53,12 +53,16 @@ class OpticalElement:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown element kind {self.kind!r}")
-        if not isinstance(self.modes, (tuple, list)) or not all(map(_is_int, self.modes)):
-            raise ValueError(f"modes must be a list of integers, got {self.modes!r}")
-        modes = tuple(map(int, self.modes))
+        modes = self.modes
+        # a tuple of exact ints is valid and already stored as it would be
+        # converted; anything else is checked and converted
+        if type(modes) is not tuple or not all(type(m) is int for m in modes):
+            if not isinstance(modes, (tuple, list)) or not all(map(_is_int, modes)):
+                raise ValueError(f"modes must be a list of integers, got {modes!r}")
+            modes = tuple(map(int, modes))
+            object.__setattr__(self, "modes", modes)
         if modes and min(modes) < 0:
             raise ValueError(f"negative mode index in {modes}")
-        object.__setattr__(self, "modes", modes)
         if self.kind == "pbs":
             if len(modes) != 2 or modes[0] == modes[1]:
                 raise ValueError("pbs needs two distinct modes")
@@ -68,15 +72,17 @@ class OpticalElement:
             if len(modes) != 1:
                 raise ValueError(f"{self.kind} acts on exactly one mode")
             angle = self.angle_rad
-            if type(angle) is bool or not isinstance(angle, _REAL):
-                raise ValueError(f"{self.kind} angle must be a number, got {angle!r}")
-            try:
-                angle = float(angle)
-            except OverflowError:
-                angle = math.nan
+            # an exact float needs no conversion; only its finiteness is checked
+            if type(angle) is not float:
+                if type(angle) is bool or not isinstance(angle, _REAL):
+                    raise ValueError(f"{self.kind} angle must be a number, got {angle!r}")
+                try:
+                    angle = float(angle)
+                except OverflowError:
+                    angle = math.nan
+                object.__setattr__(self, "angle_rad", angle)
             if not math.isfinite(angle):
                 raise ValueError(f"{self.kind} needs a finite angle")
-            object.__setattr__(self, "angle_rad", angle)
 
 
 def pbs(i: int, j: int) -> OpticalElement:

@@ -55,8 +55,12 @@ def _tolerances(args) -> ToleranceConfig:
     t = getattr(args, "tolerance", None)
     if t is None:
         return DEFAULT_TOL
+    # angle_tol is capped too: the steps that drop up to angle_tol would
+    # otherwise break a tighter equivalence_tol on near-local inputs
     return ToleranceConfig(
-        unitarity_tol=min(DEFAULT_TOL.unitarity_tol, t), equivalence_tol=t
+        unitarity_tol=min(DEFAULT_TOL.unitarity_tol, t),
+        equivalence_tol=t,
+        angle_tol=min(DEFAULT_TOL.angle_tol, t),
     )
 
 
@@ -134,6 +138,15 @@ def _cmd_random(args) -> int:
     return EXIT_OK
 
 
+_TOLERANCE_HELP = (
+    "set equivalence_tol, the largest max-entry distance after the best global "
+    "phase at which a circuit matches its matrix, to T, and cap unitarity_tol "
+    "and angle_tol at T (defaults: equivalence_tol "
+    f"{DEFAULT_TOL.equivalence_tol:g}, unitarity_tol {DEFAULT_TOL.unitarity_tol:g}, "
+    f"angle_tol {DEFAULT_TOL.angle_tol:g})"
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cartanopt",
@@ -145,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--matrix", required=True, help="path to matrix JSON")
     c.add_argument("--convention", required=True, choices=["ps", "sp"])
     c.add_argument("--optimize", action="store_true")
-    c.add_argument("--tolerance", type=float)
+    c.add_argument("--tolerance", type=float, metavar="T", help=_TOLERANCE_HELP)
     c.add_argument("--out")
     c.set_defaults(func=_cmd_compile)
 
@@ -157,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="compare a circuit against a matrix")
     v.add_argument("--circuit", required=True)
     v.add_argument("--matrix", required=True)
-    v.add_argument("--tolerance", type=float)
+    v.add_argument("--tolerance", type=float, metavar="T", help=_TOLERANCE_HELP)
     v.set_defaults(func=_cmd_verify)
 
     t = sub.add_parser("target", help="emit a built-in target matrix")

@@ -18,7 +18,12 @@ import numpy as np
 
 @dataclasses.dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds used across the pipeline, all dimensionless."""
+    """Numerical thresholds used across the pipeline, all dimensionless.
+
+    The block-diagonal CSD short-cut, the optimizer's zero-PS drop and its
+    phase sweep each drop terms of up to angle_tol, so a config whose
+    angle_tol exceeds equivalence_tol can fail its own verification.
+    """
 
     unitarity_tol: float = 1e-10
     equivalence_tol: float = 1e-9
@@ -281,11 +286,9 @@ def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
 
 def matrix_to_json(M) -> dict:
     M = _as_square(M)
-    n = M.shape[0]
     return {
-        "dim": n,
-        "entries": [[[float(M[i, j].real), float(M[i, j].imag)] for j in range(n)]
-                    for i in range(n)],
+        "dim": M.shape[0],
+        "entries": [[[z.real, z.imag] for z in row] for row in M.tolist()],
     }
 
 
@@ -301,13 +304,14 @@ def matrix_from_json(obj) -> np.ndarray:
     for i, row in enumerate(entries):
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"row {i} length != dim ({dim})")
-    # allocated only now: the rows above bound dim by the input's length
-    M = np.empty((dim, dim), dtype=complex)
+    # the rows above bound dim by the input's length before anything is built
+    rows = []
     for i, row in enumerate(entries):
+        values = []
         for j, cell in enumerate(row):
             if (not isinstance(cell, (list, tuple)) or len(cell) != 2
-                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                               for v in cell)):
+                    or not isinstance(cell[0], (int, float)) or isinstance(cell[0], bool)
+                    or not isinstance(cell[1], (int, float)) or isinstance(cell[1], bool)):
                 raise ValueError(f"entry ({i},{j}) must be a [re, im] pair of numbers")
             try:
                 re, im = float(cell[0]), float(cell[1])
@@ -315,8 +319,9 @@ def matrix_from_json(obj) -> np.ndarray:
                 re = im = math.inf
             if not (math.isfinite(re) and math.isfinite(im)):
                 raise ValueError(f"entry ({i},{j}) is not finite")
-            M[i, j] = complex(re, im)
-    return M
+            values.append(complex(re, im))
+        rows.append(values)
+    return np.array(rows, dtype=complex)
 
 
 def dump_matrix(M) -> str:

@@ -216,6 +216,25 @@ def test_verify_rejects_nonfinite_tolerance(capsys, tmp_path, tolerance):
     assert "error" in err
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_compile_meets_a_tolerance_below_angle_tol(capsys, tmp_path, seed):
+    # a path-block local gate times expm(i eps H): its off-diagonal blocks
+    # are about eps, below the default angle_tol, so a short-cut that drops
+    # them at 1e-12 misses --tolerance 1e-13 by about eps
+    rng = np.random.default_rng(seed)
+    U = np.zeros((4, 4), dtype=complex)
+    U[:2, :2] = haar_random_unitary(2, seed)
+    U[2:, 2:] = haar_random_unitary(2, seed + 100)
+    H = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    w, V = np.linalg.eigh((H + H.conj().T) / 2)
+    U = U @ (V * np.exp(3e-13j * w / np.abs(w).max())) @ V.conj().T
+    path = _write_matrix(tmp_path / "near_local.json", U)
+    code, _, err = _run(
+        capsys, ["compile", "--matrix", path, "--convention", "sp", "--tolerance", "1e-13"]
+    )
+    assert code == 0, err
+
+
 def test_oversized_integers_are_invalid_input(capsys, tmp_path):
     huge = 10**400
     m_path = tmp_path / "huge.json"

@@ -22,6 +22,7 @@ import math
 import pathlib
 
 import numpy as np
+import pytest
 
 from cartanopt.circuit import OpticalCircuit, OpticalElement, optimize, serialize
 from cartanopt.linalg import DEFAULT_TOL, ToleranceConfig, dump_matrix
@@ -93,6 +94,19 @@ def test_corpus_circuits_simulate_to_the_same_bytes():
     for circuit in _circuits():
         h.update(dump_matrix(simulate(circuit)).encode())
     assert h.hexdigest() == SIMULATE_SHA256
+
+
+# Known fault: these plate products are exactly unitary, but optimize's
+# rewrites re-check them with synthesize_u2, whose rounding (about 1.1e-15)
+# exceeds a unitarity_tol of 1e-15.  Checking unitarity once, at the input,
+# fixes it and turns this pin into a failure until the mark is removed.
+@pytest.mark.xfail(strict=True, raises=ValueError, reason="plate products are re-checked")
+def test_optimize_at_a_unitarity_tol_below_rounding():
+    circuits = _circuits()
+    tol = ToleranceConfig(unitarity_tol=1e-15)
+    for i in (8, 60, 169):
+        out = optimize(circuits[i], tol)
+        assert len(out.elements) <= len(circuits[i].elements), i
 
 
 if __name__ == "__main__":
