@@ -2,24 +2,28 @@
 
 Each case is a small circuit (2 or 4 spatial modes, 0-14 elements)
 optimized under one of three tolerance settings.  The SHA-256 of the
-serialized result is compared with tests/data/optimize_corpus.json.
-Plate angles sit on multiples of pi/8, exactly or just off by offsets
-around each angle_tol, so the special-case branches of synthesize_u2
-and the rotation pair fire and sit at their thresholds; the rest are
-uniform in [-4pi, 4pi).  A change meant to make the optimizer cheaper
-without changing what it emits must pass this test unchanged; after a
-deliberate change to the rewrites, re-record with
+serialized result and its element count are compared with
+tests/data/optimize_corpus.json.  Plate angles sit on multiples of
+pi/8, exactly or just off by offsets around each angle_tol, so the
+short forms of synthesize_u2 (no plate, one plate, two plates) fire and
+sit at their thresholds; the rest are uniform in [-4pi, 4pi).  A change
+meant to make the optimizer cheaper without changing what it emits must
+pass this test unchanged; after a deliberate change to the rewrites,
+re-record with
 
     PYTHONPATH=src python tests/test_optimize_corpus.py
 
-and say in the change why the outputs moved.  The same circuits, not
-optimized, also pin simulate's output bytes (SIMULATE_SHA256).
-"""
+and say in the change why the outputs moved.  The re-record prints each
+moved case with its old and new element count and its plain (global
+phase included) drift from the unoptimized circuit; it writes nothing
+and exits 1 when a moved case got longer.  The same circuits, not
+optimized, also pin simulate's output bytes (SIMULATE_SHA256)."""
 
 import hashlib
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -72,18 +76,23 @@ def _circuits():
     return circuits
 
 
-def _digests():
-    out = {}
+def _outputs():
+    """(name, circuit, optimized circuit, tolerance) for every corpus case."""
     for i, circuit in enumerate(_circuits()):
         for tag, tol in TOLERANCES.items():
-            text = serialize(optimize(circuit, tol))
-            out[f"c{i:04d}_{tag}"] = hashlib.sha256(text.encode()).hexdigest()
-    return out
+            yield f"c{i:04d}_{tag}", circuit, optimize(circuit, tol), tol
+
+
+def _record(out) -> dict:
+    return {
+        "sha256": hashlib.sha256(serialize(out).encode()).hexdigest(),
+        "elements": len(out.elements),
+    }
 
 
 def test_optimize_outputs_are_byte_identical():
     recorded = json.loads(CORPUS.read_text(encoding="utf-8"))
-    current = _digests()
+    current = {name: _record(out) for name, _, out, _ in _outputs()}
     assert sorted(current) == sorted(recorded)
     moved = [name for name in current if current[name] != recorded[name]]
     assert not moved, f"{len(moved)} cases moved, first: {moved[:10]}"
@@ -109,6 +118,27 @@ def test_optimize_at_a_unitarity_tol_below_rounding():
         assert len(out.elements) <= len(circuits[i].elements), i
 
 
-if __name__ == "__main__":
+def _rerecord() -> int:
+    """Write the corpus anew unless a moved case got longer."""
+    old = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else {}
+    corpus, grew = {}, []
+    for name, circuit, out, _ in _outputs():
+        corpus[name] = rec = _record(out)
+        if old.get(name) == rec:
+            continue
+        before = old[name]["elements"] if name in old else None
+        drift = float(np.abs(simulate(out) - simulate(circuit)).max())
+        print(f"{name}: {before} -> {rec['elements']} elements, plain drift {drift:.2e}")
+        if before is not None and rec["elements"] > before:
+            grew.append(name)
+    if grew:
+        print(f"nothing written: {', '.join(grew)} grew", file=sys.stderr)
+        return 1
     CORPUS.parent.mkdir(exist_ok=True)
-    CORPUS.write_text(json.dumps(_digests(), indent=0) + "\n", encoding="utf-8")
+    lines = (f"{json.dumps(k)}: {json.dumps(v)}" for k, v in corpus.items())
+    CORPUS.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_rerecord())
