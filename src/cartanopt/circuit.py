@@ -20,7 +20,6 @@ from .linalg import DEFAULT_TOL, ToleranceConfig, _parse_json
 from .waveplates import (
     _canon_phase,
     _elide_phase,
-    _rotation_pair,
     _suffixes_may_shrink,
     chain_matrix,
     synthesize_u2,
@@ -267,19 +266,6 @@ def _rewrite_merge_ps(elems: list) -> bool:
     return False
 
 
-def _resynthesize(plates, tol: ToleranceConfig) -> list[tuple[str, float]]:
-    # the shortest exact chain for a run's product: synthesize_u2, or two
-    # half-wave plates for a real rotation when that beats a longer chain
-    # and a longer run
-    M = chain_matrix(plates)
-    chain = synthesize_u2(M, tol)
-    if len(plates) > 2 and len(chain) > 2:
-        pair = _rotation_pair(M, tol.angle_tol)
-        if pair is not None:
-            chain = pair
-    return chain
-
-
 def _rewrite_resynthesize_run(
     elems: list, tol: ToleranceConfig, shortest: dict, screen_runs: bool
 ) -> bool:
@@ -319,7 +305,7 @@ def _rewrite_resynthesize_run(
         key = keys[r][k:]
         if key in shortest and shortest[key] >= len(key):
             continue
-        plates = _resynthesize(key, tol)
+        plates = synthesize_u2(chain_matrix(key), tol)
         shortest[key] = len(plates)
         if len(plates) < len(key):
             run = runs[r][k:]

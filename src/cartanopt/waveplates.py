@@ -10,9 +10,11 @@ components
     x =  cos K sin N,   z = -sin K sin N,
 
 with M = q1 - q2, K = q1 + q2, N = 2h - K (all in doubled-angle units),
-which inverts by two arctangents.  Shorter chains are emitted whenever
-the target is a phase, a single half-wave plate, or a single
-quarter-wave plate times a phase.
+which inverts by two arctangents.  synthesize_u2 is the one place that
+decides a chain's length: it emits a shorter chain whenever the target
+is a phase, one plate times a phase, or two plates times a phase, each
+recognized by a closed-form gap of the quaternion (_branch_gaps), and
+the optimizer's screen (_suffixes_may_shrink) reads the same gaps.
 """
 
 from __future__ import annotations
@@ -124,32 +126,74 @@ def _chain_params(U: np.ndarray) -> tuple[float, float, float, float]:
     return delta, a_first / 2.0, a_h / 2.0, a_last / 2.0
 
 
-def _branch_gaps(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:
-    """Distances of a quaternion from the short branches of synthesize_u2.
+# plates of each short form of synthesize_u2, in its order: a scalar, HWP,
+# QWP, then in application order HWP-HWP, QWP-HWP and QWP-QWP
+_FORM_PLATES = (0, 1, 1, 2, 2, 2)
 
-    In order: a scalar (phase only), a single half-wave plate, a single
-    quarter-wave plate.  A branch is taken when its gap is <= angle_tol.
-    The gaps are invariant under flipping the quaternion's sign.
+
+def _branch_gaps(w: float, x: float, y: float, z: float) -> tuple[float, ...]:
+    """Distances of a quaternion from the short forms of synthesize_u2.
+
+    One gap per entry of _FORM_PLATES; a form is taken when its gap is
+    <= angle_tol.  With r = hypot(w, y), a product of two plates in
+    application order satisfies
+        HWP-HWP:  r = 1 (x = z = 0, a rotation about y)
+        QWP-HWP:  r = 1/sqrt 2 (as does every HWP-QWP product)
+        QWP-QWP:  w = r^2 with w >= 0: (w, y) on the circle of radius 1/2
+                  about (1/2, 0)
+    The QWP-QWP entry is the distance of (w, y) from that circle, a lower
+    bound: _qq_fit measures the distance itself.  The gaps are invariant
+    under flipping the quaternion's sign.
     """
+    r = math.hypot(w, y)
     return (
         math.sqrt(x * x + y * y + z * z),
-        math.hypot(w, y),
+        r,
         max(abs(y), abs(abs(w) - _QWP_W)),
+        max(abs(x), abs(z)),
+        abs(r - _QWP_W),
+        abs(math.hypot(abs(w) - 0.5, y) - 0.5),
     )
 
 
-def _imag_gap(a: complex, b: complex, c: complex, d: complex) -> float:
-    """Largest imaginary part of [[a, b], [c, d]]; the rotation pair needs it <= angle_tol."""
-    return max(abs(a.imag), abs(b.imag), abs(c.imag), abs(d.imag))
+def _qq_fit(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:
+    """(distance, d, k) of the nearest QWP-QWP product to this sign of a quaternion.
+
+    Q(b) Q(a), with d = b - a and k = a + b, has (w, y) = sin d (sin d,
+    cos d) and (x, z) = cos d (sin k, cos k).  Writing (w, y) = cos g
+    (cos t, sin t) and hypot(x, z) = sin g, the products are the points
+    with |t| = g, a surface with a cone point at the identity.  The fit
+    moves t and g to one value, nearest in the metric dg^2 + cos^2 g dt^2
+    of the sphere, and the distance is measured to the product it lands
+    on, so it bounds the error of the chain it gives.
+    """
+    r = math.hypot(w, y)
+    t = math.atan2(y, w)
+    g = math.atan2(math.hypot(x, z), r)
+    g = (g + r * r * abs(t)) / (1.0 + r * r)
+    d = math.copysign(math.pi / 2.0 - g, t)
+    k = math.atan2(x, z)
+    sd, cd = math.sin(d), math.cos(d)
+    gap = math.sqrt(
+        (w - sd * sd) ** 2 + (y - sd * cd) ** 2
+        + (x - cd * math.sin(k)) ** 2 + (z - cd * math.cos(k)) ** 2
+    )
+    return gap, d, k
 
 
 def synthesize_u2(U, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[str, float]]:
     """Shortest wave-plate chain realizing U exactly (not just up to phase).
 
     Returns (kind, angle) pairs in application order: an optional PS
-    carrying the determinant phase, then at most QWP, HWP, QWP; plates
-    that a shorter realization does not need are omitted.  The identity
-    yields the empty chain.
+    carrying the determinant phase, then the fewest plates.  The table,
+    tried in order, is the identity (the empty chain), a phase, one HWP,
+    one QWP, two plates (HWP-HWP, QWP-HWP or QWP-QWP, see _branch_gaps),
+    and QWP-HWP-QWP, which is universal for SU(2) (R. Simon and N.
+    Mukunda, Phys. Lett. A 143, 165 (1990)).  A two-plate form is taken
+    only when its chain, PS counted, is shorter than the three-plate one:
+    QWP-QWP needs a PS of pi on the w < 0 representative, which ties
+    with QWP-HWP-QWP when the determinant phase is elided.  HWP-QWP
+    products are emitted as QWP-HWP, which realizes every one of them.
     """
     U = np.asarray(U, dtype=complex)
     if U.shape != (2, 2):
@@ -161,24 +205,50 @@ def synthesize_u2(U, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[str, floa
     a_tol = tol.angle_tol
     delta, w, x, y, z = _su2(U)
 
-    scalar_gap, hwp_gap, qwp_gap = _branch_gaps(w, x, y, z)
+    scalar_gap, hwp_gap, qwp_gap, hh_gap, qh_gap, qq_gap = _branch_gaps(w, x, y, z)
     if scalar_gap <= a_tol:
         # scalar: all of U is a phase
         if w < 0.0:
             delta += math.pi
         return _phase_then(delta, a_tol)
+    # the PS in front of plates goes when leaving it off moves no entry by
+    # more than angle_tol
+    p_tol = a_tol / _largest_entry(w, x, y, z)
     if hwp_gap <= a_tol:
         # i times a reflection in the x-z plane: a single half-wave plate
-        return _phase_then(delta, a_tol, ("hwp", _canon_plate(math.atan2(x, z) / 2.0)))
+        return _phase_then(delta, p_tol, ("hwp", _canon_plate(math.atan2(x, z) / 2.0)))
     if qwp_gap <= a_tol:
         # a single quarter-wave plate times a phase; the SU(2) factor is
         # only fixed up to sign, so flip into the +w representative
         if w < 0.0:
             delta += math.pi
             x, z = -x, -z
-        return _phase_then(delta, a_tol, ("qwp", _canon_plate(math.atan2(x, z) / 2.0)))
+        return _phase_then(delta, p_tol, ("qwp", _canon_plate(math.atan2(x, z) / 2.0)))
+    pair = None
+    if hh_gap <= a_tol:
+        # H(b) H(0) is the rotation by 2b - pi about y
+        b = (math.atan2(-y, w) + math.pi) / 2.0
+        pair = _phase_then(delta, p_tol, ("hwp", 0.0), ("hwp", _canon_plate(b)))
+    elif qh_gap <= a_tol:
+        # H(b) Q(a): the HWP sets (x, z), and 2(b - a) is the angle of (-w, y)
+        b = math.atan2(x, z) / 2.0
+        a = b - math.atan2(y, -w) / 2.0
+        pair = _phase_then(delta, p_tol, ("qwp", _canon_plate(a)), ("hwp", _canon_plate(b)))
+    elif qq_gap <= a_tol:
+        # Q(b) Q(a) on this sign of the quaternion, else with a PS of pi on
+        # the other
+        for sign, turn in ((1.0, 0.0), (-1.0, math.pi)):
+            gap, d, k = _qq_fit(sign * w, sign * x, sign * y, sign * z)
+            if gap <= a_tol:
+                a, b = (k - d) / 2.0, (k + d) / 2.0
+                pair = _phase_then(
+                    delta + turn, p_tol, ("qwp", _canon_plate(a)), ("qwp", _canon_plate(b))
+                )
+                break
+    if pair is not None and len(pair) < 3 + (_elide_phase(delta, p_tol) is not None):
+        return pair
     (_, phase), *plates = _full_chain(*_chain_params(U))
-    return _phase_then(phase, a_tol, *plates)
+    return _phase_then(phase, p_tol, *plates)
 
 
 def _full_chain(delta: float, q_first: float, h: float, q_last: float) -> list[tuple[str, float]]:
@@ -200,34 +270,30 @@ def _elide_phase(angle: float, a_tol: float) -> float | None:
     return a
 
 
-def _rotation_pair(M: np.ndarray, a_tol: float):
-    """Two half-wave plates for a real rotation M, or None.
+def _largest_entry(w: float, x: float, y: float, z: float) -> float:
+    """Largest entry modulus of w I + i(x sx + y sy + z sz).
 
-    H(a)H(0) equals the rotation by 2a - pi, a form the PS-QWP-HWP-QWP
-    chain needs three plates for.
+    Leaving a phase e^{i delta} off moves an entry by at most |delta|
+    times this, at least 1/sqrt 2 and at most 1.
     """
-    if _imag_gap(*M.flat) > a_tol:
-        return None
-    if (M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]).real < 0.0:
-        return None
-    phi = math.atan2(M[1, 0].real, M[0, 0].real)
-    return [("hwp", 0.0), ("hwp", _canon_plate((phi + math.pi) / 2.0))]
+    return max(math.hypot(w, z), math.hypot(x, y))
 
 
 def _suffixes_may_shrink(plates, a_tol: float, whole: bool = False) -> list[bool]:
     """For each proper suffix plates[j:], whether it may have a shorter exact chain.
 
-    The exact chain is synthesize_u2 of the product, replaced by
-    _rotation_pair when both the suffix and that chain exceed two plates.
-    Entry j (j >= 1) is False only when that chain surely has at least
-    len(plates) - j plates: the product's quaternion clears every short
-    branch, for three or more plates the product is clearly not real,
-    and for four its determinant phase clearly keeps the PS.  Each test
-    clears its threshold by angle_tol + _BOUND_MARGIN, so a product near
-    a threshold reads True and goes to the exact path.  Entry 0, the
-    whole sequence, is True unless whole is set, when it is tested like
-    the rest; any suffix of five or more plates always shrinks and reads
-    True.  One backward pass forms the product of every suffix it tests.
+    The exact chain is synthesize_u2 of the product.  Entry j (j >= 1) is
+    False only when that chain surely has at least len(plates) - j
+    elements: the fewest plates of a form within reach (three if none
+    is), plus one when the determinant phase surely keeps its PS.  Both
+    read synthesize_u2's own tests with each threshold widened to
+    angle_tol + _BOUND_MARGIN, so a product near a threshold reads True
+    and goes to the exact path.  A form that moves the quaternion's sign
+    into the PS can keep a PS of pi that this count leaves out, which
+    only lets more suffixes through.  Entry 0, the whole sequence, is True
+    unless whole is set, when it is tested like the rest; any suffix of
+    five or more plates always shrinks and reads True.  One backward pass
+    forms the product of every suffix it tests.
     """
     bound = a_tol + _BOUND_MARGIN
     may = [True] * len(plates)
@@ -240,13 +306,19 @@ def _suffixes_may_shrink(plates, a_tol: float, whole: bool = False) -> list[bool
         if n == 1:
             # a single plate is never a candidate
             continue
-        if n >= 3 and _imag_gap(a, b, c, d) <= bound:
-            continue
         det = a * d - b * c
         delta = math.atan2(det.imag, det.real) / 2.0
-        if n == 4 and abs(delta) <= bound:
-            continue
         e = cmath.exp(-1j * delta)
         va, vb = a * e, b * e
-        may[j] = min(_branch_gaps(va.real, vb.imag, vb.real, va.imag)) <= bound
+        w, x, y, z = va.real, vb.imag, vb.real, va.imag
+        # _FORM_PLATES ascends, so the first form within reach has the fewest
+        fewest = 3
+        for k, gap in zip(_FORM_PLATES, _branch_gaps(w, x, y, z)):
+            if gap <= bound:
+                fewest = k
+                break
+        # fewest plates behind the PS tie with n elements unless the PS goes
+        may[j] = fewest < n - 1 or (
+            fewest == n - 1 and abs(delta) * _largest_entry(w, x, y, z) <= bound
+        )
     return may

@@ -205,20 +205,29 @@ def test_optimize_collapses_plate_run():
 
 
 def test_optimize_merges_rotation_to_half_wave_pair():
-    # a real rotation takes three plates in PS-QWP-HWP-QWP form but only
+    # a real rotation takes three plates in QWP-HWP-QWP form but only
     # two half-wave plates
     from cartanopt.circuit import chain_elements
-    from cartanopt.waveplates import synthesize_u2
+    from cartanopt.waveplates import _chain_params, _full_chain
 
     rot = np.array(
         [[np.cos(0.6), -np.sin(0.6)], [np.sin(0.6), np.cos(0.6)]], dtype=complex
     )
-    run = chain_elements(synthesize_u2(rot), 0)
+    run = chain_elements(_full_chain(*_chain_params(rot))[1:], 0)
     assert len(run) == 3
     before = _circ(run)
     after = optimize(before)
     assert element_count(after).total == 2
     assert all(e.kind == "hwp" for e in after.elements)
+    # exact equality, global phase included
+    assert np.abs(simulate(after) - simulate(before)).max() < 1e-12
+
+
+def test_optimize_shrinks_a_run_to_its_two_plate_product():
+    # H(0.1) H(0.1) = -I, so the run is -H(0.7) Q(0.3): two plates, no PS
+    before = _circ([qwp(0, 0.3), hwp(0, 0.7), hwp(0, 0.1), hwp(0, 0.1)])
+    after = optimize(before)
+    assert [e.kind for e in after.elements] == ["qwp", "hwp"]
     # exact equality, global phase included
     assert np.abs(simulate(after) - simulate(before)).max() < 1e-12
 

@@ -321,4 +321,4 @@ def test_python_dash_m_runs_the_cli():
     assert done.returncode == 0, done.stderr
     doc = json.loads(done.stdout)
     assert doc["report"]["passed"]
-    assert len(doc["circuit"]["elements"]) == 19
+    assert len(doc["circuit"]["elements"]) == 17

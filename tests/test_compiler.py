@@ -280,9 +280,11 @@ def test_optimized_builtin_counts_at_most_canonical():
             assert element_count(circuit).total <= 20
     walk_ps, _ = compile(WALK, _opts("ps", optimize=True))
     assert element_count(walk_ps).total <= 14
-    # the phase sweep brings the Fourier circuit in sp to its hand-drawn 19
+    # the phase sweep and the two-plate chains bring the Fourier circuit in
+    # sp below its hand-drawn 19
     qft_sp, _ = compile(QFT, _opts("sp", optimize=True))
-    assert element_count(qft_sp).total == HAND_COUNTS[("qft", "sp")] == 19
+    assert element_count(qft_sp).total == 17
+    assert element_count(qft_sp).total <= HAND_COUNTS[("qft", "sp")]
 
 
 def test_compile_runs_without_scipy():

@@ -16,7 +16,8 @@ re-record with
 and say in the change why the outputs moved.  The re-record prints each
 moved case with its old and new element count and its plain (global
 phase included) drift from the unoptimized circuit; it writes nothing
-and exits 1 when a moved case got longer.  The same circuits, not
+and exits 1 when a moved case got longer or, at the default tolerance,
+drifts more than PLAIN_TOL.  The same circuits, not
 optimized, also pin simulate's output bytes (SIMULATE_SHA256)."""
 
 import hashlib
@@ -45,6 +46,8 @@ TOLERANCES = {
 OFFSETS = (0.0, 1e-13, 1e-12, 2e-12, 1e-9, 3e-9, 5e-7, 1e-6, 2e-6, 5e-4, 1e-3, 2e-3)
 # SHA-256 over dump_matrix(simulate(c)) of the corpus circuits in order: pins
 # the plate matrices and the simulator to the bit, signed zeros included
+# a moved default-tolerance case must equal its input entry by entry to this
+PLAIN_TOL = 1e-12
 SIMULATE_SHA256 = "dfeb76ac4b2e38e3c01211b82e238b13fe175980abb5fdb382e2d7de3516cc75"
 
 
@@ -119,20 +122,23 @@ def test_optimize_at_a_unitarity_tol_below_rounding():
 
 
 def _rerecord() -> int:
-    """Write the corpus anew unless a moved case got longer."""
+    """Write the corpus anew unless a moved case got longer or lost plain equality."""
     old = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else {}
-    corpus, grew = {}, []
-    for name, circuit, out, _ in _outputs():
+    corpus, refused = {}, []
+    for name, circuit, out, tol in _outputs():
         corpus[name] = rec = _record(out)
         if old.get(name) == rec:
             continue
         before = old[name]["elements"] if name in old else None
         drift = float(np.abs(simulate(out) - simulate(circuit)).max())
         print(f"{name}: {before} -> {rec['elements']} elements, plain drift {drift:.2e}")
-        if before is not None and rec["elements"] > before:
-            grew.append(name)
-    if grew:
-        print(f"nothing written: {', '.join(grew)} grew", file=sys.stderr)
+        if (before is not None and rec["elements"] > before) or (
+            tol is DEFAULT_TOL and drift > PLAIN_TOL
+        ):
+            refused.append(name)
+    if refused:
+        print(f"nothing written: {', '.join(refused)} grew or miss plain equality",
+              file=sys.stderr)
         return 1
     CORPUS.parent.mkdir(exist_ok=True)
     lines = (f"{json.dumps(k)}: {json.dumps(v)}" for k, v in corpus.items())

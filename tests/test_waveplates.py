@@ -1,12 +1,12 @@
-"""Closed-form plate matrices and four-element synthesis of 2x2 unitaries."""
+"""Closed-form plate matrices and shortest-chain synthesis of 2x2 unitaries."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from cartanopt.circuit import _resynthesize
 from cartanopt.linalg import DEFAULT_TOL, ToleranceConfig, haar_random_unitary
 from cartanopt.waveplates import (
     _suffixes_may_shrink,
@@ -185,22 +185,147 @@ _plates = st.tuples(
 )
 
 
+# each two-plate family behind H(0.1) H(0.1) = -I, bare and behind a PS:
+# the table takes the four plates to two (QWP-QWP to a PS and two, or a tie
+# with QWP-HWP-QWP), so the screen has to let them through
+FAMILIES = (("hwp", "hwp"), ("qwp", "hwp"), ("hwp", "qwp"), ("qwp", "qwp"))
+_SHRINKING = [
+    head + [(p1, 0.3), (p2, 0.7), ("hwp", 0.1), ("hwp", 0.1)]
+    for p1, p2 in FAMILIES
+    for head in ([], [("ps", 0.5)])
+]
+
+
+def _with_examples(lead, sizes):
+    """Add every _SHRINKING run, with `lead` in front, as an example at each tolerance."""
+    def mark(test):
+        for run in _SHRINKING:
+            if len(lead + run) in sizes:
+                for tol in SUFFIX_TOLS:
+                    test = example(lead + run, tol)(test)
+        return test
+    return mark
+
+
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(st.lists(_plates, min_size=3, max_size=6), st.sampled_from(SUFFIX_TOLS))
+@_with_examples([("qwp", 0.2)], range(3, 7))
 def test_suffix_bound_never_rules_out_a_shorter_chain(plates, tol):
     # proper suffixes of 2-5 plates
     may = _suffixes_may_shrink(plates, tol.angle_tol)
     assert may[0]
     for j in range(1, len(plates) - 1):
         if not may[j]:
-            assert len(_resynthesize(plates[j:], tol)) >= len(plates) - j
+            assert len(synthesize_u2(chain_matrix(plates[j:]), tol)) >= len(plates) - j
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(st.lists(_plates, min_size=2, max_size=5), st.sampled_from(SUFFIX_TOLS))
+@_with_examples([], range(2, 6))
 def test_whole_bound_never_rules_out_a_shorter_chain(plates, tol):
     # with whole set, entry 0 screens the whole sequence like a suffix
     may = _suffixes_may_shrink(plates, tol.angle_tol, whole=True)
     assert may[1:] == _suffixes_may_shrink(plates, tol.angle_tol)[1:]
     if not may[0]:
-        assert len(_resynthesize(plates, tol)) >= len(plates)
+        assert len(synthesize_u2(chain_matrix(plates), tol)) >= len(plates)
+
+
+def test_shrinking_examples_do_shrink():
+    for run in _SHRINKING:
+        assert len(synthesize_u2(chain_matrix(run))) < len(run), run
+
+
+def test_bound_rules_out_each_two_plate_chain():
+    # a chain the table emits is not handed back to it: the screen knows
+    # every two-plate form, with and without its PS
+    for p1, p2 in FAMILIES:
+        for head in ([], [("ps", 0.5)]):
+            chain = synthesize_u2(chain_matrix(head + [(p1, 0.3), (p2, 0.7)]))
+            assert len(chain) == len(head) + 2
+            assert not _suffixes_may_shrink(chain, DEFAULT_TOL.angle_tol, whole=True)[0]
+
+
+# plate angles at multiples of pi/8, exactly or off by offsets around the
+# default angle_tol, or anywhere
+_tier_angles = st.one_of(
+    st.builds(
+        lambda k, sign, offset: k * math.pi / 8 + sign * offset,
+        st.integers(-16, 16),
+        st.sampled_from((-1.0, 1.0)),
+        st.sampled_from((0.0, 1e-13, 1e-12, 2e-12, 1e-9)),
+    ),
+    st.floats(-4 * math.pi, 4 * math.pi),
+)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.sampled_from(FAMILIES), _tier_angles, _tier_angles, st.none() | _tier_angles)
+def test_two_plate_products_come_back_as_at_most_two_plates(family, a, b, phase):
+    run = [(family[0], a), (family[1], b)]
+    if phase is not None:
+        run.insert(0, ("ps", phase))
+    U = chain_matrix(run)
+    chain = synthesize_u2(U)
+    kinds = [k for k, _ in chain]
+    plates = kinds[1:] if kinds[:1] == ["ps"] else kinds
+    assert "ps" not in plates
+    # plain equality, global phase included
+    assert np.abs(chain_matrix(chain) - U).max() <= 1e-12
+    if len(plates) > 2:
+        # the one tie: QWP-QWP on its w < 0 representative needs a PS of
+        # pi that QWP-HWP-QWP, with its own PS elided, does not
+        assert family == ("qwp", "qwp") and kinds == ["qwp", "hwp", "qwp"]
+
+
+def _fit_residual(shape, U, with_phase, rng, starts=8):
+    """Smallest max-entry residual of plates `shape` (and a free PS) against U."""
+    from scipy.optimize import least_squares
+
+    def gap(angles):
+        M = chain_matrix(list(zip(shape, angles)))
+        if with_phase:
+            # the best PS in front: e^{i arg tr(M^+ U)}
+            t = np.trace(M.conj().T @ U)
+            M = M * (t / abs(t) if abs(t) > 0 else 1.0)
+        return M - U
+
+    def residual(angles):
+        g = gap(angles)
+        return np.concatenate([g.real.ravel(), g.imag.ravel()])
+
+    if not shape:
+        return float(np.abs(gap([])).max())
+    fits = (least_squares(residual, rng.uniform(0.0, math.pi, len(shape))) for _ in range(starts))
+    return min(float(np.abs(gap(fit.x)).max()) for fit in fits)
+
+
+def _brute_force_cases():
+    cases = [haar_random_unitary(2, seed) for seed in range(3)]
+    for p1, p2 in FAMILIES:
+        cases.append(chain_matrix([(p1, 0.3), (p2, 1.1)]))
+        cases.append(chain_matrix([("ps", 0.5), (p1, 0.3), (p2, 1.1)]))
+    # the QWP-QWP tie, a bare three-plate chain, and a phase times one plate
+    cases.append(chain_matrix([("ps", math.pi), ("qwp", 0.3), ("qwp", 1.1)]))
+    cases.append(chain_matrix([("qwp", 0.3), ("hwp", 1.1), ("qwp", 2.0)]))
+    cases.append(chain_matrix([("ps", 0.5), ("qwp", 0.3)]))
+    return cases
+
+
+@pytest.mark.parametrize("index", range(len(_brute_force_cases())))
+def test_brute_force_finds_no_shorter_chain(index):
+    # every chain of fewer elements than the table's, PS first (a PS
+    # commutes with every plate, so its place does not matter), fitted by
+    # least squares from several starts, misses U clearly
+    pytest.importorskip("scipy")
+    U = _brute_force_cases()[index]
+    chain = synthesize_u2(U)
+    n = len(chain)
+    rng = np.random.default_rng(index)
+    # the search finds the table's own chain
+    plates = tuple(k for k, _ in chain if k != "ps")
+    assert _fit_residual(plates, U, len(plates) < n, rng) < 1e-9
+    for size in range(n):
+        for shape in itertools.product(("hwp", "qwp"), repeat=size):
+            assert _fit_residual(shape, U, False, rng) > 1e-6, shape
+            if size + 1 < n:
+                assert _fit_residual(shape, U, True, rng) > 1e-6, ("ps", *shape)
