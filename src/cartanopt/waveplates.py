@@ -191,9 +191,10 @@ def synthesize_u2(U, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[str, floa
     and QWP-HWP-QWP, which is universal for SU(2) (R. Simon and N.
     Mukunda, Phys. Lett. A 143, 165 (1990)).  A two-plate form is taken
     only when its chain, PS counted, is shorter than the three-plate one:
-    QWP-QWP needs a PS of pi on the w < 0 representative, which ties
-    with QWP-HWP-QWP when the determinant phase is elided.  HWP-QWP
-    products are emitted as QWP-HWP, which realizes every one of them.
+    when only the quaternion's negative is a QWP-QWP product, the PS of
+    pi it needs ties with QWP-HWP-QWP whose determinant phase is elided.
+    HWP-QWP products are emitted as QWP-HWP, which realizes every one of
+    them.
     """
     U = np.asarray(U, dtype=complex)
     if U.shape != (2, 2):

@@ -12,6 +12,7 @@ and on optimized structured dim-4 compiles.
 
 from hypothesis import given, settings, strategies as st
 
+from cartanopt.circuit import hwp, pbs, ps, qwp
 from cartanopt.compiler import CompileOptions, compile
 from cartanopt.linalg import DEFAULT_TOL
 from cartanopt.waveplates import chain_matrix, synthesize_u2
@@ -42,8 +43,6 @@ def _assert_no_run_shrinks(circuit, tol):
 
 
 def test_runs_example():
-    from cartanopt.circuit import hwp, pbs, ps, qwp
-
     els = [qwp(0, 0.1), ps(1, 0.2), hwp(0, 0.3), pbs(0, 1), hwp(1, 0.4), hwp(0, 0.5)]
     assert _maximal_runs(els) == [
         [("qwp", 0.1), ("hwp", 0.3)], [("ps", 0.2)], [("hwp", 0.4)], [("hwp", 0.5)],
