@@ -17,8 +17,9 @@ and say in the change why the outputs moved.  The re-record prints each
 moved case with its old and new element count and its plain (global
 phase included) drift from the unoptimized circuit; it writes nothing
 and exits 1 when a moved case got longer or, at the default tolerance,
-drifts more than PLAIN_TOL.  The same circuits, not
-optimized, also pin simulate's output bytes (SIMULATE_SHA256)."""
+drifts more than PLAIN_TOL.  The same circuits, not optimized, also pin
+simulate's output bytes (SIMULATE_SHA256).
+"""
 
 import hashlib
 import json
