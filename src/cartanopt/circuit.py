@@ -20,7 +20,7 @@ from .linalg import DEFAULT_TOL, ToleranceConfig, _parse_json
 from .waveplates import (
     _canon_phase,
     _elide_phase,
-    _suffixes_may_shrink,
+    _may_shrink,
     chain_matrix,
     synthesize_u2,
 )
@@ -267,53 +267,44 @@ def _rewrite_merge_ps(elems: list) -> bool:
 
 
 def _rewrite_resynthesize_run(
-    elems: list, tol: ToleranceConfig, shortest: dict, screen_runs: bool
+    elems: list, tol: ToleranceConfig, shortest: set, screen_runs: bool
 ) -> bool:
     # a same-mode run of plates collapses through synthesize_u2 when the
     # product admits a shorter chain; elements on other modes are
     # transparent, a PBS touching the mode ends the run.  One pass finds
-    # the maximal runs; the candidates are each run and each of its proper
-    # suffixes, tried in order of their first element, and the first that
-    # shrinks is rewritten.  A proper suffix reaches the exact path only
-    # when _suffixes_may_shrink cannot rule a shorter chain out; a full run
-    # always takes it, unless screen_runs puts it through the same test.
-    # shortest maps a candidate's (kind, angle) sequence to the length of
-    # its exact replacement, so a rescan skips the candidates it has
-    # already rejected.
-    runs, open_runs, at = [], {}, {}
+    # the maximal runs, tried in order of their first element, and the
+    # first that shrinks is rewritten.  Only whole runs are candidates:
+    # synthesize_u2 returns the shortest chain, so a part of a run that
+    # shrinks would shorten the whole run too.  With screen_runs a run
+    # reaches the exact path only when _may_shrink cannot rule a shorter
+    # chain out.  shortest holds the (kind, angle) sequences of the runs
+    # found not to shrink, so a rescan skips them.
+    runs, open_runs = [], {}
     for i, e in enumerate(elems):
         if e.kind == "pbs":
             for m in e.modes:
                 open_runs.pop(m, None)
             continue
-        r = open_runs.get(e.modes[0])
-        if r is None:
-            r = open_runs[e.modes[0]] = len(runs)
-            runs.append([])
-        at[i] = (r, len(runs[r]))
-        runs[r].append(i)
-    keys = [tuple((elems[j].kind, elems[j].angle_rad) for j in run) for run in runs]
-    may_shrink = {}
-    for i, (r, k) in at.items():
-        if len(runs[r]) - k < 2:
+        run = open_runs.get(e.modes[0])
+        if run is None:
+            run = open_runs[e.modes[0]] = []
+            runs.append(run)
+        run.append(i)
+    for run in runs:
+        if len(run) < 2:
             continue
-        if k or screen_runs:
-            if r not in may_shrink:
-                may_shrink[r] = _suffixes_may_shrink(keys[r], tol.angle_tol, screen_runs)
-            if not may_shrink[r][k]:
-                continue
-        key = keys[r][k:]
-        if key in shortest and shortest[key] >= len(key):
+        key = tuple((elems[j].kind, elems[j].angle_rad) for j in run)
+        if key in shortest or (screen_runs and not _may_shrink(key, tol.angle_tol)):
             continue
         plates = synthesize_u2(chain_matrix(key), tol)
-        shortest[key] = len(plates)
         if len(plates) < len(key):
-            run = runs[r][k:]
+            i = run[0]
             mode = elems[i].modes[0]
             for j in reversed(run):
                 del elems[j]
             elems[i:i] = chain_elements(plates, mode)
             return True
+        shortest.add(key)
     return False
 
 
@@ -382,9 +373,9 @@ def optimize(circuit: OpticalCircuit, tol: ToleranceConfig = DEFAULT_TOL) -> Opt
     action, global phase included.
     """
     elems = list(circuit.elements)
-    # screen: full runs go through the closed-form test too; sweep: a rule
-    # fired since the last sweep (a sweep's output sweeps to itself)
-    shortest, screen, sweep = {}, False, True
+    # screen: runs go through the closed-form test; sweep: a rule fired
+    # since the last sweep (a sweep's output sweeps to itself)
+    shortest, screen, sweep = set(), False, True
     while True:
         if (
             _rewrite_drop_zero_ps(elems, tol.angle_tol)
@@ -398,7 +389,7 @@ def optimize(circuit: OpticalCircuit, tol: ToleranceConfig = DEFAULT_TOL) -> Opt
             break
         # a moved phase can make a run shorter to resynthesize, so the
         # rules run again; the sweep changed only the runs' phases, and
-        # most full runs clear the closed-form test
+        # most runs clear the closed-form test
         swept = _sweep_phases(elems, tol.angle_tol)
         if len(swept) >= len(elems):
             break

@@ -14,7 +14,7 @@ which inverts by two arctangents.  synthesize_u2 is the one place that
 decides a chain's length: it emits a shorter chain whenever the target
 is a phase, one plate times a phase, or two plates times a phase, each
 recognized by a closed-form gap of the quaternion (_branch_gaps), and
-the optimizer's screen (_suffixes_may_shrink) reads the same gaps.
+the optimizer's whole-run screen (_may_shrink) reads the same gaps.
 """
 
 from __future__ import annotations
@@ -143,7 +143,10 @@ def _branch_gaps(w: float, x: float, y: float, z: float) -> tuple[float, ...]:
                   about (1/2, 0)
     The QWP-QWP entry is the distance of (w, y) from that circle, a lower
     bound: _qq_fit measures the distance itself.  The gaps are invariant
-    under flipping the quaternion's sign.
+    under flipping the quaternion's sign.  The scalar, HWP and QWP-HWP
+    gaps are Euclidean; the QWP and HWP-HWP gaps take the largest
+    component, so a chain taken at one of those thresholds can miss U by
+    up to sqrt 2 times angle_tol.  _may_shrink reads the same gaps.
     """
     r = math.hypot(w, y)
     return (
@@ -280,46 +283,36 @@ def _largest_entry(w: float, x: float, y: float, z: float) -> float:
     return max(math.hypot(w, z), math.hypot(x, y))
 
 
-def _suffixes_may_shrink(plates, a_tol: float, whole: bool = False) -> list[bool]:
-    """For each proper suffix plates[j:], whether it may have a shorter exact chain.
+def _may_shrink(plates, a_tol: float) -> bool:
+    """Whether a run of plates may have an exact chain shorter than itself.
 
-    The exact chain is synthesize_u2 of the product.  Entry j (j >= 1) is
-    False only when that chain surely has at least len(plates) - j
-    elements: the fewest plates of a form within reach (three if none
-    is), plus one when the determinant phase surely keeps its PS.  Both
-    read synthesize_u2's own tests with each threshold widened to
-    angle_tol + _BOUND_MARGIN, so a product near a threshold reads True
-    and goes to the exact path.  A form that moves the quaternion's sign
-    into the PS can keep a PS of pi that this count leaves out, which
-    only lets more suffixes through.  Entry 0, the whole sequence, is True
-    unless whole is set, when it is tested like the rest; any suffix of
-    five or more plates always shrinks and reads True.  One backward pass
-    forms the product of every suffix it tests.
+    The exact chain is synthesize_u2 of the product.  False only when
+    that chain surely has at least len(plates) elements: the fewest
+    plates of a form within reach (three if none is), plus one when the
+    determinant phase surely keeps its PS.  Both read synthesize_u2's own
+    tests with each threshold widened to angle_tol + _BOUND_MARGIN, so a
+    product near a threshold reads True and goes to the exact path.  A
+    form that moves the quaternion's sign into the PS can keep a PS of pi
+    that this count leaves out, which only lets more runs through.  A run
+    of five or more plates always shrinks and reads True.
     """
+    n = len(plates)
+    if n > 4:
+        return True
     bound = a_tol + _BOUND_MARGIN
-    may = [True] * len(plates)
     a, b, c, d = 1 + 0j, 0j, 0j, 1 + 0j
-    last = -1 if whole else 0
-    for j in range(len(plates) - 1, max(len(plates) - 5, last), -1):
-        p, q, r, s = _plate_entries(*plates[j])
-        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
-        n = len(plates) - j
-        if n == 1:
-            # a single plate is never a candidate
-            continue
-        det = a * d - b * c
-        delta = math.atan2(det.imag, det.real) / 2.0
-        e = cmath.exp(-1j * delta)
-        va, vb = a * e, b * e
-        w, x, y, z = va.real, vb.imag, vb.real, va.imag
-        # _FORM_PLATES ascends, so the first form within reach has the fewest
-        fewest = 3
-        for k, gap in zip(_FORM_PLATES, _branch_gaps(w, x, y, z)):
-            if gap <= bound:
-                fewest = k
-                break
-        # fewest plates behind the PS tie with n elements unless the PS goes
-        may[j] = fewest < n - 1 or (
-            fewest == n - 1 and abs(delta) * _largest_entry(w, x, y, z) <= bound
-        )
-    return may
+    for plate in plates:
+        p, q, r, s = _plate_entries(*plate)
+        a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+    det = a * d - b * c
+    delta = math.atan2(det.imag, det.real) / 2.0
+    e = cmath.exp(-1j * delta)
+    va, vb = a * e, b * e
+    w, x, y, z = va.real, vb.imag, vb.real, va.imag
+    # _FORM_PLATES ascends, so the first form within reach has the fewest
+    gaps = _branch_gaps(w, x, y, z)
+    fewest = next((k for k, gap in zip(_FORM_PLATES, gaps) if gap <= bound), 3)
+    # fewest plates behind the PS tie with n elements unless the PS goes
+    return fewest < n - 1 or (
+        fewest == n - 1 and abs(delta) * _largest_entry(w, x, y, z) <= bound
+    )

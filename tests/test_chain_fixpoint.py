@@ -1,9 +1,10 @@
 """optimize leaves no same-mode run that the chain table would shorten.
 
-The optimizer screens runs with a closed-form bound
-(waveplates._suffixes_may_shrink) and hands only the runs it cannot rule
-out to synthesize_u2.  If the bound and the table disagreed, a run the
-table shortens could survive to the output.  At optimize's fixpoint
+The optimizer resynthesizes whole runs only.  After a kept phase sweep
+it screens each run with a closed-form bound (waveplates._may_shrink)
+and hands only the runs it cannot rule out to synthesize_u2.  If the
+bound and the table disagreed, a run the table shortens could survive
+to the output.  At optimize's fixpoint
 every maximal same-mode run (a PBS on the mode ends one, elements on
 other modes do not) must therefore be at least as long as the table's
 chain for its product: on the optimizer corpus at its three tolerances

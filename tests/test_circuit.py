@@ -17,6 +17,7 @@ from cartanopt.circuit import (
     qwp,
     serialize,
 )
+from cartanopt.linalg import DEFAULT_TOL
 from cartanopt.simulate import simulate
 
 
@@ -230,6 +231,17 @@ def test_optimize_shrinks_a_run_to_its_two_plate_product():
     assert [e.kind for e in after.elements] == ["qwp", "hwp"]
     # exact equality, global phase included
     assert np.abs(simulate(after) - simulate(before)).max() < 1e-12
+
+
+def test_optimize_drops_no_phase_beyond_angle_tol():
+    # the PS sits just over angle_tol from 2 pi; dropping it from the
+    # PS-QWP part alone moves that part's entries by at most angle_tol,
+    # but the run's product by more, so the run keeps its three elements
+    before = _circ([
+        qwp(0, 0.40403972728386606), ps(0, -6.283185307178586), qwp(0, 5.105086062083414),
+    ])
+    after = optimize(before)
+    assert np.abs(simulate(after) - simulate(before)).max() <= DEFAULT_TOL.angle_tol
 
 
 def test_optimize_preserves_metadata():

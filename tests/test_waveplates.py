@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cartanopt.linalg import DEFAULT_TOL, ToleranceConfig, haar_random_unitary
 from cartanopt.waveplates import (
-    _suffixes_may_shrink,
+    _may_shrink,
     chain_matrix,
     hwp_matrix,
     ps_matrix,
@@ -157,13 +157,30 @@ def test_synthesize_rejects_non_unitary():
         synthesize_u2(np.ones((2, 2), dtype=complex))
 
 
+@pytest.mark.xfail(strict=True, reason="the QWP gap is measured component by component")
+def test_single_qwp_at_its_threshold_stays_within_angle_tol():
+    # Q(0) has quaternion (w, x, y, z) = (1/sqrt 2, 0, 0, 1/sqrt 2).  Move w
+    # and y by 0.999 angle_tol each and renormalize through z: the QWP gap,
+    # the larger of the two moves, is within angle_tol, but the lone QWP
+    # it gives misses U by about sqrt 2 times that in entry (0, 0)
+    a_tol = DEFAULT_TOL.angle_tol
+    w, y = 1.0 / math.sqrt(2.0) + 0.999 * a_tol, 0.999 * a_tol
+    z = math.sqrt(1.0 - w * w - y * y)
+    U = np.array([[complex(w, z), y], [-y, complex(w, -z)]])
+    chain = synthesize_u2(U)
+    assert [k for k, _ in chain] == ["qwp"]
+    # plain equality, global phase included
+    assert np.abs(chain_matrix(chain) - U).max() <= a_tol
+
+
 def test_generic_chain_suffixes_are_ruled_out():
-    # the proper suffixes of a generic PS-QWP-HWP-QWP chain are themselves
-    # generic, so the bound spares synthesize_u2 every one of them
+    # a generic PS-QWP-HWP-QWP chain and its proper suffixes are generic
+    # runs, so the bound spares synthesize_u2 every one of them
     for seed in range(20):
         plates = synthesize_u2(haar_random_unitary(2, seed))
         assert len(plates) == 4
-        assert _suffixes_may_shrink(plates, DEFAULT_TOL.angle_tol)[1:3] == [False, False]
+        for k in range(3):
+            assert not _may_shrink(plates[k:], DEFAULT_TOL.angle_tol)
 
 
 SUFFIX_TOLS = (
@@ -196,38 +213,44 @@ _SHRINKING = [
 ]
 
 
-def _with_examples(lead, sizes):
-    """Add every _SHRINKING run, with `lead` in front, as an example at each tolerance."""
-    def mark(test):
-        for run in _SHRINKING:
-            if len(lead + run) in sizes:
-                for tol in SUFFIX_TOLS:
-                    test = example(lead + run, tol)(test)
-        return test
-    return mark
+def _with_examples(test):
+    """Add every _SHRINKING run as an example at each tolerance."""
+    for run in _SHRINKING:
+        for tol in SUFFIX_TOLS:
+            test = example(run, tol)(test)
+    return test
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)
-@given(st.lists(_plates, min_size=3, max_size=6), st.sampled_from(SUFFIX_TOLS))
-@_with_examples([("qwp", 0.2)], range(3, 7))
-def test_suffix_bound_never_rules_out_a_shorter_chain(plates, tol):
-    # proper suffixes of 2-5 plates
-    may = _suffixes_may_shrink(plates, tol.angle_tol)
-    assert may[0]
-    for j in range(1, len(plates) - 1):
-        if not may[j]:
-            assert len(synthesize_u2(chain_matrix(plates[j:]), tol)) >= len(plates) - j
-
-
-@settings(max_examples=600, deadline=None, derandomize=True)
-@given(st.lists(_plates, min_size=2, max_size=5), st.sampled_from(SUFFIX_TOLS))
-@_with_examples([], range(2, 6))
+@given(st.lists(_plates, min_size=2, max_size=6), st.sampled_from(SUFFIX_TOLS))
+@_with_examples
 def test_whole_bound_never_rules_out_a_shorter_chain(plates, tol):
-    # with whole set, entry 0 screens the whole sequence like a suffix
-    may = _suffixes_may_shrink(plates, tol.angle_tol, whole=True)
-    assert may[1:] == _suffixes_may_shrink(plates, tol.angle_tol)[1:]
-    if not may[0]:
+    if not _may_shrink(plates, tol.angle_tol):
         assert len(synthesize_u2(chain_matrix(plates), tol)) >= len(plates)
+
+
+# plate and PS angles at exact multiples of pi/8, or anywhere
+_exact_plates = st.tuples(
+    st.sampled_from(("ps", "hwp", "qwp")),
+    st.one_of(
+        st.integers(-16, 16).map(lambda k: k * math.pi / 8),
+        st.floats(-4 * math.pi, 4 * math.pi),
+    ),
+)
+
+
+# No offsets around angle_tol here: at that edge a part of a run can drop a
+# phase that moves its own entries by at most angle_tol but the whole run's
+# by more, so the part shrinks while the whole run, held to its own
+# entries, keeps the PS.  Whole runs are the optimizer's only candidates.
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.lists(_exact_plates, min_size=3, max_size=6))
+def test_no_part_of_a_run_shrinks_unless_the_run_does(plates):
+    if len(synthesize_u2(chain_matrix(plates))) < len(plates):
+        return
+    for i, j in itertools.combinations(range(len(plates) + 1), 2):
+        part = plates[i:j]
+        assert len(synthesize_u2(chain_matrix(part))) >= len(part), (i, j)
 
 
 def test_shrinking_examples_do_shrink():
@@ -242,7 +265,7 @@ def test_bound_rules_out_each_two_plate_chain():
         for head in ([], [("ps", 0.5)]):
             chain = synthesize_u2(chain_matrix(head + [(p1, 0.3), (p2, 0.7)]))
             assert len(chain) == len(head) + 2
-            assert not _suffixes_may_shrink(chain, DEFAULT_TOL.angle_tol, whole=True)[0]
+            assert not _may_shrink(chain, DEFAULT_TOL.angle_tol)
 
 
 # plate angles at multiples of pi/8, exactly or off by offsets around the
