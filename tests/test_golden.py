@@ -15,9 +15,12 @@ and say in the change why the circuits moved.  The re-record prints each
 moved case with its old and new element count and its plain (global
 phase included) distance to the input; it writes nothing and exits 1
 when a moved case got longer or misses plain equality by more than
-PLAIN_TOL.
+PLAIN_TOL.  SIMULATE_SHA256 pins what the design check computes on
+these circuits: simulate's output bytes and verify's distance and phase.
+A re-record prints its current value.
 """
 
+import hashlib
 import json
 import pathlib
 import sys
@@ -27,8 +30,8 @@ import pytest
 
 from cartanopt.circuit import serialize
 from cartanopt.compiler import CompileOptions, builtin_target, compile as compile4, compile_m4
-from cartanopt.linalg import haar_random_unitary
-from cartanopt.simulate import simulate
+from cartanopt.linalg import dump_matrix, haar_random_unitary
+from cartanopt.simulate import simulate, verify
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_circuits.json"
 
@@ -36,6 +39,10 @@ HAAR4_SEEDS = (0, 1, 2, 3, 4)
 HAAR8_SEEDS = (0, 1, 2)
 # a re-recorded circuit must equal its input entry by entry to this
 PLAIN_TOL = 1e-12
+# SHA-256 over dump_matrix(simulate(c)) and repr of verify's distance and
+# global_phase, for the compiled circuits of the corpus in order: pins the
+# simulator and the phase-aware distance to the bit
+SIMULATE_SHA256 = "3d4fcb0fbaa43718ddf44da5f35b6dcdb4772772a23183cc39650f80ba0a0484"
 
 
 def _path_block(g1, g2, convention):
@@ -106,6 +113,20 @@ def test_circuit_json_is_byte_identical(golden, name, U, convention, optimize):
     assert _compile_json(U, convention, optimize) == golden[name]
 
 
+def _simulate_sha256() -> str:
+    h = hashlib.sha256()
+    for _, U, conv, opt in CASES:
+        circuit, _ = _compile(U, conv, opt)
+        report = verify(circuit, U)
+        h.update(dump_matrix(simulate(circuit)).encode())
+        h.update(f"{report.distance!r} {report.global_phase!r}".encode())
+    return h.hexdigest()
+
+
+def test_compiled_circuits_simulate_and_verify_to_the_same_bits():
+    assert _simulate_sha256() == SIMULATE_SHA256
+
+
 def test_local_cases_skip_the_central_layer(golden):
     for name in ("diag_phase_ps", "diag_phase_sp", "block_perm_ps", "block_perm_sp"):
         kinds = {e["kind"] for e in json.loads(golden[name])["elements"]}
@@ -133,6 +154,7 @@ def _rerecord() -> int:
         return 1
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
+    print(f"SIMULATE_SHA256 = {_simulate_sha256()!r}")
     return 0
 
 
