@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .dof import DofConvention, ps_to_sp_indices
+from .dof import PS_TO_SP_IX, DofConvention
 from .lie import SX
 from .linalg import (
     DEFAULT_TOL,
@@ -32,7 +32,7 @@ from .linalg import (
 # the rows and columns of a 4x4 in one indexing.
 # PS basis order is polarization-major; rewriting it as spatial-major
 # makes the K-factors block-diagonal.
-_PS_TO_BLOCK = np.ix_(ps_to_sp_indices(2), ps_to_sp_indices(2))
+_PS_TO_BLOCK = PS_TO_SP_IX[2]
 # SP basis order is already spatial-major; swapping the second mode's
 # polarization pair aligns the central coupling with the CSD layout.
 _SP_TO_BLOCK = np.ix_([0, 1, 3, 2], [0, 1, 3, 2])
@@ -157,7 +157,7 @@ def decompose(U, convention, tol: ToleranceConfig = DEFAULT_TOL) -> CartanFactor
         g1 = Uq[:2, :2].copy()
         g2 = Uq[2:, 2:].copy()
         if conv is DofConvention.SP:
-            g2 = SX @ g2 @ SX
+            g2 = SX.dot(g2).dot(SX)
         return CartanFactors(
             convention=conv,
             left_gates=(g1, g2),
@@ -171,8 +171,8 @@ def decompose(U, convention, tol: ToleranceConfig = DEFAULT_TOL) -> CartanFactor
         left = (V1, 1j * V2)
         right = (W1, -1j * W2)
     else:
-        left = (V1, SX @ V2 @ SX @ _D)
-        right = (W1, _D @ SX @ W2 @ SX)
+        left = (V1, SX.dot(V2).dot(SX).dot(_D))
+        right = (W1, _D.dot(SX).dot(W2).dot(SX))
     return CartanFactors(
         convention=conv,
         left_gates=left,

@@ -126,18 +126,18 @@ def _elements(
         return els
 
     if local:
-        return halves([left[0] @ right[0], left[1] @ right[1]]), f
+        return halves([left[0].dot(right[0]), left[1].dot(right[1])]), f
     if n == 8:
-        left = (left[0] @ _M4_DL_TOP, 1j * (left[1] @ _SXSX))
-        right = (right[0], _M4_DR_BOT @ _SXSX @ right[1])
+        left = (left[0].dot(_M4_DL_TOP), 1j * left[1].dot(_SXSX))
+        right = (right[0], _M4_DR_BOT.dot(_SXSX).dot(right[1]))
         t1, t2, t3, t4 = angles
         central = _gadget(mode, mode + 2, t2, t1) + _gadget(mode + 1, mode + 3, t4, t3)
     elif conv is DofConvention.PS:
-        left = (left[0] @ _PS_BOOKEND_L[0], left[1] @ _PS_BOOKEND_L[1])
-        right = (_PS_BOOKEND_R[0] @ right[0], _PS_BOOKEND_R[1] @ right[1])
+        left = (left[0].dot(_PS_BOOKEND_L[0]), left[1].dot(_PS_BOOKEND_L[1]))
+        right = (_PS_BOOKEND_R[0].dot(right[0]), _PS_BOOKEND_R[1].dot(right[1]))
         central = _gadget(mode, mode + 1, angles[0], angles[1])
     else:
-        left = (left[0] @ _SP_BOOKEND_L, left[1] @ _SP_BOOKEND_L)
+        left = (left[0].dot(_SP_BOOKEND_L), left[1].dot(_SP_BOOKEND_L))
         central = _gadget(mode, mode + 1, angles[1], angles[0])
     return halves(right) + central + halves(left), f
 

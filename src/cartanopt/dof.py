@@ -2,6 +2,8 @@
 
 import enum
 
+import numpy as np
+
 
 class DofConvention(enum.Enum):
     """Which degree of freedom is the outer tensor factor.
@@ -32,3 +34,9 @@ def ps_to_sp_indices(num_modes: int) -> list[int]:
     """
     m = num_modes
     return [(i % m) * 2 + (i // m) for i in range(2 * m)]
+
+
+# np.ix_ index, per spatial mode count, that reorders the rows and columns
+# of a mode-major matrix into polarization-major order in one indexing
+# (M_ps = M_sp[PS_TO_SP_IX[m]]); for m = 2 it also undoes itself
+PS_TO_SP_IX = {m: np.ix_(ps_to_sp_indices(m), ps_to_sp_indices(m)) for m in (2, 4)}

@@ -5,7 +5,15 @@ modes, 2 polarizations) is built by row updates in spatial-major index
 order, where mode k owns rows 2k (H) and 2k+1 (V): a PBS swaps the H
 rows of its two modes and leaves every V row alone; a plate or phase
 shifter left-multiplies its mode's two rows by its 2x2 matrix.  A
-polarization-major circuit is permuted once at the end.
+polarization-major circuit is permuted once at the end, through the
+index that dof builds once per mode count.
+
+The row updates skip numpy's per-call overhead and keep the bits of the
+plain @ version: every plate matrix comes from one _plate_stack call;
+each mode's two rows are their own 2 x 2m array, and a plate replaces
+them with P.dot(rows) (.dot calls the same zgemm as @, without the
+ufunc dispatch); a PBS swaps its two H rows through one row copy, not a
+fancy-index assignment; the rows are stacked once at the end.
 element_unitary gives one element's dense embedding in either
 convention, the reference the row updates must agree with.
 """
@@ -16,15 +24,17 @@ import dataclasses
 
 import numpy as np
 
-from .circuit import OpticalCircuit, OpticalElement, element_count
-from .dof import DofConvention, ps_to_sp_indices
+from .circuit import OpticalCircuit, OpticalElement
+from .dof import PS_TO_SP_IX, DofConvention
 from .linalg import DEFAULT_TOL, ToleranceConfig, _as_square, phase_distance
-from .waveplates import PLATE_MATRIX
+from .waveplates import PLATE_MATRIX, _plate_stack
 
 
 def element_unitary(e: OpticalElement, convention, m: int) -> np.ndarray:
-    """Full-space unitary of one element, in the convention's basis order."""
+    """Full-space unitary of one element on m = 2 or 4 modes, in the convention's basis order."""
     conv = DofConvention(convention)
+    if m not in PS_TO_SP_IX:
+        raise ValueError(f"m must be 2 or 4 spatial modes, got {m}")
     if max(e.modes) >= m:
         raise ValueError(f"element on modes {e.modes} needs more than {m} spatial modes")
     M = np.eye(2 * m, dtype=complex)
@@ -36,25 +46,29 @@ def element_unitary(e: OpticalElement, convention, m: int) -> np.ndarray:
         k = 2 * e.modes[0]
         M[k : k + 2, k : k + 2] = PLATE_MATRIX[e.kind](e.angle_rad)
     if conv is DofConvention.PS:
-        perm = ps_to_sp_indices(m)
-        M = M[np.ix_(perm, perm)]
+        M = M[PS_TO_SP_IX[m]]
     return M
 
 
 def simulate(circuit: OpticalCircuit) -> np.ndarray:
     """Product of the element unitaries, first element applied first."""
     m = circuit.num_spatial_modes
-    M = np.eye(2 * m, dtype=complex)
-    for e in circuit.elements:
+    # rows[k] holds mode k's (H, V) rows of the product so far
+    rows = list(np.eye(2 * m, dtype=complex).reshape(m, 2, 2 * m))
+    elements = circuit.elements
+    plates = iter(_plate_stack((e.kind, e.angle_rad) for e in elements if e.kind != "pbs"))
+    for e in elements:
         if e.kind == "pbs":
-            i, j = 2 * e.modes[0], 2 * e.modes[1]
-            M[[i, j]] = M[[j, i]]
+            a, b = rows[e.modes[0]], rows[e.modes[1]]
+            h = a[0].copy()
+            a[0] = b[0]
+            b[0] = h
         else:
-            k = 2 * e.modes[0]
-            M[k : k + 2] = PLATE_MATRIX[e.kind](e.angle_rad) @ M[k : k + 2]
+            k = e.modes[0]
+            rows[k] = next(plates).dot(rows[k])
+    M = np.concatenate(rows)
     if circuit.convention is DofConvention.PS:
-        perm = ps_to_sp_indices(m)
-        M = M[np.ix_(perm, perm)]
+        M = M[PS_TO_SP_IX[m]]
     return M
 
 
@@ -83,5 +97,5 @@ def verify(
         distance=distance,
         global_phase=phase,
         passed=distance <= tol.equivalence_tol,
-        element_total=element_count(circuit).total,
+        element_total=len(circuit.elements),
     )

@@ -73,11 +73,25 @@ def qwp_matrix(theta: float) -> np.ndarray:
 PLATE_MATRIX = {"ps": ps_matrix, "hwp": hwp_matrix, "qwp": qwp_matrix}
 
 
+def _plate_stack(plates) -> np.ndarray:
+    """The 2x2 matrices of (kind, angle) plates as one (n, 2, 2) array.
+
+    Entry for entry PLATE_MATRIX[kind](angle), built in one np.array call.
+    """
+    entries = [_plate_entries(kind, angle) for kind, angle in plates]
+    return np.array(entries, dtype=complex).reshape(-1, 2, 2)
+
+
 def chain_matrix(plates) -> np.ndarray:
-    """Ordered product of (kind, angle) plates; the empty chain is identity."""
+    """Ordered product of (kind, angle) plates, first plate applied first.
+
+    The empty chain is the identity.  The plates come from one
+    _plate_stack and fold onto the identity by left .dot products, the
+    same zgemm calls and bits as multiplying PLATE_MATRIX entries with @.
+    """
     M = np.eye(2, dtype=complex)
-    for kind, angle in plates:
-        M = PLATE_MATRIX[kind](angle) @ M
+    for P in _plate_stack(plates):
+        M = P.dot(M)
     return M
 
 

@@ -45,10 +45,10 @@ TOLERANCES = {
 }
 # offsets from k*pi/8: around the default angle_tol, then around the looser ones
 OFFSETS = (0.0, 1e-13, 1e-12, 2e-12, 1e-9, 3e-9, 5e-7, 1e-6, 2e-6, 5e-4, 1e-3, 2e-3)
-# SHA-256 over dump_matrix(simulate(c)) of the corpus circuits in order: pins
-# the plate matrices and the simulator to the bit, signed zeros included
 # a moved default-tolerance case must equal its input entry by entry to this
 PLAIN_TOL = 1e-12
+# SHA-256 over dump_matrix(simulate(c)) of the corpus circuits in order: pins
+# the plate matrices and the simulator to the bit, signed zeros included
 SIMULATE_SHA256 = "dfeb76ac4b2e38e3c01211b82e238b13fe175980abb5fdb382e2d7de3516cc75"
 
 

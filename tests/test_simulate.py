@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from cartanopt.circuit import KINDS, OpticalCircuit, OpticalElement, hwp, pbs, ps, qwp
+from cartanopt.dof import ps_to_sp_indices
 from cartanopt.simulate import element_unitary, simulate, verify
 from cartanopt.linalg import ToleranceConfig, haar_random_unitary, is_unitary
-from cartanopt.waveplates import hwp_matrix, qwp_matrix
+from cartanopt.waveplates import PLATE_MATRIX, hwp_matrix, qwp_matrix
 
 WALK = 0.5 * np.array(
     [[-1, 1, 1, 1], [1, -1, 1, 1], [1, 1, -1, 1], [1, 1, 1, -1]], dtype=complex
@@ -103,6 +104,8 @@ def test_pbs_squares_to_identity():
 def test_element_unitary_rejects_out_of_range_mode():
     with pytest.raises(ValueError):
         element_unitary(hwp(2, 0.1), "sp", 2)
+    with pytest.raises(ValueError, match="2 or 4"):
+        element_unitary(hwp(0, 0.1), "ps", 3)
 
 
 def test_simulate_empty_is_identity():
@@ -248,3 +251,42 @@ def test_simulate_pbs_network_is_exact(conv):
     # a PBS-only circuit is a permutation: no rounding at all
     c = _circ([pbs(0, 2), pbs(1, 3), pbs(2, 1), pbs(3, 0), pbs(0, 1)], conv, 4)
     assert np.array_equal(simulate(c), _element_product(c))
+
+
+def _matmul_rows(c):
+    """The row-update simulator written with @, fancy-index swaps and np.ix_."""
+    m = c.num_spatial_modes
+    M = np.eye(2 * m, dtype=complex)
+    for e in c.elements:
+        if e.kind == "pbs":
+            i, j = 2 * e.modes[0], 2 * e.modes[1]
+            M[[i, j]] = M[[j, i]]
+        else:
+            k = 2 * e.modes[0]
+            M[k : k + 2] = PLATE_MATRIX[e.kind](e.angle_rad) @ M[k : k + 2]
+    if c.convention.tag == "ps":
+        perm = ps_to_sp_indices(m)
+        M = M[np.ix_(perm, perm)]
+    return M
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("conv", ["ps", "sp"])
+def test_simulate_keeps_the_bits_of_the_matmul_rows(conv, m, seed):
+    # .dot and @ reach the same zgemm, and a row copy moves no bit, so
+    # simulate equals the @ version byte for byte on any numpy build
+    rng = np.random.default_rng([seed, m, conv == "ps", 1])
+    c = _random_circuit(rng, conv, m, 100)
+    assert simulate(c).tobytes() == _matmul_rows(c).tobytes()
+
+
+@pytest.mark.parametrize("conv", ["ps", "sp"])
+def test_simulate_keeps_the_bits_on_empty_and_pbs_only_circuits(conv):
+    for c in (
+        _circ([], conv, 2),
+        _circ([], conv, 4),
+        _circ([pbs(0, 1), pbs(1, 0), pbs(0, 1)], conv, 2),
+        _circ([pbs(0, 2), pbs(1, 3), pbs(2, 1), pbs(3, 0), pbs(0, 1)], conv, 4),
+    ):
+        assert simulate(c).tobytes() == _matmul_rows(c).tobytes()

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cartanopt.linalg import DEFAULT_TOL, ToleranceConfig, haar_random_unitary
 from cartanopt.waveplates import (
+    PLATE_MATRIX,
     _may_shrink,
     chain_matrix,
     hwp_matrix,
@@ -53,6 +54,26 @@ def test_plate_identities():
 
 def test_chain_matrix_empty_is_identity():
     assert np.array_equal(chain_matrix([]), np.eye(2, dtype=complex))
+
+
+def _matmul_chain(plates):
+    M = np.eye(2, dtype=complex)
+    for kind, angle in plates:
+        M = PLATE_MATRIX[kind](angle) @ M
+    return M
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_chain_matrix_keeps_the_bits_of_the_matmul_fold(n):
+    # the batched plates folded with .dot reach the same zgemm calls as
+    # the @ fold, so the bytes agree on any numpy build
+    rng = np.random.default_rng([n, 7])
+    for _ in range(200):
+        plates = [
+            (str(rng.choice(("ps", "hwp", "qwp"))), float(rng.uniform(-7.0, 7.0)))
+            for _ in range(n)
+        ]
+        assert chain_matrix(plates).tobytes() == _matmul_chain(plates).tobytes()
 
 
 def test_chain_matrix_phase_only():
