@@ -63,12 +63,12 @@ def _as_square(M) -> np.ndarray:
     return M
 
 
-# Small products (2x2 to 8x8) are written A.dot(B), not A @ B: both call
-# the same BLAS zgemm and give the same bits, and .dot skips the ufunc
-# dispatch of @ (timeit, 2x2 by 2x8 product: 1.4 against 2.1 us on a
-# 2-core Xeon VM).  Those bits are pinned: the golden and optimizer
-# corpora hash simulate's output (SIMULATE_SHA256) and every circuit's
-# angles.
+# Small products on the per-element and per-gate paths (2x2 to 8x8) are
+# written A.dot(B), not A @ B: both call the same BLAS zgemm and give the
+# same bits, and .dot skips the ufunc dispatch of @ (timeit, 2x2 by 2x8
+# product: 1.4 against 2.1 us on a 2-core Xeon VM).  Those bits are
+# pinned: the golden and optimizer corpora hash simulate's output
+# (SIMULATE_SHA256) and every circuit's angles.
 
 
 def _residual(M: np.ndarray) -> float:

@@ -5,15 +5,11 @@ modes, 2 polarizations) is built by row updates in spatial-major index
 order, where mode k owns rows 2k (H) and 2k+1 (V): a PBS swaps the H
 rows of its two modes and leaves every V row alone; a plate or phase
 shifter left-multiplies its mode's two rows by its 2x2 matrix.  A
-polarization-major circuit is permuted once at the end, through the
-index that dof builds once per mode count.
-
-The row updates skip numpy's per-call overhead and keep the bits of the
-plain @ version: every plate matrix comes from one _plate_stack call;
-each mode's two rows are their own 2 x 2m array, and a plate replaces
-them with P.dot(rows) (.dot calls the same zgemm as @, without the
-ufunc dispatch); a PBS swaps its two H rows through one row copy, not a
-fancy-index assignment; the rows are stacked once at the end.
+polarization-major circuit is permuted once at the end (dof.PS_TO_SP_IX).
+Each mode's two rows are their own 2 x 2m array, which a plate replaces
+by P.dot(rows), every P from one _plate_stack call, and a PBS swaps H
+rows through one row copy: no per-call dispatch of @ or of fancy
+indexing, and the bits of the @ version (see the note in linalg).
 element_unitary gives one element's dense embedding in either
 convention, the reference the row updates must agree with.
 """
@@ -31,7 +27,7 @@ from .waveplates import PLATE_MATRIX, _plate_stack
 
 
 def element_unitary(e: OpticalElement, convention, m: int) -> np.ndarray:
-    """Full-space unitary of one element on m = 2 or 4 modes, in the convention's basis order."""
+    """Full-space unitary of one element on m (2 or 4) modes, in the convention's order."""
     conv = DofConvention(convention)
     if m not in PS_TO_SP_IX:
         raise ValueError(f"m must be 2 or 4 spatial modes, got {m}")
