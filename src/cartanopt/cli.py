@@ -25,6 +25,7 @@ from .compiler import (
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _K,
     dump_matrix,
     haar_random_unitary,
     load_matrix,
@@ -53,15 +54,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _tolerances(args) -> ToleranceConfig:
     t = getattr(args, "tolerance", None)
-    if t is None:
-        return DEFAULT_TOL
-    # angle_tol is capped too: the steps that drop up to angle_tol would
-    # otherwise break a tighter equivalence_tol on near-local inputs
-    return ToleranceConfig(
-        unitarity_tol=min(DEFAULT_TOL.unitarity_tol, t),
-        equivalence_tol=t,
-        angle_tol=min(DEFAULT_TOL.angle_tol, t),
-    )
+    return DEFAULT_TOL if t is None else ToleranceConfig(equivalence_tol=t)
 
 
 def _count_lines(circuit) -> list[str]:
@@ -140,10 +133,10 @@ def _cmd_random(args) -> int:
 
 _TOLERANCE_HELP = (
     "set equivalence_tol, the largest max-entry distance after the best global "
-    "phase at which a circuit matches its matrix, to T, and cap unitarity_tol "
-    "and angle_tol at T (defaults: equivalence_tol "
-    f"{DEFAULT_TOL.equivalence_tol:g}, unitarity_tol {DEFAULT_TOL.unitarity_tol:g}, "
-    f"angle_tol {DEFAULT_TOL.angle_tol:g})"
+    "phase at which a circuit matches its matrix, to T; unitarity_tol and "
+    f"angle_tol are derived from T, with angle_tol <= T/{_K} (defaults: "
+    f"equivalence_tol {DEFAULT_TOL.equivalence_tol:g}, unitarity_tol "
+    f"{DEFAULT_TOL.unitarity_tol:g}, angle_tol {DEFAULT_TOL.angle_tol:g})"
 )
 
 

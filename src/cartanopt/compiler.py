@@ -98,10 +98,11 @@ def _elements(
 
     Does one CSD level and returns (elements, factors).  The two halves
     of each side act on modes `mode` and `mode + n/4`: 2x2 halves become
-    plate chains, 4x4 halves recurse.  When collapse is set and every
-    central angle is at most angle_tol, the level emits no central layer
-    and each half is its left gate times its right gate, a 2x2 one taking
-    the shortest chain.
+    plate chains, 4x4 halves recurse.  When collapse is set and the level
+    skipped its CSD split (cartan._csd_level found it block-diagonal, so
+    every central angle is zero), the level emits no central layer and
+    each half is its left gate times its right gate, a 2x2 one taking the
+    shortest chain.
     """
     n = U.shape[0]
     if n == 4:
@@ -110,7 +111,7 @@ def _elements(
     else:
         f = decompose_m4(U, tol)
         left, right, angles = f.left_blocks, f.right_blocks, f.angles
-    local = collapse and max(angles) <= tol.angle_tol
+    local = collapse and not any(angles)
     modes = (mode, mode + n // 4)
 
     def halves(gates) -> list:

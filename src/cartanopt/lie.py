@@ -15,17 +15,20 @@ import itertools
 import numpy as np
 
 from .dof import DofConvention
-from .linalg import DEFAULT_TOL, ToleranceConfig
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
-# _span_projector drops a generator whose QR diagonal entry is at most this
-# floor.  Distinct Pauli words are orthogonal, so an independent one gives
-# its norm sqrt(2^n) >= 1.41 and a dependent one rounding noise (~1e-15).
-# It sets a span's dimension, not an agreement, so it is no ToleranceConfig.
+# The one threshold of this module: _span_projector drops a generator whose
+# QR diagonal entry is at most this floor, and check_cartan_conditions takes
+# a projection residual or a commutator entry at most this floor as zero.
+# Distinct Pauli words are orthogonal, and two of them commute or have
+# twice their product as commutator, so on the bases of lie_span each such
+# quantity is either at least 1 or rounding noise (~1e-15).  It tells exact
+# structure from noise, not two matrices that should agree, so it is no
+# ToleranceConfig.
 _RANK_FLOOR = 1e-12
 
 
@@ -119,51 +122,43 @@ def _span_projector(basis) -> np.ndarray:
     return q[:, keep]
 
 
-def _in_span(M: np.ndarray, Q: np.ndarray, tol: float) -> bool:
+def _in_span(M: np.ndarray, Q: np.ndarray) -> bool:
     y = np.concatenate([M.ravel().real, M.ravel().imag])
     resid = y - Q @ (Q.T @ y)
-    return bool(np.abs(resid).max() <= tol)
+    return bool(np.abs(resid).max() <= _RANK_FLOOR)
 
 
 def _comm(X, Y):
     return X @ Y - Y @ X
 
 
-def check_cartan_conditions(span: LieSpan,
-                            tol: ToleranceConfig = DEFAULT_TOL) -> CartanConditionReport:
+def _commutes(X, Y) -> bool:
+    return bool(np.abs(_comm(X, Y)).max() <= _RANK_FLOOR)
+
+
+def check_cartan_conditions(span: LieSpan) -> CartanConditionReport:
     """Verify the commutator conditions by brute force over basis pairs.
 
     Membership is tested by least-squares projection onto the real span
-    of the target basis with max-entry residual at most angle_tol.
-    h_maximal checks that every p-basis element outside span(h) fails to
-    commute with at least one h generator.
+    of the target basis, with max-entry residual at most the module's
+    floor; a commutator vanishes when its largest entry is at most that
+    floor.  h_maximal checks that every p-basis element outside span(h)
+    fails to commute with at least one h generator.
     """
-    a_tol = tol.angle_tol
     Ql = _span_projector(span.l_basis)
     Qp = _span_projector(span.p_basis)
     Qh = _span_projector(span.h_basis)
 
     ll_in_l = all(
-        _in_span(_comm(X, Y), Ql, a_tol)
-        for X, Y in itertools.combinations(span.l_basis, 2)
+        _in_span(_comm(X, Y), Ql) for X, Y in itertools.combinations(span.l_basis, 2)
     )
-    lp_in_p = all(
-        _in_span(_comm(X, Y), Qp, a_tol)
-        for X in span.l_basis for Y in span.p_basis
-    )
+    lp_in_p = all(_in_span(_comm(X, Y), Qp) for X in span.l_basis for Y in span.p_basis)
     pp_in_l = all(
-        _in_span(_comm(X, Y), Ql, a_tol)
-        for X, Y in itertools.combinations(span.p_basis, 2)
+        _in_span(_comm(X, Y), Ql) for X, Y in itertools.combinations(span.p_basis, 2)
     )
-    h_abelian = all(
-        np.abs(_comm(X, Y)).max() <= a_tol
-        for X, Y in itertools.combinations(span.h_basis, 2)
+    h_abelian = all(_commutes(X, Y) for X, Y in itertools.combinations(span.h_basis, 2))
+    h_maximal = all(
+        _in_span(q, Qh) or not all(_commutes(h, q) for h in span.h_basis)
+        for q in span.p_basis
     )
-    h_maximal = True
-    for q in span.p_basis:
-        if _in_span(q, Qh, a_tol):
-            continue
-        if all(np.abs(_comm(h, q)).max() <= a_tol for h in span.h_basis):
-            h_maximal = False
-            break
     return CartanConditionReport(ll_in_l, lp_in_p, pp_in_l, h_abelian, h_maximal)

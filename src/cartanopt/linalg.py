@@ -16,20 +16,54 @@ import math
 import numpy as np
 
 
+# K of the rule angle_tol * K <= equivalence_tol, derived in ToleranceConfig
+_K = 196
+
+
 @dataclasses.dataclass(frozen=True)
 class ToleranceConfig:
     """Numerical thresholds used across the pipeline, all dimensionless.
 
-    The block-diagonal CSD short-cut, the optimizer's zero-PS drop and its
-    phase sweep each drop terms of up to angle_tol, so a config whose
-    angle_tol exceeds equivalence_tol can fail its own verification.
+    This class is the one place that relates them.  unitarity_tol, when
+    not given, is min(1e-10, equivalence_tol); angle_tol, when not given,
+    is min(1e-12, equivalence_tol / K); and a config with
+    angle_tol * K > equivalence_tol is rejected, so the terms a compile
+    drops cannot fail its own verification.
+
+    K = 196 is twice the number of elision sites of an optimized dim-8
+    compile, the largest.  A site drops at most angle_tol max-entry from
+    one 2x2 factor.  That 2x2 change has spectral norm at most twice its
+    largest entry, the unitary factors around it keep that norm, so the
+    product's max entry moves by at most 2 angle_tol; the errors of
+    successive sites add at most linearly (M. A. Nielsen and I. L. Chuang,
+    Quantum Computation and Quantum Information, sec. 4.5.3).  The sites:
+
+      6   the CSD short-cut or collapse at each of the 5 levels, the 4+4
+          level counted twice because its dropped blocks are 4x4
+      32  the short-form threshold and the PS elision of each of the 16
+          chains, at emission or at the first resynthesis; a zero-PS drop
+          is that PS elision
+      16  the phase sweep's elisions, one at each of the 12 PBSs and one
+          at each of the 4 mode ends
+      44  the resyntheses after the sweep: the PS of each of the 28
+          same-mode runs (16 chains and 12 central HWPs) and the short
+          form of each chain
+
+    98 sites in all.  The count takes the sweep once, with one round of
+    resyntheses after it; a second kept sweep needs a resynthesis to move
+    some phase to within angle_tol of another mode's.
     """
 
-    unitarity_tol: float = 1e-10
+    unitarity_tol: float | None = None
     equivalence_tol: float = 1e-9
-    angle_tol: float = 1e-12
+    angle_tol: float | None = None
 
     def __post_init__(self):
+        eq = self.equivalence_tol
+        if self.unitarity_tol is None:
+            object.__setattr__(self, "unitarity_tol", min(1e-10, eq))
+        if self.angle_tol is None:
+            object.__setattr__(self, "angle_tol", min(1e-12, eq / _K))
         values = (self.unitarity_tol, self.equivalence_tol, self.angle_tol)
         # NaN fails every comparison and inf passes every one, so either
         # would silently disable the check it sets
@@ -39,6 +73,8 @@ class ToleranceConfig:
             raise ValueError("tolerances must be strictly positive")
         if self.equivalence_tol < self.unitarity_tol:
             raise ValueError("equivalence_tol must be >= unitarity_tol")
+        if self.angle_tol > eq / _K:
+            raise ValueError(f"angle_tol must be <= equivalence_tol / {_K}")
 
 
 DEFAULT_TOL = ToleranceConfig()

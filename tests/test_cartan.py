@@ -7,6 +7,7 @@ import scipy.linalg
 from cartanopt.cartan import (
     CartanFactors,
     central_a,
+    central_cs_m4,
     decompose,
     decompose_m4,
     reassemble,
@@ -186,3 +187,5 @@ def test_m4_rejects_bad_input():
         decompose_m4(np.ones((8, 8), dtype=complex))
     with pytest.raises(ValueError):
         decompose_m4(np.eye(4, dtype=complex))
+    with pytest.raises(ValueError, match="four angles"):
+        central_cs_m4([0.1, 0.2, 0.3])

@@ -76,6 +76,8 @@ def test_circuit_validates_mode_range():
         _circ([pbs(0, 3)], m=2)
     with pytest.raises(ValueError):
         _circ([hwp(0, 0.1)], m=3)
+    with pytest.raises(ValueError, match="not an OpticalElement"):
+        _circ([("hwp", (0,), 0.1)], m=2)
     # the mode count follows the rule for mode indices: int or a numpy
     # integer, never bool or float, stored as int so it serializes
     c = _circ([hwp(1, 0.1)], m=np.int64(2))

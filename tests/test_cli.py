@@ -1,5 +1,6 @@
 """Command-line interface, exercised in process through main(argv)."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -100,12 +101,16 @@ def test_compile_linalg_failure_exits_three(capsys, tmp_path, monkeypatch):
     assert "numerical failure" in err
 
 
-def test_compile_rejects_nonunitary(capsys, tmp_path):
-    p = _write_matrix(tmp_path / "bad.json", np.ones((4, 4), dtype=complex))
+@pytest.mark.parametrize(
+    "matrix,message",
+    [(np.ones((4, 4), dtype=complex), "residual"), (np.eye(2, dtype=complex), "4x4 or 8x8")],
+)
+def test_compile_rejects_invalid_matrix(capsys, tmp_path, matrix, message):
+    p = _write_matrix(tmp_path / "bad.json", matrix)
     code, out, err = _run(capsys, ["compile", "--matrix", p, "--convention", "ps"])
     assert code == 2
     assert out == ""
-    assert "residual" in err
+    assert message in err
 
 
 def test_compile_writes_out_file(capsys, tmp_path):
@@ -199,6 +204,10 @@ def test_verify_mismatch_exits_one(capsys, tmp_path):
 @pytest.mark.parametrize("tolerance", ["inf", "nan"])
 def test_verify_rejects_nonfinite_tolerance(capsys, tmp_path, tolerance):
     m_path = _write_matrix(tmp_path / "walk.json", WALK)
+    code, out, _ = _run(
+        capsys, ["compile", "--matrix", m_path, "--convention", "ps", "--tolerance", tolerance]
+    )
+    assert (code, out) == (2, "")
     c_path = tmp_path / "walk_circuit.json"
     assert main(["compile", "--matrix", m_path, "--convention", "ps", "--out", str(c_path)]) == 0
     # one angle off by 0.5 rad must not pass under any tolerance
@@ -214,6 +223,22 @@ def test_verify_rejects_nonfinite_tolerance(capsys, tmp_path, tolerance):
     assert code == 2
     assert out == ""
     assert "error" in err
+
+
+def test_tolerance_flag_keeps_the_config_it_built_before():
+    # the CLI used to cap unitarity_tol at T and angle_tol at T itself; for
+    # T >= K * 1e-12 the derived config is that one, field for field
+    K = linalg._K
+    for t in np.geomspace(K * 1e-12, 10.0, 60):
+        t = float(t)
+        old = linalg.ToleranceConfig(min(1e-10, t), t, min(1e-12, t))
+        assert cli._tolerances(argparse.Namespace(tolerance=t)) == old
+    # below that only angle_tol moves, and only down, to T / K
+    for t in (1e-13, 3e-12, 1e-11, 1.9e-10):
+        tol = cli._tolerances(argparse.Namespace(tolerance=t))
+        assert (tol.unitarity_tol, tol.equivalence_tol) == (min(1e-10, t), t)
+        assert tol.angle_tol == t / K < min(1e-12, t)
+    assert cli._tolerances(argparse.Namespace(tolerance=None)) is linalg.DEFAULT_TOL
 
 
 @pytest.mark.parametrize("seed", range(3))

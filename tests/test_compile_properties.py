@@ -12,14 +12,14 @@ optimize, survive the wire format, and give the same JSON twice.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import block_diag, expm
 
 from cartanopt.cartan import _embed_pair, central_a, central_cs_m4
 from cartanopt.circuit import deserialize, serialize
 from cartanopt.compiler import CompileOptions, builtin_target, compile, compile_m4
 from cartanopt.dof import DofConvention
-from cartanopt.linalg import haar_random_unitary
+from cartanopt.linalg import ToleranceConfig, haar_random_unitary
 from cartanopt.simulate import simulate
 from cartanopt.waveplates import chain_matrix
 
@@ -172,3 +172,56 @@ def test_dim4_clustered_angles_compile_exactly(target):
 @given(_clustered8())
 def test_dim8_clustered_angles_compile_exactly(U):
     _check(U, "sp")
+
+
+def _decades(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _tolerance_configs(draw):
+    """Configs that ToleranceConfig accepts, minus the re-checks of ROADMAP item 2.
+
+    decompose re-checks each CSD block and synthesize_u2 each 2x2 gate
+    against unitarity_tol.  unitarity_tol >= 1e-13 keeps out the rounding
+    of plate products (about 1e-15), which has its own strict pin.
+    8 angle_tol^2 <= unitarity_tol keeps out the blocks that the CSD
+    short-cut reads off: it drops entries of up to angle_tol, so they miss
+    unitarity by up to 6 angle_tol^2 (CHANGES.md FOUND).
+    """
+    kwargs = {"equivalence_tol": draw(_decades(-13, 0))}
+    if draw(st.booleans()):
+        kwargs["unitarity_tol"] = draw(_decades(-13, -6))
+    if draw(st.booleans()):
+        kwargs["angle_tol"] = draw(_decades(-16, -3))
+    try:
+        tol = ToleranceConfig(**kwargs)
+    except ValueError:
+        assume(False)
+    assume(8 * tol.angle_tol**2 <= tol.unitarity_tol)
+    return tol
+
+
+def _near_local(rng, n: int, eps: float, convention: str) -> np.ndarray:
+    """Local gates on every spatial mode times expm(eps X), X anti-Hermitian."""
+    gates = [haar_random_unitary(2, int(rng.integers(10**6))) for _ in range(n // 2)]
+    B = _embed_pair(*gates, DofConvention(convention)) if n == 4 else block_diag(*gates)
+    X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    X = X - X.conj().T
+    return B @ expm(eps * X / np.abs(X).max())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_tolerance_configs(), st.integers(0, 10**6))
+def test_every_accepted_tolerance_config_verifies(tol, seed):
+    # near-local inputs straddle angle_tol, where the CSD short-cut decides
+    rng = np.random.default_rng(seed)
+    eps = tol.angle_tol * 10.0 ** rng.uniform(-1.0, 1.0)
+    cases = [(haar_random_unitary(4, seed), c) for c in ("ps", "sp")]
+    cases += [(_near_local(rng, 4, eps, c), c) for c in ("ps", "sp")]
+    cases += [(haar_random_unitary(8, seed), "sp"), (_near_local(rng, 8, eps, "sp"), "sp")]
+    for U, convention in cases:
+        compile_fn = compile if U.shape[0] == 4 else compile_m4
+        for optimize in (False, True):
+            opts = CompileOptions(convention=convention, optimize=optimize, tolerances=tol)
+            assert compile_fn(U, opts)[1].passed

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cartanopt.linalg import (
     _FREE_PHASE_FLOOR,
     _GAUGE_FLOOR,
+    _K,
     DEFAULT_TOL,
     ToleranceConfig,
     _cosine_sine,
@@ -45,6 +46,29 @@ def test_tolerance_rejects_nonpositive(field):
             ToleranceConfig(**{field: value})
 
 
+def test_tolerances_derive_from_equivalence_tol():
+    # unitarity_tol and angle_tol, when not given, follow equivalence_tol down
+    assert ToleranceConfig(equivalence_tol=1e-6) == ToleranceConfig(1e-10, 1e-6, 1e-12)
+    tight = ToleranceConfig(equivalence_tol=1e-13)
+    assert (tight.unitarity_tol, tight.angle_tol) == (1e-13, 1e-13 / _K)
+    # given values are kept
+    given = ToleranceConfig(unitarity_tol=1e-12, angle_tol=1e-14)
+    assert given == ToleranceConfig(1e-12, 1e-9, 1e-14)
+
+
+def test_tolerance_rejects_an_inconsistent_config():
+    with pytest.raises(ValueError, match="unitarity_tol"):
+        ToleranceConfig(unitarity_tol=1e-8)
+    # compile(optimize=True) failed its own verification under this config
+    # (dim-4 Haar seeds 42 and 120): angle_tol * K exceeds equivalence_tol
+    with pytest.raises(ValueError, match="angle_tol"):
+        ToleranceConfig(unitarity_tol=1e-6, equivalence_tol=1e-6, angle_tol=1e-3)
+    edge = 2e-4 / _K
+    assert ToleranceConfig(equivalence_tol=2e-4, angle_tol=edge).angle_tol == edge
+    with pytest.raises(ValueError, match="angle_tol"):
+        ToleranceConfig(equivalence_tol=2e-4, angle_tol=math.nextafter(edge, 1.0))
+
+
 def test_is_unitary_identity_and_walk():
     assert is_unitary(np.eye(4, dtype=complex))
     assert is_unitary(WALK)
@@ -55,6 +79,13 @@ def test_is_unitary_rejects_half_ones():
     M = np.full((4, 4), 0.5, dtype=complex)
     assert not is_unitary(M)
     assert unitarity_residual(M) > 0.9
+
+
+def test_non_square_matrix_is_not_unitary():
+    M = np.eye(4, 2, dtype=complex)
+    assert not is_unitary(M)
+    with pytest.raises(ValueError, match="square"):
+        unitarity_residual(M)
 
 
 def test_unitarity_residual_zero_for_identity():

@@ -40,8 +40,8 @@ SEED = 6
 NUM_CIRCUITS = 2000
 TOLERANCES = {
     "default": DEFAULT_TOL,
-    "a1e-6": ToleranceConfig(angle_tol=1e-6),
-    "a1e-3": ToleranceConfig(unitarity_tol=1e-6, equivalence_tol=1e-6, angle_tol=1e-3),
+    "a1e-6": ToleranceConfig(equivalence_tol=2e-4, angle_tol=1e-6),
+    "a1e-3": ToleranceConfig(unitarity_tol=1e-6, equivalence_tol=0.2, angle_tol=1e-3),
 }
 # offsets from k*pi/8: around the default angle_tol, then around the looser ones
 OFFSETS = (0.0, 1e-13, 1e-12, 2e-12, 1e-9, 3e-9, 5e-7, 1e-6, 2e-6, 5e-4, 1e-3, 2e-3)
