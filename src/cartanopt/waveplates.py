@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, is_unitary, unitarity_residual
+from .linalg import DEFAULT_TOL, ToleranceConfig, _mul2, is_unitary, unitarity_residual
 
 _TWO_PI = 2.0 * math.pi
 # |w| of a single quarter-wave plate's quaternion
@@ -316,8 +316,7 @@ def _may_shrink(plates, a_tol: float) -> bool:
     bound = a_tol + _BOUND_MARGIN
     a, b, c, d = 1 + 0j, 0j, 0j, 1 + 0j
     for plate in plates:
-        p, q, r, s = _plate_entries(*plate)
-        a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+        a, b, c, d = _mul2(_plate_entries(*plate), (a, b, c, d))
     det = a * d - b * c
     delta = math.atan2(det.imag, det.real) / 2.0
     e = cmath.exp(-1j * delta)
