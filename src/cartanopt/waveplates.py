@@ -156,18 +156,21 @@ def _branch_gaps(w: float, x: float, y: float, z: float) -> tuple[float, ...]:
         QWP-QWP:  w = r^2 with w >= 0: (w, y) on the circle of radius 1/2
                   about (1/2, 0)
     The QWP-QWP entry is the distance of (w, y) from that circle, a lower
-    bound: _qq_fit measures the distance itself.  The gaps are invariant
-    under flipping the quaternion's sign.  The scalar, HWP and QWP-HWP
-    gaps are Euclidean; the QWP and HWP-HWP gaps take the largest
-    component, so a chain taken at one of those thresholds can miss U by
-    up to sqrt 2 times angle_tol.  _may_shrink reads the same gaps.
+    bound: _qq_fit measures the distance itself.  Each gap is the
+    Euclidean distance of the components the form fixes, so it is at most
+    the quaternion's distance from the form, and the gaps are invariant
+    under flipping its sign.  The QWP and QWP-HWP forms fix |w| or r at
+    1/sqrt 2, which ties hypot(x, z) to 1/sqrt 2 as well; a move of |w| or
+    r is matched by one of hypot(x, z), so a chain taken at those
+    thresholds can miss U by up to sqrt 2 times angle_tol.  _may_shrink
+    reads the same gaps.
     """
     r = math.hypot(w, y)
     return (
         math.sqrt(x * x + y * y + z * z),
         r,
-        max(abs(y), abs(abs(w) - _QWP_W)),
-        max(abs(x), abs(z)),
+        math.hypot(y, abs(w) - _QWP_W),
+        math.hypot(x, z),
         abs(r - _QWP_W),
         abs(math.hypot(abs(w) - 0.5, y) - 0.5),
     )

@@ -101,16 +101,19 @@ def test_compile_linalg_failure_exits_three(capsys, tmp_path, monkeypatch):
     assert "numerical failure" in err
 
 
-@pytest.mark.parametrize(
-    "matrix,message",
-    [(np.ones((4, 4), dtype=complex), "residual"), (np.eye(2, dtype=complex), "4x4 or 8x8")],
-)
-def test_compile_rejects_invalid_matrix(capsys, tmp_path, matrix, message):
-    p = _write_matrix(tmp_path / "bad.json", matrix)
+def test_compile_rejects_nonunitary(capsys, tmp_path):
+    p = _write_matrix(tmp_path / "bad.json", np.ones((4, 4), dtype=complex))
     code, out, err = _run(capsys, ["compile", "--matrix", p, "--convention", "ps"])
     assert code == 2
     assert out == ""
-    assert message in err
+    assert "residual" in err
+
+
+def test_compile_rejects_a_2x2_matrix(capsys, tmp_path):
+    p = _write_matrix(tmp_path / "small.json", np.eye(2, dtype=complex))
+    code, out, err = _run(capsys, ["compile", "--matrix", p, "--convention", "ps"])
+    assert (code, out) == (2, "")
+    assert "4x4 or 8x8" in err
 
 
 def test_compile_writes_out_file(capsys, tmp_path):

@@ -16,8 +16,8 @@ re-record with
 and say in the change why the outputs moved.  The re-record prints each
 moved case with its old and new element count and its plain (global
 phase included) drift from the unoptimized circuit; it writes nothing
-and exits 1 when a moved case got longer or, at the default tolerance,
-drifts more than PLAIN_TOL.  The same circuits, not optimized, also pin
+and exits 1 when a moved case not in MAY_GROW got longer or, at the
+default tolerance, drifts more than PLAIN_TOL.  The same circuits, not optimized, also pin
 simulate's output bytes (SIMULATE_SHA256).
 """
 
@@ -47,6 +47,16 @@ TOLERANCES = {
 OFFSETS = (0.0, 1e-13, 1e-12, 2e-12, 1e-9, 3e-9, 5e-7, 1e-6, 2e-6, 5e-4, 1e-3, 2e-3)
 # a moved default-tolerance case must equal its input entry by entry to this
 PLAIN_TOL = 1e-12
+# the only cases a re-record may let grow, each for a reason stated here.
+# The HWP-HWP gap of synthesize_u2 became hypot(x, z), from max(|x|, |z|):
+# each of these took a rotation pair that hypot(x, z) puts beyond
+# angle_tol 1e-3, and now takes a three-plate chain of plain drift
+# <= 4.4e-16
+MAY_GROW = {
+    "c0100_a1e-3",  # 6 -> 7, the pair drifted 7.7e-4
+    "c0735_a1e-3",  # 7 -> 8, the pair drifted 9.9e-4
+    "c1768_a1e-3",  # 6 -> 7, the pair drifted 9.0e-4
+}
 # SHA-256 over dump_matrix(simulate(c)) of the corpus circuits in order: pins
 # the plate matrices and the simulator to the bit, signed zeros included
 SIMULATE_SHA256 = "dfeb76ac4b2e38e3c01211b82e238b13fe175980abb5fdb382e2d7de3516cc75"
@@ -123,7 +133,7 @@ def test_optimize_at_a_unitarity_tol_below_rounding():
 
 
 def _rerecord() -> int:
-    """Write the corpus anew unless a moved case got longer or lost plain equality."""
+    """Write the corpus anew unless a moved case grew (outside MAY_GROW) or lost plain equality."""
     old = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else {}
     corpus, refused = {}, []
     for name, circuit, out, tol in _outputs():
@@ -133,7 +143,8 @@ def _rerecord() -> int:
         before = old[name]["elements"] if name in old else None
         drift = float(np.abs(simulate(out) - simulate(circuit)).max())
         print(f"{name}: {before} -> {rec['elements']} elements, plain drift {drift:.2e}")
-        if (before is not None and rec["elements"] > before) or (
+        grew = before is not None and rec["elements"] > before
+        if (grew and name not in MAY_GROW) or (
             tol is DEFAULT_TOL and drift > PLAIN_TOL
         ):
             refused.append(name)

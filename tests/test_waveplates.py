@@ -180,20 +180,59 @@ def test_synthesize_rejects_non_unitary():
         synthesize_u2(np.eye(3, dtype=complex))
 
 
-@pytest.mark.xfail(strict=True, reason="the QWP gap is measured component by component")
-def test_single_qwp_at_its_threshold_stays_within_angle_tol():
-    # Q(0) has quaternion (w, x, y, z) = (1/sqrt 2, 0, 0, 1/sqrt 2).  Move w
-    # and y by 0.999 angle_tol each and renormalize through z: the QWP gap,
-    # the larger of the two moves, is within angle_tol, but the lone QWP
-    # it gives misses U by about sqrt 2 times that in entry (0, 0)
+def _quaternion_matrix(q) -> np.ndarray:
+    """w I + i(x sx + y sy + z sz) for q = (w, x, y, z)."""
+    w, x, y, z = q
+    return np.array([[complex(w, z), complex(y, x)], [complex(-y, x), complex(w, -z)]])
+
+
+def test_qwp_within_angle_tol_stays_one_plate():
+    # Q(theta) has quaternion (1/sqrt 2, sin 2theta / sqrt 2, 0,
+    # cos 2theta / sqrt 2).  Move it along the sphere by 0.999 angle_tol in
+    # seeded directions: the QWP gap is at most that distance, and the QWP
+    # nearest U misses it by at most that in every entry
     a_tol = DEFAULT_TOL.angle_tol
-    w, y = 1.0 / math.sqrt(2.0) + 0.999 * a_tol, 0.999 * a_tol
-    z = math.sqrt(1.0 - w * w - y * y)
-    U = np.array([[complex(w, z), y], [-y, complex(w, -z)]])
-    chain = synthesize_u2(U)
-    assert [k for k, _ in chain] == ["qwp"]
-    # plain equality, global phase included
-    assert np.abs(chain_matrix(chain) - U).max() <= a_tol
+    rng = np.random.default_rng(3)
+    for theta in (0.0, 0.35, 1.2):
+        q0 = np.array([1.0, math.sin(2 * theta), 0.0, math.cos(2 * theta)]) / math.sqrt(2.0)
+        for _ in range(50):
+            d = rng.standard_normal(4)
+            d -= d.dot(q0) * q0
+            d /= np.linalg.norm(d)
+            U = _quaternion_matrix(math.cos(0.999 * a_tol) * q0 + math.sin(0.999 * a_tol) * d)
+            chain = synthesize_u2(U)
+            assert [k for k, _ in chain] == ["qwp"]
+            # plain equality, global phase included
+            assert np.abs(chain_matrix(chain) - U).max() <= a_tol
+
+
+def _moved_qwp(dw: float, dy: float) -> np.ndarray:
+    """Q(0), quaternion (1/sqrt 2, 0, 0, 1/sqrt 2), with w and y moved, renormalized through z."""
+    w = 1.0 / math.sqrt(2.0) + dw
+    return _quaternion_matrix((w, 0.0, dy, math.sqrt(1.0 - w * w - dy * dy)))
+
+
+def test_qwp_gap_is_euclidean():
+    # w and y each moved by 0.999 angle_tol: the largest component move is
+    # within angle_tol, the Euclidean one is not, and a lone QWP would miss
+    # U by about sqrt 2 times angle_tol
+    a_tol = DEFAULT_TOL.angle_tol
+    chain = synthesize_u2(_moved_qwp(0.999 * a_tol, 0.999 * a_tol))
+    assert [k for k, _ in chain] != ["qwp"]
+
+
+# Known fault (ROADMAP item 10): the QWP and QWP-HWP forms fix |w| or
+# r = hypot(w, y) at 1/sqrt 2 and with it hypot(x, z), which moves by as
+# much; their gaps leave that move out.  A lone QWP with only w moved by
+# 0.999 angle_tol, and the input above, which now takes QWP-HWP, each miss
+# U by about 1.41 angle_tol.  Gaps that count the move of hypot(x, z) fix
+# it and turn this pin into a failure until the mark is removed.
+@pytest.mark.xfail(strict=True, reason="the QWP and QWP-HWP gaps leave out hypot(x, z)")
+def test_chains_at_the_qwp_thresholds_stay_within_angle_tol():
+    a_tol = DEFAULT_TOL.angle_tol
+    for U in (_moved_qwp(0.999 * a_tol, 0.0), _moved_qwp(0.999 * a_tol, 0.999 * a_tol)):
+        # plain equality, global phase included
+        assert np.abs(chain_matrix(synthesize_u2(U)) - U).max() <= a_tol
 
 
 def test_generic_chain_suffixes_are_ruled_out():
