@@ -22,13 +22,10 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # The one threshold of this module: _span_projector drops a generator whose
-# QR diagonal entry is at most this floor, and check_cartan_conditions takes
-# a projection residual or a commutator entry at most this floor as zero.
-# Distinct Pauli words are orthogonal, and two of them commute or have
-# twice their product as commutator, so on the bases of lie_span each such
-# quantity is either at least 1 or rounding noise (~1e-15).  It tells exact
-# structure from noise, not two matrices that should agree, so it is no
-# ToleranceConfig.
+# QR diagonal entry is at most it, and check_cartan_conditions takes a
+# projection residual or a commutator entry at most it as zero.  On the
+# Pauli-word bases of lie_span each is at least 1 or rounding noise
+# (~1e-15), so it tells structure from noise and is no ToleranceConfig.
 _RANK_FLOOR = 1e-12
 
 

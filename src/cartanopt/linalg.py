@@ -24,34 +24,25 @@ _K = 196
 class ToleranceConfig:
     """Numerical thresholds used across the pipeline, all dimensionless.
 
-    This class is the one place that relates them.  unitarity_tol, when
-    not given, is min(1e-10, equivalence_tol); angle_tol, when not given,
-    is min(1e-12, equivalence_tol / K); and a config with
-    angle_tol * K > equivalence_tol is rejected, so the terms a compile
-    drops cannot fail its own verification.
+    The one place that relates them: unitarity_tol defaults to
+    min(1e-10, equivalence_tol), angle_tol to min(1e-12, equivalence_tol
+    / K), and a config with angle_tol * K > equivalence_tol is rejected.
 
-    K = 196 is twice the number of elision sites of an optimized dim-8
-    compile, the largest.  A site drops at most angle_tol max-entry from
-    one 2x2 factor.  That 2x2 change has spectral norm at most twice its
-    largest entry, the unitary factors around it keep that norm, so the
-    product's max entry moves by at most 2 angle_tol; the errors of
+    K = 196 is twice the 98 elision sites of an optimized dim-8 compile,
+    the largest.  A site changes one factor by at most 2 angle_tol in
+    spectral norm (a 2x2 change of largest entry angle_tol at most that, a
+    short form or a PS left off at its threshold at most sqrt 2 angle_tol),
+    which bounds the move of the product's max entry, and the errors of
     successive sites add at most linearly (M. A. Nielsen and I. L. Chuang,
     Quantum Computation and Quantum Information, sec. 4.5.3).  The sites:
-
-      6   the CSD short-cut or collapse at each of the 5 levels, the 4+4
-          level counted twice because its dropped blocks are 4x4
-      32  the short-form threshold and the PS elision of each of the 16
-          chains, at emission or at the first resynthesis; a zero-PS drop
-          is that PS elision
-      16  the phase sweep's elisions, one at each of the 12 PBSs and one
-          at each of the 4 mode ends
-      44  the resyntheses after the sweep: the PS of each of the 28
-          same-mode runs (16 chains and 12 central HWPs) and the short
-          form of each chain
-
-    98 sites in all.  The count takes the sweep once, with one round of
-    resyntheses after it; a second kept sweep needs a resynthesis to move
-    some phase to within angle_tol of another mode's.
+    6 for the CSD short-cut or collapse of the 5 levels, the 4+4 one twice
+    because its dropped blocks are 4x4; 32 for the short form and the PS of
+    the 16 chains, left off at emission, by the zero-PS drop or at the
+    first resynthesis; 16 for the phase sweep, one per PBS (12) and per
+    mode end (4); 44 for the resyntheses after it, the PS of each of the
+    28 same-mode runs (16 chains, 12 central HWPs) and the short form of
+    each chain.  The sweep is counted once: a second kept sweep needs a
+    resynthesis to bring some phase within angle_tol of another mode's.
     """
 
     unitarity_tol: float | None = None

@@ -156,12 +156,10 @@ def _branch_gaps(w: float, x: float, y: float, z: float) -> tuple[float, ...]:
         QWP-QWP:  w = r^2 with w >= 0: (w, y) on the circle of radius 1/2
                   about (1/2, 0)
     The QWP-QWP entry is the distance of (w, y) from that circle, a lower
-    bound: _qq_fit measures the distance itself.  Each gap is the
-    Euclidean distance of the components the form fixes, so it is at most
-    the quaternion's distance from the form, and the gaps are invariant
-    under flipping its sign.  The QWP and QWP-HWP forms fix |w| or r at
-    1/sqrt 2, which ties hypot(x, z) to 1/sqrt 2 as well; a move of |w| or
-    r is matched by one of hypot(x, z), so a chain taken at those
+    bound: _qq_fit measures the distance itself.  Each gap is Euclidean in
+    the components its form fixes and invariant under flipping the
+    quaternion's sign.  The QWP and QWP-HWP forms also tie hypot(x, z) to
+    1/sqrt 2, which their gaps leave out, so a chain taken at one of those
     thresholds can miss U by up to sqrt 2 times angle_tol.  _may_shrink
     reads the same gaps.
     """

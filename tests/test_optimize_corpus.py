@@ -17,8 +17,8 @@ and say in the change why the outputs moved.  The re-record prints each
 moved case with its old and new element count and its plain (global
 phase included) drift from the unoptimized circuit; it writes nothing
 and exits 1 when a moved case not in MAY_GROW got longer or, at the
-default tolerance, drifts more than PLAIN_TOL.  The same circuits, not optimized, also pin
-simulate's output bytes (SIMULATE_SHA256).
+default tolerance, drifts more than PLAIN_TOL.  The same circuits, not
+optimized, also pin simulate's output bytes (SIMULATE_SHA256).
 """
 
 import hashlib
@@ -133,7 +133,7 @@ def test_optimize_at_a_unitarity_tol_below_rounding():
 
 
 def _rerecord() -> int:
-    """Write the corpus anew unless a moved case grew (outside MAY_GROW) or lost plain equality."""
+    """Write the corpus anew unless a moved case grew outside MAY_GROW or lost plain equality."""
     old = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else {}
     corpus, refused = {}, []
     for name, circuit, out, tol in _outputs():
