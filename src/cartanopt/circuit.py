@@ -26,6 +26,8 @@ from .waveplates import (
 )
 
 KINDS = ("pbs", "hwp", "qwp", "ps")
+# the kinds that carry an angle
+_PLATE_KINDS = KINDS[1:]
 # angle types an element accepts; bool (an int subclass) is rejected separately
 _REAL = (float, int, np.floating, np.integer)
 
@@ -50,9 +52,22 @@ class OpticalElement:
     angle_rad: float | None = None
 
     def __post_init__(self):
+        modes, angle = self.modes, self.angle_rad
+        # a plate or PS on one exact-int mode with an exact float angle, as
+        # the compiler and the optimizer build them, passes every check
+        # below unchanged
+        if (
+            type(angle) is float
+            and type(modes) is tuple
+            and len(modes) == 1
+            and type(modes[0]) is int
+            and modes[0] >= 0
+            and self.kind in _PLATE_KINDS
+            and math.isfinite(angle)
+        ):
+            return
         if self.kind not in KINDS:
             raise ValueError(f"unknown element kind {self.kind!r}")
-        modes = self.modes
         # a tuple of exact ints is valid and already stored as it would be
         # converted; anything else is checked and converted
         if type(modes) is not tuple or not all(type(m) is int for m in modes):
@@ -70,7 +85,6 @@ class OpticalElement:
         else:
             if len(modes) != 1:
                 raise ValueError(f"{self.kind} acts on exactly one mode")
-            angle = self.angle_rad
             # an exact float needs no conversion; only its finiteness is checked
             if type(angle) is not float:
                 if type(angle) is bool or not isinstance(angle, _REAL):
@@ -183,20 +197,21 @@ def element_count(circuit: OpticalCircuit) -> CountReport:
 
 
 def serialize(circuit: OpticalCircuit) -> str:
-    elements = []
-    for e in circuit.elements:
-        rec = {"kind": e.kind, "modes": list(e.modes)}
-        if e.kind != "pbs":
-            rec["angle_rad"] = e.angle_rad
-        elements.append(rec)
-    doc = {
-        "version": 1,
-        "convention": circuit.convention.tag,
-        "spatial_modes": circuit.num_spatial_modes,
-        "elements": elements,
-        "metadata": circuit.metadata,
-    }
-    return json.dumps(doc)
+    # the text json.dumps gives for the document, written out: a kind and
+    # the convention tag are plain words, a mode and the mode count exact
+    # ints and an angle a finite exact float, each of which json.dumps
+    # writes as its repr; only the metadata's strings need its escaping
+    elements = ", ".join(
+        f'{{"kind": "pbs", "modes": [{e.modes[0]!r}, {e.modes[1]!r}]}}'
+        if e.kind == "pbs"
+        else f'{{"kind": "{e.kind}", "modes": [{e.modes[0]!r}], "angle_rad": {e.angle_rad!r}}}'
+        for e in circuit.elements
+    )
+    return (
+        f'{{"version": 1, "convention": "{circuit.convention.tag}", '
+        f'"spatial_modes": {circuit.num_spatial_modes!r}, "elements": [{elements}], '
+        f'"metadata": {json.dumps(circuit.metadata)}}}'
+    )
 
 
 def deserialize(text: str) -> OpticalCircuit:

@@ -82,6 +82,10 @@ def _plate_stack(plates) -> np.ndarray:
     return np.array(entries, dtype=complex).reshape(-1, 2, 2)
 
 
+_I2 = np.eye(2, dtype=complex)
+_I2.flags.writeable = False
+
+
 def chain_matrix(plates) -> np.ndarray:
     """Ordered product of (kind, angle) plates, first plate applied first.
 
@@ -89,10 +93,10 @@ def chain_matrix(plates) -> np.ndarray:
     _plate_stack and fold onto the identity by left .dot products, the
     same zgemm calls and bits as multiplying PLATE_MATRIX entries with @.
     """
-    M = np.eye(2, dtype=complex)
+    M = _I2
     for P in _plate_stack(plates):
         M = P.dot(M)
-    return M
+    return M.copy() if M is _I2 else M
 
 
 def _canon_plate(angle: float) -> float:
@@ -107,11 +111,17 @@ def _canon_phase(angle: float) -> float:
 
 
 def _su2(U: np.ndarray) -> tuple[float, float, float, float, float]:
-    """(delta, w, x, y, z) with U = e^{i delta} (w I + i(x sx + y sy + z sz)), in SU(2)."""
-    det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
+    """(delta, w, x, y, z) with U = e^{i delta} (w I + i(x sx + y sy + z sz)), in SU(2).
+
+    The determinant is formed on Python complex, which rounds as numpy's
+    scalar product does; V = U e^{-i delta} stays one numpy multiply,
+    whose SIMD loop may fuse multiply and add and so round otherwise.
+    """
+    (a, b), (c, d) = U.tolist()
+    det = a * d - b * c
     delta = math.atan2(det.imag, det.real) / 2.0
-    V = U * np.exp(-1j * delta)
-    return delta, V[0, 0].real, V[0, 1].imag, V[0, 1].real, V[0, 0].imag
+    (va, vb), _ = (U * np.exp(-1j * delta)).tolist()
+    return delta, va.real, vb.imag, vb.real, va.imag
 
 
 def _chain_params(U: np.ndarray) -> tuple[float, float, float, float]:

@@ -4,7 +4,8 @@ OpticalElement stores canonical values as given and converts the rest;
 matrix_to_json reads the matrix in one tolist and matrix_from_json builds
 it in one np.array.  Each must keep what the entry-by-entry rules below
 produce: the same stored types and bits, the same ValueError text for
-every rejection, and the same JSON bytes.
+every rejection, and the same JSON bytes.  matrix_from_json is also held
+to the path it had before its exact-type fast path, kept below.
 """
 
 import json
@@ -177,6 +178,7 @@ def _check_from_json(text):
         obj = _parse_json(text, "matrix")
     except ValueError:
         return
+    _check_against_the_old_path(obj)
     try:
         want = _reference_from_json(obj)
     except ValueError as exc:
@@ -190,7 +192,7 @@ def _check_from_json(text):
 
 
 def test_matrix_from_json_matches_the_reference_on_special_values():
-    for value in _SPECIALS + (-0.0, 5e-324, 0, 1):
+    for value in _SPECIALS + (-0.0, 5e-324, 0, 1, False):
         for where in _MATRIX_FIELDS:
             for p in (0, 1):
                 _check_from_json(_matrix_with(value, where, 1, 2, p))
@@ -200,3 +202,68 @@ def test_matrix_from_json_matches_the_reference_on_special_values():
 @given(_MATRIX_TEXT)
 def test_matrix_from_json_matches_the_reference(text):
     _check_from_json(text)
+
+
+def _old_matrix_from_json(obj) -> np.ndarray:
+    """matrix_from_json as it read before its exact-type fast path."""
+    if not isinstance(obj, dict):
+        raise ValueError("matrix JSON must be an object")
+    dim = obj.get("dim")
+    entries = obj.get("entries")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ValueError("matrix JSON needs a positive integer 'dim'")
+    if not isinstance(entries, list) or len(entries) != dim:
+        raise ValueError(f"'entries' must be a list of {dim} rows")
+    for i, row in enumerate(entries):
+        if not isinstance(row, list) or len(row) != dim:
+            raise ValueError(f"row {i} length != dim ({dim})")
+    rows = []
+    for i, row in enumerate(entries):
+        values = []
+        for j, cell in enumerate(row):
+            if (not isinstance(cell, (list, tuple)) or len(cell) != 2
+                    or not isinstance(cell[0], (int, float)) or isinstance(cell[0], bool)
+                    or not isinstance(cell[1], (int, float)) or isinstance(cell[1], bool)):
+                raise ValueError(f"entry ({i},{j}) must be a [re, im] pair of numbers")
+            try:
+                re, im = float(cell[0]), float(cell[1])
+            except OverflowError:
+                re = im = math.inf
+            if not (math.isfinite(re) and math.isfinite(im)):
+                raise ValueError(f"entry ({i},{j}) is not finite")
+            values.append(complex(re, im))
+        rows.append(values)
+    return np.array(rows, dtype=complex)
+
+
+class _Float(float):
+    pass
+
+
+def _check_against_the_old_path(obj):
+    try:
+        want = _old_matrix_from_json(obj)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            matrix_from_json(obj)
+        assert str(got.value) == str(exc)
+        return
+    got = matrix_from_json(obj)
+    assert got.dtype == want.dtype and got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+_CELLS = (
+    [0.5, -0.0], [-0.0, -0.0], [0, 1], [1, 0.25], [True, 0.5], [0.5, False], (0.5, -0.25),
+    (0, -0.0), [5e-324, 1e308], [10**400, 0.0], [math.nan, 0.0], [0.0, -math.inf],
+    [_Float(0.5), 0.5], [np.float64(0.5), 0.5], [0.5], [0.5, 0.5, 0.5], "0.5", None,
+)
+
+
+@pytest.mark.parametrize("cell", _CELLS, ids=repr)
+def test_matrix_from_json_keeps_the_old_path_on_each_kind_of_cell(cell):
+    # one odd cell at (1, 0) among exact floats, and every cell odd
+    base = [[[float(i), -float(j)] for j in range(2)] for i in range(2)]
+    base[1][0] = cell
+    _check_against_the_old_path({"dim": 2, "entries": base})
+    _check_against_the_old_path({"dim": 2, "entries": [[cell, cell], [cell, cell]]})

@@ -1,6 +1,7 @@
 """Element IR: validation, counting, wire format, and peephole rewrites."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -62,6 +63,7 @@ def test_element_validation():
         ("hwp", (-1,), 0.1),
         ("hwp", (0,), "0.1"),
         ("hwp", (0,), True),
+        (["hwp"], (0,), 0.1),
     ],
 )
 def test_element_rejects_loose_types(kind, modes, angle):
@@ -130,6 +132,43 @@ def test_serialize_round_trip_identical():
     assert serialize(c2) == text
     assert c2.elements == c.elements
     assert c2.metadata == c.metadata
+
+
+def _old_serialize(circuit):
+    """serialize as it read: one json.dumps of the whole document."""
+    elements = []
+    for e in circuit.elements:
+        rec = {"kind": e.kind, "modes": list(e.modes)}
+        if e.kind != "pbs":
+            rec["angle_rad"] = e.angle_rad
+        elements.append(rec)
+    return json.dumps({
+        "version": 1,
+        "convention": circuit.convention.tag,
+        "spatial_modes": circuit.num_spatial_modes,
+        "elements": elements,
+        "metadata": circuit.metadata,
+    })
+
+
+def _serialize_cases():
+    golden = pathlib.Path(__file__).parent / "data" / "golden_circuits.json"
+    for text in json.loads(golden.read_text(encoding="utf-8")).values():
+        yield deserialize(text)
+    yield _circ([])
+    yield _circ(
+        [pbs(0, 3), hwp(3, -0.0), qwp(2, 5e-324), ps(1, 1e300), pbs(2, 1), ps(0, -1e-300),
+         hwp(1, np.float64(2.5)), qwp(0, 7)],
+        conv="sp", m=4,
+    )
+    for text in ('quote " and backslash \\', "tab\t nl\n nul\x00 esc\x1b del\x7f",
+                 "\u00e9t\u00e9 \u03b8 \u2192 \U0001f600 \ud800", ""):
+        yield _circ([hwp(0, 0.1)], conv="ps", metadata={text: text, "k": text})
+
+
+@pytest.mark.parametrize("c", list(_serialize_cases()))
+def test_serialize_keeps_the_bytes_of_json_dumps(c):
+    assert serialize(c) == _old_serialize(c)
 
 
 def test_serialize_preserves_angle_bits():

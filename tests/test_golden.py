@@ -5,9 +5,13 @@ metadata included, byte for byte against tests/data/golden_circuits.json.
 A change that is meant to leave the emitted circuits alone (a faster
 simulator, a cheaper optimizer scan, a leaner CSD call) must pass this
 test unchanged.  The recorded angles are the bits this code produces on
-this build of numpy and the LAPACK under its SVD and QR; after a
-deliberate change to the circuits, or on a different numpy or LAPACK,
-re-record with
+one CPU kernel set: numpy's version, the SIMD loops it dispatches to on
+the CPU, and the OpenBLAS core under its products, SVD and QR
+(RECORDED_KERNELS, see tests/kernels.py).  A kernel that fuses multiply
+and add rounds otherwise, so on another set these pins fail with no
+fault in the code; each failure names the recorded and the running set.
+After a deliberate change to the circuits, or to record on another
+kernel set, re-record with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -17,7 +21,7 @@ phase included) distance to the input; it writes nothing and exits 1
 when a moved case got longer or misses plain equality by more than
 PLAIN_TOL.  SIMULATE_SHA256 pins what the design check computes on
 these circuits: simulate's output bytes and verify's distance and phase.
-A re-record prints its current value.
+A re-record prints its current value and the running kernel set.
 """
 
 import hashlib
@@ -32,6 +36,7 @@ from cartanopt.circuit import serialize
 from cartanopt.compiler import CompileOptions, builtin_target, compile as compile4, compile_m4
 from cartanopt.linalg import dump_matrix, haar_random_unitary
 from cartanopt.simulate import simulate, verify
+from kernels import fingerprint, pin_message
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_circuits.json"
 
@@ -43,6 +48,8 @@ PLAIN_TOL = 1e-12
 # global_phase, for the compiled circuits of the corpus in order: pins the
 # simulator and the phase-aware distance to the bit
 SIMULATE_SHA256 = "3d4fcb0fbaa43718ddf44da5f35b6dcdb4772772a23183cc39650f80ba0a0484"
+# the kernel set the corpus and SIMULATE_SHA256 were recorded on
+RECORDED_KERNELS = "numpy 2.4.6, X86_V3 X86_V4 AVX512_ICL AVX512_SPR, OpenBLAS SkylakeX"
 
 
 def _path_block(g1, g2, convention):
@@ -110,7 +117,7 @@ def test_corpus_names_match(golden):
 
 @pytest.mark.parametrize("name,U,convention,optimize", CASES, ids=[c[0] for c in CASES])
 def test_circuit_json_is_byte_identical(golden, name, U, convention, optimize):
-    assert _compile_json(U, convention, optimize) == golden[name]
+    assert _compile_json(U, convention, optimize) == golden[name], pin_message(RECORDED_KERNELS)
 
 
 def _simulate_sha256() -> str:
@@ -124,7 +131,7 @@ def _simulate_sha256() -> str:
 
 
 def test_compiled_circuits_simulate_and_verify_to_the_same_bits():
-    assert _simulate_sha256() == SIMULATE_SHA256
+    assert _simulate_sha256() == SIMULATE_SHA256, pin_message(RECORDED_KERNELS)
 
 
 def test_local_cases_skip_the_central_layer(golden):
@@ -155,6 +162,7 @@ def _rerecord() -> int:
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
     print(f"SIMULATE_SHA256 = {_simulate_sha256()!r}")
+    print(f"RECORDED_KERNELS = {fingerprint()!r}")
     return 0
 
 

@@ -15,6 +15,7 @@ from cartanopt.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     _cosine_sine,
+    _residual,
     dump_matrix,
     haar_random_unitary,
     is_unitary,
@@ -90,6 +91,29 @@ def test_non_square_matrix_is_not_unitary():
 
 def test_unitarity_residual_zero_for_identity():
     assert unitarity_residual(np.eye(4, dtype=complex)) == 0.0
+
+
+def _old_residual(M):
+    """_residual as it read with the diagonal subtracted through .flat."""
+    G = M.conj().T.dot(M)
+    G.flat[:: M.shape[0] + 1] -= 1.0
+    return float(np.abs(G).max())
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_residual_keeps_the_bits_of_the_flat_version(dim):
+    # unitaries from a stacked QR, half of them moved off unitarity, some
+    # read through a transposed or reversed view
+    rng = np.random.default_rng([21, dim])
+    n = 7_000  # 21 000 matrices over the three sizes
+    shape = (n, dim, dim)
+    Q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    eps = 10.0 ** rng.integers(-16, 0, n)
+    for i, U in enumerate(Q):
+        if i % 2:
+            U = U + eps[i] * rng.standard_normal(U.shape)
+        U = (U, U.T, U[::-1])[i % 3]
+        assert _residual(U).hex() == _old_residual(U).hex(), i
 
 
 def test_phase_distance_pure_phase():

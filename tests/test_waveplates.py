@@ -11,6 +11,7 @@ from cartanopt.linalg import DEFAULT_TOL, ToleranceConfig, haar_random_unitary
 from cartanopt.waveplates import (
     PLATE_MATRIX,
     _may_shrink,
+    _su2,
     chain_matrix,
     hwp_matrix,
     ps_matrix,
@@ -56,6 +57,14 @@ def test_chain_matrix_empty_is_identity():
     assert np.array_equal(chain_matrix([]), np.eye(2, dtype=complex))
 
 
+def test_chain_matrix_of_the_empty_chain_is_a_fresh_array():
+    # the fold starts from a shared read-only identity, which the empty
+    # chain must not hand out
+    M = chain_matrix([])
+    M[0, 0] = 5.0
+    assert np.array_equal(chain_matrix([]), np.eye(2, dtype=complex))
+
+
 def _matmul_chain(plates):
     M = np.eye(2, dtype=complex)
     for kind, angle in plates:
@@ -66,7 +75,8 @@ def _matmul_chain(plates):
 @pytest.mark.parametrize("n", range(7))
 def test_chain_matrix_keeps_the_bits_of_the_matmul_fold(n):
     # the batched plates folded with .dot reach the same zgemm calls as
-    # the @ fold, so the bytes agree on any numpy build
+    # the @ fold, so the bytes agree on every CPU kernel set, though the
+    # bytes themselves differ between sets
     rng = np.random.default_rng([n, 7])
     for _ in range(200):
         plates = [
@@ -74,6 +84,33 @@ def test_chain_matrix_keeps_the_bits_of_the_matmul_fold(n):
             for _ in range(n)
         ]
         assert chain_matrix(plates).tobytes() == _matmul_chain(plates).tobytes()
+
+
+def _old_su2(U):
+    """_su2 as it read on numpy scalars, indexed entry by entry."""
+    det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
+    delta = math.atan2(det.imag, det.real) / 2.0
+    V = U * np.exp(-1j * delta)
+    return delta, V[0, 0].real, V[0, 1].imag, V[0, 1].real, V[0, 0].imag
+
+
+def _seeded_2x2(rng, n):
+    """n Gaussian complex 2x2 matrices, then n unitary ones, each its own array."""
+    G = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    a, b = G[:, 0, 0], G[:, 0, 1]
+    norm = np.hypot(np.abs(a), np.abs(b))
+    a, b = a / norm, b / norm
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    W = np.stack([np.stack([a, b], -1), np.stack([-b.conj() * phase, a.conj() * phase], -1)], 1)
+    return [M.copy() for M in G] + [M.copy() for M in W]
+
+
+def test_su2_keeps_the_bits_of_the_numpy_scalar_version():
+    # Python complex products round as numpy's scalar ones; the product
+    # with e^{-i delta} is the same numpy multiply in both
+    for U in _seeded_2x2(np.random.default_rng(20), 10_000):
+        got, want = _su2(U), _old_su2(U)
+        assert [v.hex() for v in got] == [float(v).hex() for v in want], U
 
 
 def test_chain_matrix_phase_only():

@@ -8,7 +8,8 @@ It runs ROADMAP.md's tier-1 command (pytest -q --continue-on-collection-errors
 with src on PYTHONPATH) from the repository root and exits 0 only when the
 tests that fail or error are exactly DESIGNED_RED.  Any other failure, a
 collection error, a strict xfail that passes, or a designed-red test that
-does not fail exits 1.
+does not fail exits 1.  It first prints the CPU kernel set numpy and
+OpenBLAS run on (tests/kernels.py), which the byte pins depend on.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ import tempfile
 import xml.etree.ElementTree as ET
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))
+
+from kernels import fingerprint  # noqa: E402
 
 # The dim-8 48-element claims, red by design: no template with 12 PBSs
 # reaches every U(8) with fewer than 64 angles (ROADMAP item 8).  Keyed as
@@ -41,6 +45,7 @@ def _failed(report: pathlib.Path) -> set[tuple[str, str]]:
 
 
 def main(argv: list[str]) -> int:
+    print(f"tier1: kernel set {fingerprint()}", flush=True)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in ("src", env.get("PYTHONPATH")) if p)
     with tempfile.TemporaryDirectory() as tmp:
