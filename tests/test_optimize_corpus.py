@@ -22,7 +22,7 @@ optimized, also pin simulate's output bytes (SIMULATE_SHA256).  Both pins
 hold on the CPU kernel set they were recorded on (RECORDED_KERNELS, see
 tests/kernels.py): another OpenBLAS core or numpy SIMD loop rounds some
 products otherwise, and each failure names the recorded and the running
-set.
+set.  A re-record prints SIMULATE_SHA256 and the running set.
 """
 
 import hashlib
