@@ -26,8 +26,6 @@ from .waveplates import (
 )
 
 KINDS = ("pbs", "hwp", "qwp", "ps")
-# the kinds that carry an angle
-_PLATE_KINDS = KINDS[1:]
 # angle types an element accepts; bool (an int subclass) is rejected separately
 _REAL = (float, int, np.floating, np.integer)
 
@@ -52,22 +50,9 @@ class OpticalElement:
     angle_rad: float | None = None
 
     def __post_init__(self):
-        modes, angle = self.modes, self.angle_rad
-        # a plate or PS on one exact-int mode with an exact float angle, as
-        # the compiler and the optimizer build them, passes every check
-        # below unchanged
-        if (
-            type(angle) is float
-            and type(modes) is tuple
-            and len(modes) == 1
-            and type(modes[0]) is int
-            and modes[0] >= 0
-            and self.kind in _PLATE_KINDS
-            and math.isfinite(angle)
-        ):
-            return
         if self.kind not in KINDS:
             raise ValueError(f"unknown element kind {self.kind!r}")
+        modes = self.modes
         # a tuple of exact ints is valid and already stored as it would be
         # converted; anything else is checked and converted
         if type(modes) is not tuple or not all(type(m) is int for m in modes):
@@ -85,6 +70,7 @@ class OpticalElement:
         else:
             if len(modes) != 1:
                 raise ValueError(f"{self.kind} acts on exactly one mode")
+            angle = self.angle_rad
             # an exact float needs no conversion; only its finiteness is checked
             if type(angle) is not float:
                 if type(angle) is bool or not isinstance(angle, _REAL):

@@ -293,10 +293,8 @@ def _cosine_sine(U: np.ndarray, half: int):
     """
     V1, V2, thetas, W1, W2 = cossin(U, half)
     order = np.argsort(-thetas, kind="stable")
-    # cossin's angles mostly come out descending already
-    if order.tolist() != list(range(half)):
-        thetas = thetas[order]
-        V1, V2, W1, W2 = V1[:, order], V2[:, order], W1[order], W2[order]
+    thetas = thetas[order]
+    V1, V2, W1, W2 = V1[:, order], V2[:, order], W1[order], W2[order]
     ph = _lead_phases(V1)
     V1 *= ph.conj()
     V2 *= ph.conj()
@@ -356,17 +354,17 @@ def matrix_from_json(obj) -> np.ndarray:
     for i, row in enumerate(entries):
         values = []
         for j, cell in enumerate(row):
-            # a list of two exact floats, as json.loads gives most cells,
-            # passes the type checks and converts to itself
-            if type(cell) is list and len(cell) == 2 and type(cell[0]) is type(cell[1]) is float:
-                re, im = cell
-            elif (not isinstance(cell, (list, tuple)) or len(cell) != 2
-                    or not isinstance(cell[0], (int, float)) or isinstance(cell[0], bool)
-                    or not isinstance(cell[1], (int, float)) or isinstance(cell[1], bool)):
+            if not isinstance(cell, (list, tuple)) or len(cell) != 2:
                 raise ValueError(f"entry ({i},{j}) must be a [re, im] pair of numbers")
-            else:
+            re, im = cell
+            # exact floats, as json.loads gives most cells, are numbers
+            # already stored as they would be converted
+            if type(re) is not float or type(im) is not float:
+                if (not isinstance(re, (int, float)) or isinstance(re, bool)
+                        or not isinstance(im, (int, float)) or isinstance(im, bool)):
+                    raise ValueError(f"entry ({i},{j}) must be a [re, im] pair of numbers")
                 try:
-                    re, im = float(cell[0]), float(cell[1])
+                    re, im = float(re), float(im)
                 except OverflowError:
                     re = im = math.inf
             if not (math.isfinite(re) and math.isfinite(im)):

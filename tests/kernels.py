@@ -19,10 +19,16 @@ import os
 
 import numpy as np
 
+# numpy keeps the dispatch tables in a private module, so every read of
+# them, and of the OpenBLAS library, is best-effort: a part that cannot be
+# read is named "unknown", and fingerprint() never raises
 try:
     from numpy._core import _multiarray_umath as _umath
 except ImportError:  # numpy 1.x
-    from numpy.core import _multiarray_umath as _umath
+    try:
+        from numpy.core import _multiarray_umath as _umath
+    except ImportError:
+        _umath = None
 
 # what numpy's own wheels name OpenBLAS's get_corename, then the plain build's
 _CORENAME = (
@@ -33,29 +39,36 @@ _CORENAME = (
 )
 
 
-def numpy_targets() -> list[str]:
+def numpy_targets() -> str:
     """numpy's dispatch targets that this CPU and NPY_DISABLE_CPU_FEATURES leave on."""
-    features = _umath.__cpu_features__
-    return [t for t in _umath.__cpu_dispatch__ if features.get(t)]
+    try:
+        features = _umath.__cpu_features__
+        targets = [t for t in _umath.__cpu_dispatch__ if features.get(t)]
+    except (AttributeError, TypeError):
+        return "targets unknown"
+    return " ".join(targets) or "baseline only"
 
 
 def openblas_core() -> str:
     """The core OpenBLAS chose at load time, read from the library numpy bundles."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        # numpy has loaded this file already, so this returns its handle
-        lib = ctypes.CDLL(path)
+        try:
+            # numpy has loaded this file already, so this returns its handle
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
         for name in _CORENAME:
             fn = getattr(lib, name, None)
             if fn is not None:
                 fn.restype = ctypes.c_char_p
-                return fn().decode()
+                core = fn()
+                return core.decode(errors="replace") if core else "unknown"
     return "unknown"
 
 
 def fingerprint() -> str:
-    targets = " ".join(numpy_targets()) or "baseline only"
-    return f"numpy {np.__version__}, {targets}, OpenBLAS {openblas_core()}"
+    return f"numpy {np.__version__}, {numpy_targets()}, OpenBLAS {openblas_core()}"
 
 
 def pin_message(recorded: str) -> str:

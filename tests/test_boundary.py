@@ -5,7 +5,8 @@ matrix_to_json reads the matrix in one tolist and matrix_from_json builds
 it in one np.array.  Each must keep what the entry-by-entry rules below
 produce: the same stored types and bits, the same ValueError text for
 every rejection, and the same JSON bytes.  matrix_from_json is also held
-to the path it had before its exact-type fast path, kept below.
+to the path it had before exact floats skipped its number checks and
+conversion, kept below.
 """
 
 import json
@@ -205,7 +206,7 @@ def test_matrix_from_json_matches_the_reference(text):
 
 
 def _old_matrix_from_json(obj) -> np.ndarray:
-    """matrix_from_json as it read before its exact-type fast path."""
+    """matrix_from_json as it read before exact floats skipped its checks."""
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     dim = obj.get("dim")

@@ -182,6 +182,24 @@ def test_m4_deterministic():
         assert A.tobytes() == B.tobytes()
 
 
+
+def _assert_separate_contiguous(blocks):
+    # @ reaches zgemm only for an operand contiguous in one order; a strided
+    # view goes through numpy's own loop, which rounds otherwise
+    for i, A in enumerate(blocks):
+        assert A.flags.c_contiguous or A.flags.f_contiguous, i
+        for B in blocks[i + 1:]:
+            assert not np.shares_memory(A, B), i
+
+
+def test_factors_are_separate_contiguous_arrays():
+    for seed in range(6):
+        f = decompose_m4(haar_random_unitary(8, seed=seed))
+        _assert_separate_contiguous(f.left_blocks + f.right_blocks)
+        for conv in ("ps", "sp"):
+            g = decompose(haar_random_unitary(4, seed=seed), conv)
+            _assert_separate_contiguous(g.left_gates + g.right_gates)
+
 def test_m4_rejects_bad_input():
     with pytest.raises(ValueError):
         decompose_m4(np.ones((8, 8), dtype=complex))
