@@ -24,8 +24,8 @@ from .linalg import (
     ToleranceConfig,
     _as_square,
     _cosine_sine,
+    _not_unitary,
     is_unitary,
-    unitarity_residual,
 )
 
 # Both basis permutations are np.ix_ indices, built once, that permute
@@ -131,9 +131,7 @@ def _csd_level(U, n: int, name: str, tol: ToleranceConfig, perm=None):
     if U.shape != (n, n):
         raise ValueError(f"{name} expects {n}x{n} input, got shape {U.shape}")
     if not is_unitary(U, tol):
-        raise ValueError(
-            f"{name} requires a unitary input (residual {unitarity_residual(U):.3e})"
-        )
+        raise _not_unitary(name, U)
     if perm is not None:
         U = U[perm]
     k = n // 2

@@ -375,7 +375,10 @@ def optimize(circuit: OpticalCircuit, tol: ToleranceConfig = DEFAULT_TOL) -> Opt
     """
     elems = list(circuit.elements)
     # screen: runs go through the closed-form test; sweep: a rule fired
-    # since the last sweep (a sweep's output sweeps to itself)
+    # since the last sweep (a sweep's output sweeps to itself).  The first
+    # pass is unscreened only because on haar8_opt it alone reaches the
+    # synthesize_u2, is_unitary and _chain_params calls that the benchmark
+    # tracer's SITES pins; screening it waits on ROADMAP item 6.
     shortest, screen, sweep = set(), False, True
     while True:
         if (

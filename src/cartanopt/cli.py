@@ -20,7 +20,6 @@ from .compiler import (
     HAND_COUNTS,
     builtin_target,
     compile as compile_matrix,
-    compile_m4,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -74,12 +73,7 @@ def _cmd_compile(args) -> int:
     opts = CompileOptions(
         convention=args.convention, optimize=args.optimize, tolerances=_tolerances(args)
     )
-    if U.shape == (4, 4):
-        circuit, report = compile_matrix(U, opts)
-    elif U.shape == (8, 8):
-        circuit, report = compile_m4(U, opts)
-    else:
-        raise ValueError(f"matrix must be 4x4 or 8x8, got {U.shape}")
+    circuit, report = compile_matrix(U, opts)
     _emit(serialize(circuit), args.out)
     for line in _count_lines(circuit):
         print(line, file=sys.stderr)

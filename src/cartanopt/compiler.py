@@ -33,9 +33,9 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     _as_square,
+    _not_unitary,
     dump_matrix,
     is_unitary,
-    unitarity_residual,
 )
 from .simulate import VerificationReport, verify
 from .waveplates import _chain_params, _full_chain, synthesize_u2
@@ -83,7 +83,7 @@ _SP_BOOKEND_L = np.diag([-1j, 1j])
 # outer factors absorbed into the neighboring 4x4 blocks.
 _SXSX = np.kron(np.eye(2), SX).astype(complex)
 _M4_DL_TOP = np.diag([-1j, 1j, -1j, 1j])
-_M4_DR_BOT = np.diag([-1.0 + 0j, 1.0, -1.0, 1.0])
+_M4_DR_BOT_SXSX = np.diag([-1.0 + 0j, 1.0, -1.0, 1.0]).dot(_SXSX)
 
 
 def _gadget(i: int, j: int, a: float, b: float) -> list:
@@ -130,7 +130,7 @@ def _elements(
         return halves([left[0].dot(right[0]), left[1].dot(right[1])]), f
     if n == 8:
         left = (left[0].dot(_M4_DL_TOP), 1j * left[1].dot(_SXSX))
-        right = (right[0], _M4_DR_BOT.dot(_SXSX).dot(right[1]))
+        right = (right[0], _M4_DR_BOT_SXSX.dot(right[1]))
         t1, t2, t3, t4 = angles
         central = _gadget(mode, mode + 2, t2, t1) + _gadget(mode + 1, mode + 3, t4, t3)
     elif conv is DofConvention.PS:
@@ -143,24 +143,25 @@ def _elements(
     return halves(right) + central + halves(left), f
 
 
-def _compile(U, opts: CompileOptions, dim: int) -> tuple[OpticalCircuit, VerificationReport]:
-    """Validate a dim x dim unitary, compile it, optimize if asked, and verify."""
+def _compile(U, opts: CompileOptions) -> tuple[OpticalCircuit, VerificationReport]:
+    """Validate a 4x4 or 8x8 unitary, compile it, optimize if asked, and verify."""
     U = _as_square(U)
-    if U.shape != (dim, dim):
-        raise ValueError(f"compile expects {dim}x{dim} input, got shape {U.shape}")
+    n = U.shape[0]
+    if n not in (4, 8):
+        raise ValueError(f"compile expects a 4x4 or 8x8 matrix, got shape {U.shape}")
+    if n == 8 and opts.convention is not DofConvention.SP:
+        raise ValueError("four-mode compilation supports the SP convention only")
     tol = opts.tolerances
     if not is_unitary(U, tol):
-        raise ValueError(
-            f"compile requires a unitary input (residual {unitarity_residual(U):.3e})"
-        )
+        raise _not_unitary("compile", U)
     els, f = _elements(U, opts.convention, tol, opts.optimize, 0)
-    if dim == 4:
+    if n == 4:
         angles = {"theta1_rad": f"{f.theta1:.17g}", "theta2_rad": f"{f.theta2:.17g}"}
     else:
         angles = {"thetas_rad": ",".join(f"{t:.17g}" for t in f.angles)}
     circuit = OpticalCircuit(
         convention=opts.convention,
-        num_spatial_modes=dim // 2,
+        num_spatial_modes=n // 2,
         elements=tuple(els),
         metadata={
             "source_sha256": hashlib.sha256(dump_matrix(U).encode()).hexdigest(),
@@ -174,15 +175,15 @@ def _compile(U, opts: CompileOptions, dim: int) -> tuple[OpticalCircuit, Verific
 
 
 def compile(U, opts: CompileOptions) -> tuple[OpticalCircuit, VerificationReport]:
-    """Compile a 4x4 unitary to an optical circuit of at most 20 elements."""
-    return _compile(U, opts, 4)
+    """Compile a 4x4 unitary (<= 20 elements) or an 8x8 one in SP (<= 88) to a circuit."""
+    return _compile(U, opts)
 
 
 def compile_m4(U, opts: CompileOptions) -> tuple[OpticalCircuit, VerificationReport]:
-    """Compile an 8x8 unitary on four spatial modes, SP convention only."""
-    if opts.convention is not DofConvention.SP:
-        raise ValueError("four-mode compilation supports the SP convention only")
-    return _compile(U, opts, 8)
+    """compile, for 8x8 input only."""
+    if np.shape(U) != (8, 8):
+        raise ValueError(f"compile_m4 expects 8x8 input, got shape {np.shape(U)}")
+    return _compile(U, opts)
 
 
 _WALK = 0.5 * np.array(

@@ -123,6 +123,11 @@ def is_unitary(M, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     return _residual(M) <= tol.unitarity_tol
 
 
+def _not_unitary(name: str, M) -> ValueError:
+    # what each entry point raises when is_unitary refuses its input
+    return ValueError(f"{name} requires a unitary input (residual {unitarity_residual(M):.3e})")
+
+
 def phase_distance(A, B) -> tuple[float, float]:
     """Max-entry distance between A and B after optimal global phase.
 

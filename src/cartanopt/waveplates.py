@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, _mul2, is_unitary, unitarity_residual
+from .linalg import DEFAULT_TOL, ToleranceConfig, _mul2, _not_unitary, is_unitary
 
 _TWO_PI = 2.0 * math.pi
 # |w| of a single quarter-wave plate's quaternion
@@ -228,9 +228,7 @@ def synthesize_u2(U, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[str, floa
     if U.shape != (2, 2):
         raise ValueError(f"synthesize_u2 expects a 2x2 matrix, got {U.shape}")
     if not is_unitary(U, tol):
-        raise ValueError(
-            f"synthesize_u2 requires a unitary input (residual {unitarity_residual(U):.3e})"
-        )
+        raise _not_unitary("synthesize_u2", U)
     a_tol = tol.angle_tol
     delta, w, x, y, z = _su2(U)
 

@@ -19,8 +19,8 @@ import os
 
 import numpy as np
 
-# numpy keeps the dispatch tables in a private module, so every read of
-# them, and of the OpenBLAS library, is best-effort: a part that cannot be
+# numpy keeps its CPU feature table in a private module, so every read of
+# it, and of the OpenBLAS library, is best-effort: a part that cannot be
 # read is named "unknown", and fingerprint() never raises
 try:
     from numpy._core import _multiarray_umath as _umath
@@ -39,14 +39,13 @@ _CORENAME = (
 )
 
 
-def numpy_targets() -> str:
-    """numpy's dispatch targets that this CPU and NPY_DISABLE_CPU_FEATURES leave on."""
+def x86_v3() -> str:
+    """Whether numpy's X86_V3 loops are on, for this CPU and NPY_DISABLE_CPU_FEATURES."""
     try:
-        features = _umath.__cpu_features__
-        targets = [t for t in _umath.__cpu_dispatch__ if features.get(t)]
-    except (AttributeError, TypeError):
-        return "targets unknown"
-    return " ".join(targets) or "baseline only"
+        on = _umath.__cpu_features__.get("X86_V3")
+    except AttributeError:
+        return "X86_V3 unknown"
+    return "X86_V3 on" if on else "X86_V3 off"
 
 
 def openblas_core() -> str:
@@ -68,7 +67,10 @@ def openblas_core() -> str:
 
 
 def fingerprint() -> str:
-    return f"numpy {np.__version__}, {numpy_targets()}, OpenBLAS {openblas_core()}"
+    """numpy's version, its X86_V3 loops and the OpenBLAS core: the three facts that
+    were seen to move the pinned bytes.  Switching off numpy's X86_V4 and AVX512
+    loops moved none, so they are not named."""
+    return f"numpy {np.__version__}, {x86_v3()}, OpenBLAS {openblas_core()}"
 
 
 def pin_message(recorded: str) -> str:

@@ -17,7 +17,7 @@ from scipy.linalg import block_diag, expm
 
 from cartanopt.cartan import _embed_pair, central_a, central_cs_m4
 from cartanopt.circuit import deserialize, serialize
-from cartanopt.compiler import CompileOptions, builtin_target, compile, compile_m4
+from cartanopt.compiler import CompileOptions, builtin_target, compile
 from cartanopt.dof import DofConvention
 from cartanopt.linalg import ToleranceConfig, haar_random_unitary
 from cartanopt.simulate import simulate
@@ -133,12 +133,11 @@ def _clustered8(draw):
 
 def _check(U, convention):
     n = U.shape[0]
-    compile_fn = compile if n == 4 else compile_m4
     lengths = []
     for optimize in (False, True):
         opts = CompileOptions(convention=convention, optimize=optimize)
-        c, report = compile_fn(U, opts)
-        again, _ = compile_fn(U, opts)
+        c, report = compile(U, opts)
+        again, _ = compile(U, opts)
         text = serialize(c)
         assert report.passed
         assert len(c.elements) <= BUDGET[n]
@@ -221,7 +220,6 @@ def test_every_accepted_tolerance_config_verifies(tol, seed):
     cases += [(_near_local(rng, 4, eps, c), c) for c in ("ps", "sp")]
     cases += [(haar_random_unitary(8, seed), "sp"), (_near_local(rng, 8, eps, "sp"), "sp")]
     for U, convention in cases:
-        compile_fn = compile if U.shape[0] == 4 else compile_m4
         for optimize in (False, True):
             opts = CompileOptions(convention=convention, optimize=optimize, tolerances=tol)
-            assert compile_fn(U, opts)[1].passed
+            assert compile(U, opts)[1].passed

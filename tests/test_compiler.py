@@ -190,10 +190,14 @@ def test_emit_global_phase_is_plain_equality():
 
 
 def test_compile_rejects_bad_input():
-    with pytest.raises(ValueError, match="4x4"):
+    for n in (2, 16):
+        with pytest.raises(ValueError, match="4x4 or 8x8"):
+            compile(np.eye(n, dtype=complex), _opts("sp"))
+    with pytest.raises(ValueError, match="SP convention only"):
         compile(np.eye(8, dtype=complex), _opts("ps"))
-    with pytest.raises(ValueError, match="residual"):
-        compile(np.ones((4, 4), dtype=complex), _opts("ps"))
+    for n in (4, 8):
+        with pytest.raises(ValueError, match="compile requires a unitary input"):
+            compile(np.ones((n, n), dtype=complex), _opts("sp"))
 
 
 def test_m4_counts_and_verification():

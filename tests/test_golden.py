@@ -21,7 +21,9 @@ phase included) distance to the input; it writes nothing and exits 1
 when a moved case got longer or misses plain equality by more than
 PLAIN_TOL.  SIMULATE_SHA256 pins what the design check computes on
 these circuits: simulate's output bytes and verify's distance and phase.
-A re-record prints its current value and the running kernel set.
+STRUCTURE_SHA256 pins what holds on every kernel set tried: each case's
+element kinds and modes, checked together with plain equality to
+PLAIN_TOL.  A re-record prints both digests and the running kernel set.
 """
 
 import hashlib
@@ -33,7 +35,7 @@ import numpy as np
 import pytest
 
 from cartanopt.circuit import serialize
-from cartanopt.compiler import CompileOptions, builtin_target, compile as compile4, compile_m4
+from cartanopt.compiler import CompileOptions, builtin_target, compile, compile_m4
 from cartanopt.linalg import dump_matrix, haar_random_unitary
 from cartanopt.simulate import simulate, verify
 from kernels import fingerprint, pin_message
@@ -49,7 +51,12 @@ PLAIN_TOL = 1e-12
 # simulator and the phase-aware distance to the bit
 SIMULATE_SHA256 = "3d4fcb0fbaa43718ddf44da5f35b6dcdb4772772a23183cc39650f80ba0a0484"
 # the kernel set the corpus and SIMULATE_SHA256 were recorded on
-RECORDED_KERNELS = "numpy 2.4.6, X86_V3 X86_V4 AVX512_ICL AVX512_SPR, OpenBLAS SkylakeX"
+RECORDED_KERNELS = "numpy 2.4.6, X86_V3 on, OpenBLAS SkylakeX"
+# SHA-256 over the element kinds and modes of the compiled circuits of the
+# corpus in order, with no angle: the same under the default kernels,
+# OPENBLAS_CORETYPE=Haswell, Nehalem, SandyBridge and Zen, and with numpy's
+# X86_V3 and X86_V4 loops off
+STRUCTURE_SHA256 = "90919c9983598a4c9ceb2237f369219da0b22d1815bd46d3099131619638a27f"
 
 
 def _path_block(g1, g2, convention):
@@ -92,9 +99,7 @@ def _cases():
 
 
 def _compile(U, convention, optimize):
-    opts = CompileOptions(convention=convention, optimize=optimize)
-    entry = compile_m4 if U.shape == (8, 8) else compile4
-    return entry(U, opts)
+    return compile(U, CompileOptions(convention=convention, optimize=optimize))
 
 
 def _compile_json(U, convention, optimize):
@@ -104,6 +109,7 @@ def _compile_json(U, convention, optimize):
 
 
 CASES = _cases()
+CASES8 = [c for c in CASES if len(c[1]) == 8]
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +140,28 @@ def test_compiled_circuits_simulate_and_verify_to_the_same_bits():
     assert _simulate_sha256() == SIMULATE_SHA256, pin_message(RECORDED_KERNELS)
 
 
+def _structure_sha256(circuits) -> str:
+    h = hashlib.sha256()
+    for c in circuits:
+        h.update(" ".join(f"{e.kind}{list(e.modes)}" for e in c.elements).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_structure_and_plain_equality_hold_on_every_kernel_set():
+    circuits = []
+    for name, U, conv, opt in CASES:
+        circuit, _ = _compile(U, conv, opt)
+        assert np.abs(simulate(circuit) - U).max() <= PLAIN_TOL, name
+        circuits.append(circuit)
+    assert _structure_sha256(circuits) == STRUCTURE_SHA256
+
+
+@pytest.mark.parametrize("name,U,convention,optimize", CASES8, ids=[c[0] for c in CASES8])
+def test_compile_m4_equals_compile_on_8x8(name, U, convention, optimize):
+    opts = CompileOptions(convention=convention, optimize=optimize)
+    assert serialize(compile_m4(U, opts)[0]) == _compile_json(U, convention, optimize)
+
+
 def test_local_cases_skip_the_central_layer(golden):
     for name in ("diag_phase_ps", "diag_phase_sp", "block_perm_ps", "block_perm_sp"):
         kinds = {e["kind"] for e in json.loads(golden[name])["elements"]}
@@ -143,9 +171,10 @@ def test_local_cases_skip_the_central_layer(golden):
 def _rerecord() -> int:
     """Write the corpus anew unless a moved case grew or lost plain equality."""
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    corpus, refused = {}, []
+    corpus, circuits, refused = {}, [], []
     for name, U, conv, opt in CASES:
         circuit, _ = _compile(U, conv, opt)
+        circuits.append(circuit)
         corpus[name] = text = serialize(circuit)
         if old.get(name) == text:
             continue
@@ -162,6 +191,7 @@ def _rerecord() -> int:
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(corpus, indent=1) + "\n", encoding="utf-8")
     print(f"SIMULATE_SHA256 = {_simulate_sha256()!r}")
+    print(f"STRUCTURE_SHA256 = {_structure_sha256(circuits)!r}")
     print(f"RECORDED_KERNELS = {fingerprint()!r}")
     return 0
 

@@ -66,7 +66,7 @@ MAY_GROW = {
 # the plate matrices and the simulator to the bit, signed zeros included
 SIMULATE_SHA256 = "dfeb76ac4b2e38e3c01211b82e238b13fe175980abb5fdb382e2d7de3516cc75"
 # the kernel set the corpus and SIMULATE_SHA256 were recorded on
-RECORDED_KERNELS = "numpy 2.4.6, X86_V3 X86_V4 AVX512_ICL AVX512_SPR, OpenBLAS SkylakeX"
+RECORDED_KERNELS = "numpy 2.4.6, X86_V3 on, OpenBLAS SkylakeX"
 
 
 def _angle(rng) -> float:
