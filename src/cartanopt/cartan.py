@@ -38,6 +38,8 @@ _PS_TO_BLOCK = PS_TO_SP_IX[2]
 _SP_TO_BLOCK = np.ix_([0, 1, 3, 2], [0, 1, 3, 2])
 
 _D = np.diag([-1.0 + 0j, 1.0])
+# left factor of the SP right fold ((D . SX) . W2) . SX, formed once
+_D_SX = _D.dot(SX)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -170,7 +172,7 @@ def decompose(U, convention, tol: ToleranceConfig = DEFAULT_TOL) -> CartanFactor
         right = (W1, -1j * W2)
     else:
         left = (V1, SX.dot(V2).dot(SX).dot(_D))
-        right = (W1, _D.dot(SX).dot(W2).dot(SX))
+        right = (W1, _D_SX.dot(W2).dot(SX))
     return CartanFactors(
         convention=conv,
         left_gates=left,

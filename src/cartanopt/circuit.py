@@ -279,7 +279,10 @@ def _rewrite_resynthesize_run(
     # shrinks would shorten the whole run too.  With screen_runs a run
     # reaches the exact path only when _may_shrink cannot rule a shorter
     # chain out.  shortest holds the (kind, angle) sequences of the runs
-    # found not to shrink, so a rescan skips them.
+    # found not to shrink, so a rescan skips them.  A rewritten run is not
+    # added: a chain that synthesize_u2 emits can resynthesize shorter at
+    # the angle_tol edges of its forms, and skipping that rescan changes
+    # the optimizer's output bytes.
     runs, open_runs = [], {}
     for i, e in enumerate(elems):
         if e.kind == "pbs":

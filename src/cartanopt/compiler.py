@@ -38,7 +38,7 @@ from .linalg import (
     is_unitary,
 )
 from .simulate import VerificationReport, verify
-from .waveplates import _chain_params, _full_chain, synthesize_u2
+from .waveplates import _chain_params, _full_chain, _su2, synthesize_u2
 
 # Element counts of the hand-drawn reference circuits for the built-in
 # targets, keyed by (target name, convention tag).  Informational only:
@@ -123,7 +123,7 @@ def _elements(
                 els += chain_elements(synthesize_u2(g, tol), m)
             else:
                 # every plate, even at angle zero: only the optimizer elides
-                els += chain_elements(_full_chain(*_chain_params(g)), m)
+                els += chain_elements(_full_chain(*_chain_params(*_su2(g))), m)
         return els
 
     if local:

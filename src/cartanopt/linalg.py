@@ -10,6 +10,7 @@ and QR, run on Python scalars for 2+2 blocks, with a fixed gauge.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -103,11 +104,19 @@ def _as_square(M) -> np.ndarray:
 # allocation, formatting) moves out of it.
 
 
+@functools.lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    # read-only, so no caller can change the cached copy
+    eye = np.eye(n, dtype=complex)
+    eye.flags.writeable = False
+    return eye
+
+
 def _residual(M: np.ndarray) -> float:
     G = M.conj().T.dot(M)
-    # G is a fresh C-contiguous product, so ravel is a view and its
-    # diagonal a basic slice of it
-    G.ravel()[:: M.shape[0] + 1] -= 1.0
+    # subtracting an exact 0 leaves every off-diagonal entry's bits as
+    # they are, so this is the diagonal subtraction in one ufunc call
+    G -= _identity(M.shape[0])
     return float(np.abs(G).max())
 
 

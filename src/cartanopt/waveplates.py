@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, _mul2, _not_unitary, is_unitary
+from .linalg import DEFAULT_TOL, ToleranceConfig, _identity, _mul2, _not_unitary, is_unitary
 
 _TWO_PI = 2.0 * math.pi
 # |w| of a single quarter-wave plate's quaternion
@@ -76,14 +76,17 @@ PLATE_MATRIX = {"ps": ps_matrix, "hwp": hwp_matrix, "qwp": qwp_matrix}
 def _plate_stack(plates) -> np.ndarray:
     """The 2x2 matrices of (kind, angle) plates as one (n, 2, 2) array.
 
-    Entry for entry PLATE_MATRIX[kind](angle), built in one np.array call.
+    Entry for entry PLATE_MATRIX[kind](angle), built in one np.array call
+    from one flat list of entries, which numpy reads faster than a list of
+    4-tuples whose nesting it must discover.
     """
-    entries = [_plate_entries(kind, angle) for kind, angle in plates]
-    return np.array(entries, dtype=complex).reshape(-1, 2, 2)
+    flat = []
+    for kind, angle in plates:
+        flat += _plate_entries(kind, angle)
+    return np.array(flat, dtype=complex).reshape(-1, 2, 2)
 
 
-_I2 = np.eye(2, dtype=complex)
-_I2.flags.writeable = False
+_I2 = _identity(2)
 
 
 def chain_matrix(plates) -> np.ndarray:
@@ -124,10 +127,14 @@ def _su2(U: np.ndarray) -> tuple[float, float, float, float, float]:
     return delta, va.real, vb.imag, vb.real, va.imag
 
 
-def _chain_params(U: np.ndarray) -> tuple[float, float, float, float]:
-    """Full four-plate parameterization of a 2x2 unitary.
+def _chain_params(
+    delta: float, w: float, x: float, y: float, z: float
+) -> tuple[float, float, float, float]:
+    """Full four-plate parameterization of the 2x2 unitary whose _su2 split is given.
 
-    Returns (delta, q_first, h, q_last) with
+    Takes (delta, w, x, y, z) as _su2(U) returns it, so a caller that
+    already holds the split does not compute it again, and returns
+    (delta, q_first, h, q_last) with
 
         U = e^{i delta} . Q(q_last) . H(h) . Q(q_first)
 
@@ -136,7 +143,6 @@ def _chain_params(U: np.ndarray) -> tuple[float, float, float, float]:
     intermediate arctangents ill-conditioned in a direction the
     reconstruction does not depend on.
     """
-    delta, w, x, y, z = _su2(U)
     # hypot(x, z) rather than sqrt(1 - r*r): the latter loses half the
     # significant digits whenever the gate is close to a pure y-rotation.
     r = math.hypot(w, y)
@@ -274,7 +280,7 @@ def synthesize_u2(U, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[str, floa
                 break
     if pair is not None and len(pair) < 3 + (_elide_phase(delta, p_tol) is not None):
         return pair
-    (_, phase), *plates = _full_chain(*_chain_params(U))
+    (_, phase), *plates = _full_chain(*_chain_params(delta, w, x, y, z))
     return _phase_then(phase, p_tol, *plates)
 
 

@@ -250,12 +250,12 @@ def test_optimize_merges_rotation_to_half_wave_pair():
     # a real rotation takes three plates in QWP-HWP-QWP form but only
     # two half-wave plates
     from cartanopt.circuit import chain_elements
-    from cartanopt.waveplates import _chain_params, _full_chain
+    from cartanopt.waveplates import _chain_params, _full_chain, _su2
 
     rot = np.array(
         [[np.cos(0.6), -np.sin(0.6)], [np.sin(0.6), np.cos(0.6)]], dtype=complex
     )
-    run = chain_elements(_full_chain(*_chain_params(rot))[1:], 0)
+    run = chain_elements(_full_chain(*_chain_params(*_su2(rot)))[1:], 0)
     assert len(run) == 3
     before = _circ(run)
     after = optimize(before)

@@ -100,12 +100,13 @@ def _old_residual(M):
     return float(np.abs(G).max())
 
 
-@pytest.mark.parametrize("dim", [2, 4, 8])
+@pytest.mark.parametrize("dim", [2, 4, 8, 1, 3, 16])
 def test_residual_keeps_the_bits_of_the_flat_version(dim):
     # unitaries from a stacked QR, half of them moved off unitarity, some
-    # read through a transposed or reversed view
+    # read through a transposed or reversed view; the pipeline's sizes and
+    # others, which take their identity from the same cache
     rng = np.random.default_rng([21, dim])
-    n = 7_000  # 21 000 matrices over the three sizes
+    n = 7_000  # matrices per size
     shape = (n, dim, dim)
     Q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     eps = 10.0 ** rng.integers(-16, 0, n)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cartanopt import waveplates
 from cartanopt.linalg import DEFAULT_TOL, ToleranceConfig, haar_random_unitary
 from cartanopt.waveplates import (
     PLATE_MATRIX,
@@ -215,6 +216,34 @@ def test_synthesize_rejects_non_unitary():
         synthesize_u2(np.ones((2, 2), dtype=complex))
     with pytest.raises(ValueError, match="2x2"):
         synthesize_u2(np.eye(3, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "plates, form",
+    [
+        ([], []),
+        ([("ps", 0.7)], []),
+        ([("hwp", 0.3)], ["hwp"]),
+        ([("qwp", 0.4)], ["qwp"]),
+        ([("hwp", 0.0), ("hwp", 0.9)], ["hwp", "hwp"]),
+        ([("qwp", 0.2), ("hwp", 0.9)], ["qwp", "hwp"]),
+        ([("qwp", 0.2), ("qwp", 0.9)], ["qwp", "qwp"]),
+        ([("ps", 0.5), ("qwp", 0.2), ("hwp", 0.9), ("qwp", 1.4)], ["qwp", "hwp", "qwp"]),
+    ],
+    ids=["identity", "phase", "hwp", "qwp", "hwp-hwp", "qwp-hwp", "qwp-qwp", "full"],
+)
+def test_synthesize_splits_once(monkeypatch, plates, form):
+    # every form, the full chain included, reads the one _su2 split of U
+    calls = []
+
+    def counted(U):
+        calls.append(U)
+        return _su2(U)
+
+    monkeypatch.setattr(waveplates, "_su2", counted)
+    chain = synthesize_u2(chain_matrix(plates))
+    assert [k for k, _ in chain if k != "ps"] == form
+    assert len(calls) == 1
 
 
 def _quaternion_matrix(q) -> np.ndarray:
