@@ -7,15 +7,14 @@ bound and the table disagreed, a run the table shortens could survive
 to the output.  At optimize's fixpoint
 every maximal same-mode run (a PBS on the mode ends one, elements on
 other modes do not) must therefore be at least as long as the table's
-chain for its product: on the optimizer corpus at its three tolerances
-and on optimized structured dim-4 compiles.
+chain for its product: on the optimizer corpus and on optimized
+structured dim-4 compiles.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from cartanopt.circuit import hwp, pbs, ps, qwp
 from cartanopt.compiler import CompileOptions, compile
-from cartanopt.linalg import DEFAULT_TOL
 from cartanopt.waveplates import chain_matrix, synthesize_u2
 from test_compile_properties import _clustered4, _targets
 from test_optimize_corpus import _outputs
@@ -37,9 +36,9 @@ def _maximal_runs(elements) -> list:
     return runs
 
 
-def _assert_no_run_shrinks(circuit, tol):
+def _assert_no_run_shrinks(circuit):
     for run in _maximal_runs(circuit.elements):
-        chain = synthesize_u2(chain_matrix(run), tol)
+        chain = synthesize_u2(chain_matrix(run))
         assert len(chain) >= len(run), (run, chain)
 
 
@@ -51,8 +50,8 @@ def test_runs_example():
 
 
 def test_optimize_corpus_leaves_no_shorter_run():
-    for _, _, out, tol in _outputs():
-        _assert_no_run_shrinks(out, tol)
+    for _, _, out in _outputs():
+        _assert_no_run_shrinks(out)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -64,4 +63,4 @@ def test_structured_compiles_leave_no_shorter_run(target):
     U, convention = target
     circuit, report = compile(U, CompileOptions(convention=convention, optimize=True))
     assert report.passed
-    _assert_no_run_shrinks(circuit, DEFAULT_TOL)
+    _assert_no_run_shrinks(circuit)

@@ -234,8 +234,9 @@ def test_tolerance_flag_keeps_the_config_it_built_before():
     K = linalg._K
     for t in np.geomspace(K * 1e-12, 10.0, 60):
         t = float(t)
-        old = linalg.ToleranceConfig(min(1e-10, t), t, min(1e-12, t))
-        assert cli._tolerances(argparse.Namespace(tolerance=t)) == old
+        tol = cli._tolerances(argparse.Namespace(tolerance=t))
+        old = (min(1e-10, t), t, min(1e-12, t))
+        assert (tol.unitarity_tol, tol.equivalence_tol, tol.angle_tol) == old
     # below that only angle_tol moves, and only down, to T / K
     for t in (1e-13, 3e-12, 1e-11, 1.9e-10):
         tol = cli._tolerances(argparse.Namespace(tolerance=t))

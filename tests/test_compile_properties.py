@@ -184,21 +184,14 @@ def _tolerance_configs(draw):
     decompose re-checks each CSD block and synthesize_u2 each 2x2 gate
     against unitarity_tol.  unitarity_tol >= 1e-13 keeps out the rounding
     of plate products (about 1e-15), which has its own strict pin.
-    8 angle_tol^2 <= unitarity_tol keeps out the blocks that the CSD
-    short-cut reads off: it drops entries of up to angle_tol, so they miss
-    unitarity by up to 6 angle_tol^2 (CHANGES.md FOUND).
     """
     kwargs = {"equivalence_tol": draw(_decades(-13, 0))}
     if draw(st.booleans()):
         kwargs["unitarity_tol"] = draw(_decades(-13, -6))
-    if draw(st.booleans()):
-        kwargs["angle_tol"] = draw(_decades(-16, -3))
     try:
-        tol = ToleranceConfig(**kwargs)
+        return ToleranceConfig(**kwargs)
     except ValueError:
         assume(False)
-    assume(8 * tol.angle_tol**2 <= tol.unitarity_tol)
-    return tol
 
 
 def _near_local(rng, n: int, eps: float, convention: str) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Tolerances, phase-aware distance, the cosine-sine split, and matrix I/O."""
 
+import dataclasses
 import json
 import math
 
@@ -35,7 +36,7 @@ def test_default_tolerances():
     assert DEFAULT_TOL.angle_tol == 1e-12
 
 
-@pytest.mark.parametrize("field", ["unitarity_tol", "equivalence_tol", "angle_tol"])
+@pytest.mark.parametrize("field", ["unitarity_tol", "equivalence_tol"])
 def test_tolerance_rejects_nonpositive(field):
     with pytest.raises(ValueError):
         ToleranceConfig(**{field: 0.0})
@@ -48,26 +49,35 @@ def test_tolerance_rejects_nonpositive(field):
 
 
 def test_tolerances_derive_from_equivalence_tol():
-    # unitarity_tol and angle_tol, when not given, follow equivalence_tol down
-    assert ToleranceConfig(equivalence_tol=1e-6) == ToleranceConfig(1e-10, 1e-6, 1e-12)
-    tight = ToleranceConfig(equivalence_tol=1e-13)
-    assert (tight.unitarity_tol, tight.angle_tol) == (1e-13, 1e-13 / _K)
-    # given values are kept
-    given = ToleranceConfig(unitarity_tol=1e-12, angle_tol=1e-14)
-    assert given == ToleranceConfig(1e-12, 1e-9, 1e-14)
+    # unitarity_tol, when not given, and angle_tol, always, follow
+    # equivalence_tol down; angle_tol never exceeds equivalence_tol / K,
+    # the bound of the elision budget angle_tol * K <= equivalence_tol
+    for t in np.geomspace(1e-13, 10.0, 200):
+        t = float(t)
+        tol = ToleranceConfig(equivalence_tol=t)
+        assert (tol.unitarity_tol, tol.equivalence_tol) == (min(1e-10, t), t)
+        assert tol.angle_tol == min(1e-12, t / _K)
+        assert tol.angle_tol <= t / _K
+    settable = [f.name for f in dataclasses.fields(ToleranceConfig) if f.init]
+    assert settable == ["unitarity_tol", "equivalence_tol"]
+    # a given unitarity_tol is kept and moves nothing else
+    given = ToleranceConfig(unitarity_tol=1e-12)
+    assert given == ToleranceConfig(1e-12, 1e-9)
+    assert given.angle_tol == DEFAULT_TOL.angle_tol
 
 
 def test_tolerance_rejects_an_inconsistent_config():
     with pytest.raises(ValueError, match="unitarity_tol"):
         ToleranceConfig(unitarity_tol=1e-8)
-    # compile(optimize=True) failed its own verification under this config
-    # (dim-4 Haar seeds 42 and 120): angle_tol * K exceeds equivalence_tol
-    with pytest.raises(ValueError, match="angle_tol"):
+    # angle_tol is derived, so no config can break its budget: the configs
+    # that failed compile's own verification (1e-6, 1e-6, 1e-3) or raised
+    # in it on near-local inputs (1e-10, 1.0, 1e-3) cannot be built
+    with pytest.raises(TypeError, match="angle_tol"):
         ToleranceConfig(unitarity_tol=1e-6, equivalence_tol=1e-6, angle_tol=1e-3)
-    edge = 2e-4 / _K
-    assert ToleranceConfig(equivalence_tol=2e-4, angle_tol=edge).angle_tol == edge
-    with pytest.raises(ValueError, match="angle_tol"):
-        ToleranceConfig(equivalence_tol=2e-4, angle_tol=math.nextafter(edge, 1.0))
+    with pytest.raises(TypeError, match="angle_tol"):
+        ToleranceConfig(unitarity_tol=1e-10, equivalence_tol=1.0, angle_tol=1e-3)
+    with pytest.raises(TypeError):
+        ToleranceConfig(1e-10, 1.0, 1e-3)
 
 
 def test_is_unitary_identity_and_walk():
@@ -332,8 +342,12 @@ def test_haar_unitary(dim):
 
 
 def test_haar_rejects_unsupported_dim():
-    with pytest.raises(ValueError):
-        haar_random_unitary(3, seed=0)
+    # a float size equal to a supported one is refused as well, with the
+    # same error, not numpy's TypeError; numpy integers are sizes
+    for dim in (3, 4.0, np.float64(8.0)):
+        with pytest.raises(ValueError, match="dim"):
+            haar_random_unitary(dim, seed=0)
+    assert haar_random_unitary(np.int64(4), seed=0).shape == (4, 4)
 
 
 def test_matrix_json_round_trip():

@@ -4,14 +4,13 @@ verify and the benchmark's reference check compare circuits only up to a
 global phase, so a sweep that lost the phase it carries to the end of
 the circuit would pass both.  These properties compare simulate's
 matrices entry by entry instead, on hand-built circuits rich in PBSs and
-phase shifters (2 and 4 modes, both conventions, the optimizer corpus's
-three tolerance settings) and on the unoptimized compiles of Haar,
-walk/QFT and signed-permutation inputs.  optimize must never lengthen a
-circuit, must be idempotent, and at the default tolerance must keep the
-simulated matrix to 1e-12, global phase included.  A hand-built circuit
-may also hold phases within angle_tol of zero, which the optimizer drops
-as identities: one per input PS, and the sweep one per PBS and one per
-mode, each moving the matrix by at most angle_tol.
+phase shifters (2 and 4 modes, both conventions) and on the unoptimized
+compiles of Haar, walk/QFT and signed-permutation inputs.  optimize must
+never lengthen a circuit, must be idempotent, and must keep the simulated
+matrix to 1e-12, global phase included.  A hand-built circuit may also
+hold phases within angle_tol of zero, which the optimizer drops as
+identities: one per input PS, and the sweep one per PBS and one per mode,
+each moving the matrix by at most angle_tol.
 """
 
 import math
@@ -31,7 +30,7 @@ from cartanopt.circuit import (
 from cartanopt.compiler import CompileOptions, builtin_target, compile, compile_m4
 from cartanopt.linalg import DEFAULT_TOL, haar_random_unitary
 from cartanopt.simulate import simulate
-from test_optimize_corpus import OFFSETS, TOLERANCES
+from test_optimize_corpus import OFFSETS
 
 DRIFT = 1e-12
 
@@ -85,16 +84,15 @@ def _compiled(draw):
     return compile(U, CompileOptions(convention=convention))[0]
 
 
-def _check(circuit, tol, drift=DRIFT):
-    once = optimize(circuit, tol)
+def _check(circuit, drift=DRIFT):
+    once = optimize(circuit)
     assert len(once.elements) <= len(circuit.elements)
-    assert optimize(once, tol) == once
+    assert optimize(once) == once
     # optimize sweeps again only after another rule fired: a sweep's
     # output must sweep to itself
-    swept = _sweep_phases(list(circuit.elements), tol.angle_tol)
-    assert _sweep_phases(swept, tol.angle_tol) == swept
-    if tol is DEFAULT_TOL:
-        assert np.abs(simulate(once) - simulate(circuit)).max() <= drift
+    swept = _sweep_phases(list(circuit.elements), DEFAULT_TOL.angle_tol)
+    assert _sweep_phases(swept, DEFAULT_TOL.angle_tol) == swept
+    assert np.abs(simulate(once) - simulate(circuit)).max() <= drift
 
 
 def _droppable(circuit) -> int:
@@ -103,16 +101,15 @@ def _droppable(circuit) -> int:
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(_hand_built(), st.sampled_from(sorted(TOLERANCES)))
-def test_sweep_on_hand_built_circuits(circuit, tag):
-    tol = TOLERANCES[tag]
-    _check(circuit, tol, DRIFT + _droppable(circuit) * tol.angle_tol)
+@given(_hand_built())
+def test_sweep_on_hand_built_circuits(circuit):
+    _check(circuit, DRIFT + _droppable(circuit) * DEFAULT_TOL.angle_tol)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_compiled())
 def test_sweep_on_compiled_circuits(circuit):
-    _check(circuit, DEFAULT_TOL)
+    _check(circuit)
 
 
 def test_sweep_leaves_three_phase_shifters_at_dim4():

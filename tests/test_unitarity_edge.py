@@ -26,7 +26,7 @@ TOLERANCES = (
     DEFAULT_TOL,
     # a non-unitary input is about its residual away from every circuit,
     # so equivalence_tol must leave room above unitarity_tol
-    ToleranceConfig(unitarity_tol=1e-7, equivalence_tol=1e-6, angle_tol=1e-9),
+    ToleranceConfig(unitarity_tol=1e-7, equivalence_tol=1e-6),
 )
 BELOW, ABOVE = 0.9, 1.1
 SEEDS = range(6)
