@@ -282,22 +282,25 @@ def _rewrite_resynthesize_run(
     # found not to shrink, so a rescan skips them.  A rewritten run is not
     # added: a chain that synthesize_u2 emits can resynthesize shorter at
     # the angle_tol edges of its forms, and skipping that rescan changes
-    # the optimizer's output bytes.
+    # the optimizer's output bytes.  Each run is its element indices and
+    # its (kind, angle) sequence, gathered in the one scan.
     runs, open_runs = [], {}
     for i, e in enumerate(elems):
         if e.kind == "pbs":
             for m in e.modes:
                 open_runs.pop(m, None)
             continue
-        run = open_runs.get(e.modes[0])
+        m = e.modes[0]
+        run = open_runs.get(m)
         if run is None:
-            run = open_runs[e.modes[0]] = []
+            run = open_runs[m] = ([], [])
             runs.append(run)
-        run.append(i)
-    for run in runs:
+        run[0].append(i)
+        run[1].append((e.kind, e.angle_rad))
+    for run, pairs in runs:
         if len(run) < 2:
             continue
-        key = tuple((elems[j].kind, elems[j].angle_rad) for j in run)
+        key = tuple(pairs)
         if key in shortest or (screen_runs and not _may_shrink(key, tol.angle_tol)):
             continue
         plates = synthesize_u2(chain_matrix(key), tol)
@@ -381,12 +384,16 @@ def optimize(circuit: OpticalCircuit, tol: ToleranceConfig = DEFAULT_TOL) -> Opt
     # since the last sweep (a sweep's output sweeps to itself).  The first
     # pass is unscreened only because on haar8_opt it alone reaches the
     # synthesize_u2, is_unitary and _chain_params calls that the benchmark
-    # tracer's SITES pins; screening it waits on ROADMAP item 6.
+    # tracer's SITES pins; screening it waits on ROADMAP item 6.  The pass
+    # right after a kept sweep starts at resynthesis: the sweep leaves no
+    # PS within angle_tol of zero and at most one PS per run between PBSs
+    # on its mode, so neither phase rule can fire on its output.
     shortest, screen, sweep = set(), False, True
     while True:
         if (
-            _rewrite_drop_zero_ps(elems, tol.angle_tol)
-            or _rewrite_merge_ps(elems)
+            (sweep and (
+                _rewrite_drop_zero_ps(elems, tol.angle_tol) or _rewrite_merge_ps(elems)
+            ))
             or _rewrite_resynthesize_run(elems, tol, shortest, screen)
             or _rewrite_cancel_pbs(elems)
         ):
@@ -396,7 +403,7 @@ def optimize(circuit: OpticalCircuit, tol: ToleranceConfig = DEFAULT_TOL) -> Opt
             break
         # a moved phase can make a run shorter to resynthesize, so the
         # rules run again; the sweep changed only the runs' phases, and
-        # most runs clear the closed-form test
+        # most runs clear the quaternion screen
         swept = _sweep_phases(elems, tol.angle_tol)
         if len(swept) >= len(elems):
             break

@@ -58,7 +58,9 @@ class CompileOptions:
     optimize runs the peephole pass on the compiled circuit and lets a
     CSD level whose central angles all vanish skip its central layer.
     The verification report is always computed; whether a failed one is
-    an error is the caller's decision.
+    an error is the caller's decision.  optimize must be a bool (Python
+    or numpy) and tolerances a ToleranceConfig; anything else, such as
+    the string "no" or a bare float, is a ValueError.
     """
 
     convention: object
@@ -67,6 +69,10 @@ class CompileOptions:
 
     def __post_init__(self):
         object.__setattr__(self, "convention", DofConvention(self.convention))
+        if not isinstance(self.optimize, (bool, np.bool_)):
+            raise ValueError(f"optimize must be a bool, got {self.optimize!r}")
+        if not isinstance(self.tolerances, ToleranceConfig):
+            raise ValueError(f"tolerances must be a ToleranceConfig, got {self.tolerances!r}")
 
 
 # Fixed unit gates completing the central-layer identity, folded into

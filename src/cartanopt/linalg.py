@@ -325,10 +325,14 @@ def haar_random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary, deterministic per seed.
 
     QR orthonormalization of a seeded complex Gaussian matrix with the
-    R diagonal's phases folded back into Q.
+    R diagonal's phases folded back into Q.  The seed is an int or a
+    numpy integer: None would draw fresh entropy, and a bool or a float
+    is not a seed.
     """
     if not isinstance(dim, (int, np.integer)) or dim not in (2, 4, 8):
         raise ValueError(f"dim must be 2, 4, or 8, got {dim}")
+    if type(seed) is bool or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     q, r = np.linalg.qr(z / math.sqrt(2.0))

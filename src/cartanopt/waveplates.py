@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, _identity, _mul2, _not_unitary, is_unitary
+from .linalg import DEFAULT_TOL, ToleranceConfig, _identity, _not_unitary, is_unitary
 
 _TWO_PI = 2.0 * math.pi
 # |w| of a single quarter-wave plate's quaternion
@@ -312,34 +312,65 @@ def _largest_entry(w: float, x: float, y: float, z: float) -> float:
     return max(math.hypot(w, z), math.hypot(x, y))
 
 
+def _fold_su2(plates) -> tuple[float, float, float, float, float]:
+    """(delta, w, x, y, z) of a run's product, folded as unit quaternions.
+
+    Each QWP and HWP lies in SU(2), so its quaternion reads off
+    _plate_entries as (Re a, Im b, Re b, Im a), and Re b is zero for
+    both: a plate's quaternion has no y part.  The fold composes each
+    new plate P = p_w + i p.sigma on the left:
+
+        w' = p_w w - p.u,   u' = p_w u + w p - p x u.
+
+    The PS angles add to one phase.  Up to rounding, delta =
+    remainder(phase, pi) is _su2's determinant phase modulo pi and the
+    quaternion is _su2's up to sign: the multiple of pi that remainder
+    drops moves into the quaternion's sign, which no gap and no entry
+    modulus can tell.
+    """
+    phase, w, x, y, z = 0.0, 1.0, 0.0, 0.0, 0.0
+    for kind, angle in plates:
+        if kind == "ps":
+            phase += angle
+            continue
+        a, b, _, _ = _plate_entries(kind, angle)
+        pw, px, pz = a.real, b.imag, a.imag
+        w, x, y, z = (
+            pw * w - px * x - pz * z,
+            pw * x + w * px + pz * y,
+            pw * y + px * z - pz * x,
+            pw * z + w * pz - px * y,
+        )
+    return math.remainder(phase, math.pi), w, x, y, z
+
+
 def _may_shrink(plates, a_tol: float) -> bool:
     """Whether a run of plates may have an exact chain shorter than itself.
 
     The exact chain is synthesize_u2 of the product.  False only when
     that chain surely has at least len(plates) elements: the fewest
     plates of a form within reach (three if none is), plus one when the
-    determinant phase surely keeps its PS.  Both read synthesize_u2's own
-    tests with each threshold widened to angle_tol + _BOUND_MARGIN, so a
-    product near a threshold reads True and goes to the exact path.  A
-    form that moves the quaternion's sign into the PS can keep a PS of pi
-    that this count leaves out, which only lets more runs through.  A run
-    of five or more plates always shrinks and reads True.
+    determinant phase surely keeps its PS.  The product's split comes
+    from _fold_su2, within rounding of _su2(chain_matrix(plates)) up to
+    the quaternion's sign, which the gaps and _largest_entry ignore.
+    Both read synthesize_u2's own tests with each threshold widened to
+    angle_tol + _BOUND_MARGIN, so a product near a threshold reads True
+    and goes to the exact path.  A form that moves the quaternion's sign
+    into the PS can keep a PS of pi that this count leaves out, which
+    only lets more runs through.  A run of five or more plates always
+    shrinks and reads True.
     """
     n = len(plates)
     if n > 4:
         return True
     bound = a_tol + _BOUND_MARGIN
-    a, b, c, d = 1 + 0j, 0j, 0j, 1 + 0j
-    for plate in plates:
-        a, b, c, d = _mul2(_plate_entries(*plate), (a, b, c, d))
-    det = a * d - b * c
-    delta = math.atan2(det.imag, det.real) / 2.0
-    e = cmath.exp(-1j * delta)
-    va, vb = a * e, b * e
-    w, x, y, z = va.real, vb.imag, vb.real, va.imag
+    delta, w, x, y, z = _fold_su2(plates)
     # _FORM_PLATES ascends, so the first form within reach has the fewest
-    gaps = _branch_gaps(w, x, y, z)
-    fewest = next((k for k, gap in zip(_FORM_PLATES, gaps) if gap <= bound), 3)
+    fewest = 3
+    for k, gap in zip(_FORM_PLATES, _branch_gaps(w, x, y, z)):
+        if gap <= bound:
+            fewest = k
+            break
     # fewest plates behind the PS tie with n elements unless the PS goes
     return fewest < n - 1 or (
         fewest == n - 1 and abs(delta) * _largest_entry(w, x, y, z) <= bound

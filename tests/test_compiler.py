@@ -200,6 +200,21 @@ def test_compile_rejects_bad_input():
             compile(np.ones((n, n), dtype=complex), _opts("sp"))
 
 
+@pytest.mark.parametrize(
+    "field,value", [("optimize", "no"), ("optimize", 1), ("optimize", None), ("tolerances", 1e-9)]
+)
+def test_compile_options_reject_bad_values(field, value):
+    # "no" would switch the optimizer on and a float would fail deep in the
+    # compile; both are refused where the options are built
+    with pytest.raises(ValueError, match=field):
+        CompileOptions(convention="sp", **{field: value})
+
+
+def test_compile_options_take_numpy_bools():
+    circuit, _ = compile(WALK, _opts("sp", optimize=np.bool_(True)))
+    assert circuit == compile(WALK, _opts("sp", optimize=True))[0]
+
+
 def test_m4_counts_and_verification():
     for seed in range(50):
         U = haar_random_unitary(8, seed=seed)

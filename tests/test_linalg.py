@@ -326,7 +326,7 @@ def test_csd_equal_angles_at_the_split(half):
 
 def test_haar_deterministic_per_seed():
     A = haar_random_unitary(4, seed=7)
-    B = haar_random_unitary(4, seed=7)
+    B = haar_random_unitary(4, seed=np.int64(7))
     assert A.tobytes() == B.tobytes()
 
 
@@ -348,6 +348,14 @@ def test_haar_rejects_unsupported_dim():
         with pytest.raises(ValueError, match="dim"):
             haar_random_unitary(dim, seed=0)
     assert haar_random_unitary(np.int64(4), seed=0).shape == (4, 4)
+
+
+@pytest.mark.parametrize("seed", [True, np.bool_(False), None, 1.0, np.float64(2.0), "1"])
+def test_haar_rejects_a_seed_that_is_not_an_integer(seed):
+    # None would draw a fresh matrix on each call and True would read as
+    # seed 1
+    with pytest.raises(ValueError, match="seed"):
+        haar_random_unitary(4, seed)
 
 
 def test_matrix_json_round_trip():

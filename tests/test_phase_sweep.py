@@ -7,7 +7,8 @@ matrices entry by entry instead, on hand-built circuits rich in PBSs and
 phase shifters (2 and 4 modes, both conventions) and on the unoptimized
 compiles of Haar, walk/QFT and signed-permutation inputs.  optimize must
 never lengthen a circuit, must be idempotent, and must keep the simulated
-matrix to 1e-12, global phase included.  A hand-built circuit may also
+matrix to 1e-12, global phase included, and neither phase-shifter rule
+may fire on a sweep's output.  A hand-built circuit may also
 hold phases within angle_tol of zero, which the optimizer drops as
 identities: one per input PS, and the sweep one per PBS and one per mode,
 each moving the matrix by at most angle_tol.
@@ -18,9 +19,12 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from cartanopt import circuit as circuit_module
 from cartanopt.circuit import (
     OpticalCircuit,
     OpticalElement,
+    _rewrite_drop_zero_ps,
+    _rewrite_merge_ps,
     _sweep_phases,
     element_count,
     optimize,
@@ -30,7 +34,8 @@ from cartanopt.circuit import (
 from cartanopt.compiler import CompileOptions, builtin_target, compile, compile_m4
 from cartanopt.linalg import DEFAULT_TOL, haar_random_unitary
 from cartanopt.simulate import simulate
-from test_optimize_corpus import OFFSETS
+from test_golden import CASES as GOLDEN_CASES
+from test_optimize_corpus import OFFSETS, _circuits
 
 DRIFT = 1e-12
 
@@ -92,7 +97,16 @@ def _check(circuit, drift=DRIFT):
     # output must sweep to itself
     swept = _sweep_phases(list(circuit.elements), DEFAULT_TOL.angle_tol)
     assert _sweep_phases(swept, DEFAULT_TOL.angle_tol) == swept
+    # neither phase rule fires on a sweep's output, so the rule pass after
+    # a kept sweep starts at resynthesis
+    assert not _phase_rule_fires(swept)
     assert np.abs(simulate(once) - simulate(circuit)).max() <= drift
+
+
+def _phase_rule_fires(elems) -> bool:
+    # each rule on its own copy: a rule that fires edits the list
+    a_tol = DEFAULT_TOL.angle_tol
+    return _rewrite_drop_zero_ps(list(elems), a_tol) or _rewrite_merge_ps(list(elems))
 
 
 def _droppable(circuit) -> int:
@@ -132,3 +146,29 @@ def test_sweep_is_kept_only_when_shorter():
     # it, four elements for two, so the fixpoint's circuit comes back
     c = OpticalCircuit(convention="sp", num_spatial_modes=2, elements=(ps(1, 0.7), pbs(0, 1)))
     assert optimize(c) == c
+
+
+def test_no_phase_rule_fires_on_a_kept_sweep(monkeypatch):
+    # optimize skips drop_zero_ps and merge_ps in the pass right after a
+    # kept sweep.  Neither may fire on any sweep optimize runs on the
+    # optimizer corpus or on the golden inputs compiled with optimize on.
+    # The corpus keeps none of its sweeps (its phase rules and
+    # resynthesis leave nothing for one to merge), so every sweep output
+    # is checked, kept or not, and the golden compiles must keep some
+    swept_out, kept = [], []
+
+    def recording(elems, a_tol):
+        swept = _sweep_phases(elems, a_tol)
+        swept_out.append(swept)
+        if len(swept) < len(elems):
+            kept.append(swept)
+        return swept
+
+    monkeypatch.setattr(circuit_module, "_sweep_phases", recording)
+    for circuit in _circuits():
+        optimize(circuit)
+    for _, U, convention, _ in GOLDEN_CASES:
+        compile(U, CompileOptions(convention=convention, optimize=True))
+    assert len(kept) >= 10
+    for swept in swept_out:
+        assert not _phase_rule_fires(swept), swept

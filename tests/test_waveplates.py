@@ -11,6 +11,7 @@ from cartanopt import waveplates
 from cartanopt.linalg import DEFAULT_TOL, haar_random_unitary
 from cartanopt.waveplates import (
     PLATE_MATRIX,
+    _fold_su2,
     _may_shrink,
     _su2,
     chain_matrix,
@@ -311,6 +312,23 @@ def test_generic_chain_suffixes_are_ruled_out():
             assert not _may_shrink(plates[k:], DEFAULT_TOL.angle_tol)
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_quaternion_fold_matches_the_product_split(n):
+    # the screen's fold against _su2 of chain_matrix: the same quaternion
+    # up to sign, the same determinant phase up to pi.  Composing the fold
+    # in reverse order gives the transposed product (y -> -y), which every
+    # gap ignores, so only this comparison sees that slip
+    rng = np.random.default_rng([n, 19])
+    for _ in range(500):
+        run = [(str(rng.choice(("hwp", "qwp"))), float(rng.uniform(-7.0, 7.0))) for _ in range(n)]
+        run.insert(int(rng.integers(n + 1)), ("ps", float(rng.uniform(-7.0, 7.0))))
+        delta, *q = _fold_su2(run)
+        want_delta, *want = _su2(chain_matrix(run))
+        q, want = np.array(q), np.array(want)
+        assert min(np.abs(q - want).max(), np.abs(q + want).max()) <= 1e-14, run
+        assert abs(math.remainder(delta - want_delta, math.pi)) <= 1e-14, run
+
+
 # multiples of pi/8 put products on the short branches; the offsets sit
 # around angle_tol, around the bound's margin and farther out
 _special_angles = st.builds(
@@ -327,12 +345,18 @@ _plates = st.tuples(
 
 # each two-plate family behind H(0.1) H(0.1) = -I, bare and behind a PS:
 # the table takes the four plates to two (QWP-QWP to a PS and two, or a tie
-# with QWP-HWP-QWP), so the screen has to let them through
+# with QWP-HWP-QWP), so the screen has to let them through.  Then two runs
+# the screen must fold with their phase: a QWP-HWP-QWP chain behind a PS of
+# pi, which the sign of its plates absorbs, and a QWP and H(0.7) H(0.7) = -I
+# with the PS between them, which leave a PS and one QWP
 FAMILIES = (("hwp", "hwp"), ("qwp", "hwp"), ("hwp", "qwp"), ("qwp", "qwp"))
 _SHRINKING = [
     head + [(p1, 0.3), (p2, 0.7), ("hwp", 0.1), ("hwp", 0.1)]
     for p1, p2 in FAMILIES
     for head in ([], [("ps", 0.5)])
+] + [
+    [("ps", math.pi), ("qwp", 0.3), ("hwp", 1.1), ("qwp", 2.0)],
+    [("qwp", 0.3), ("hwp", 0.7), ("ps", 0.5), ("hwp", 0.7)],
 ]
 
 
