@@ -11,6 +11,11 @@ the fixed unit gates that complete its central layer into its halves;
 + 4 = 20 elements for dim 4 and 4 x 20 + 8 = 88 for dim 8.  When every
 central angle of a level vanishes and local collapsing is on, the level
 emits no central layer and each half is the product of its two gates.
+With local collapsing on, a 4x4 level also uses its central layer's
+gauge: the gadget commutes with e^{phi X}, X = i(sz (+) -sz), so a
+closed-form phi moved from the level's left gates into its right gates
+puts one gate on a two-plate chain (_steer).  Optimized, a generic input
+then takes 18 elements at dim 4 and 78 at dim 8.
 
 Also ships the built-in walk and Fourier targets and their hand-drawn
 factorizations as transcription fixtures.
@@ -38,7 +43,14 @@ from .linalg import (
     is_unitary,
 )
 from .simulate import VerificationReport, verify
-from .waveplates import _chain_params, _full_chain, _su2, synthesize_u2
+from .waveplates import (
+    _chain_params,
+    _fewest_plates,
+    _full_chain,
+    _su2,
+    _synthesize,
+    synthesize_u2,
+)
 
 # Element counts of the hand-drawn reference circuits for the built-in
 # targets, keyed by (target name, convention tag).  Informational only:
@@ -55,8 +67,11 @@ HAND_COUNTS = {
 class CompileOptions:
     """Knobs for the compile entry points.
 
-    optimize runs the peephole pass on the compiled circuit and lets a
-    CSD level whose central angles all vanish skip its central layer.
+    optimize runs the peephole pass on the compiled circuit, lets a CSD
+    level whose central angles all vanish skip its central layer, and
+    lets every other 4x4 level move its central layer's gauge between its
+    gates to shorten one chain.  With optimize off none of these runs, and
+    the circuit is the full 20- or 88-element template.
     The verification report is always computed; whether a failed one is
     an error is the caller's decision.  optimize must be a bool (Python
     or numpy) and tolerances a ToleranceConfig; anything else, such as
@@ -97,6 +112,73 @@ def _gadget(i: int, j: int, a: float, b: float) -> list:
     return [pbs(i, j), hwp(i, a / 2.0), hwp(j, b / 2.0), pbs(i, j)]
 
 
+# The central gadget on modes (m, m+1) commutes with X = i(sz (+) -sz) for
+# every pair of HWP angles, so a 4x4 level may move e^{phi X} from its left
+# gates into its right gates: L_k -> L_k e^{i s_k phi sz} and R_k ->
+# e^{-i s_k phi sz} R_k, with s_k = +1 on mode m and -1 on mode m+1.  Per
+# gate in the order R0, R1, L0, L1: the sign of phi in the angle t of its
+# factor e^{i t sz}, and whether that factor multiplies on the right.
+_GAUGE = ((-1.0, False), (1.0, False), (1.0, True), (-1.0, True))
+
+
+def _rotate_z(q: tuple, c: float, s: float, on_right: bool) -> tuple:
+    """Quaternion of V e^{i t sz} if on_right, else of e^{i t sz} V, for c, s = cos t, sin t."""
+    w, x, y, z = q
+    if on_right:
+        return w * c - z * s, x * c - y * s, y * c + x * s, z * c + w * s
+    return w * c - z * s, x * c + y * s, y * c - x * s, z * c + w * s
+
+
+def _qwp_hwp_root(q: tuple, on_right: bool) -> float:
+    """A t at which _rotate_z(q, cos t, sin t, on_right) is a QWP-HWP product.
+
+    That form is hypot(w', y') = 1/sqrt 2 (waveplates._branch_gaps), and
+    hypot(w', y')^2 = 1/2 + A cos 2t - B sin 2t with A = (w^2 + y^2 - x^2 -
+    z^2) / 2 and B = wz -+ xy (- when the factor multiplies on the right).
+    Its mean over t is 1/2, so the roots 2t = atan2(A, B) and that plus pi
+    are real; this returns the first, and t + pi/2 is the second.
+    """
+    w, x, y, z = q
+    b = w * z - x * y if on_right else w * z + x * y
+    return 0.5 * math.atan2(0.5 * (w * w + y * y - x * x - z * z), b)
+
+
+def _steer(splits: list, a_tol: float) -> list | None:
+    """Chains of a level's gates R0, R1, L0, L1 after the gauge rotation, or None.
+
+    Takes the gates' _su2 splits.  A gate's plates are those of its
+    first short form within angle_tol, 3 if none is.  Each gate with 3
+    plates in turn, at each of its two _qwp_hwp_root rotations, proposes
+    one phi; the first phi that gives the four rotated gates strictly
+    fewer plates than the unrotated ones is taken, and None means that
+    none does.  A gate that already has a short form proposes nothing:
+    the QWP-HWP form it would be moved onto has two plates, so its phi
+    could pay only through a coincidence in the other gates, and a level
+    of short gates, such as a permutation's, would try every candidate
+    in vain.  A rotation has determinant 1, so each delta stays; a gate
+    that reaches a short form takes synthesize_u2's chain, the rest the
+    full chain.
+    """
+    quats = [sp[1:] for sp in splits]
+    base = [_fewest_plates(*q, a_tol) for q in quats]
+    fewest = sum(base)
+    for q0, k0, (sign, on_right) in zip(quats, base, _GAUGE):
+        if k0 < 3:
+            continue
+        t0 = _qwp_hwp_root(q0, on_right)
+        for phi in (sign * t0, sign * (t0 + 0.5 * math.pi)):
+            c, s = math.cos(phi), math.sin(phi)
+            rotated = [_rotate_z(q, c, g * s, r) for q, (g, r) in zip(quats, _GAUGE)]
+            plates = [_fewest_plates(*q, a_tol) for q in rotated]
+            if sum(plates) < fewest:
+                return [
+                    _synthesize(sp[0], *q, a_tol) if k < 3
+                    else _full_chain(*_chain_params(sp[0], *q))
+                    for sp, q, k in zip(splits, rotated, plates)
+                ]
+    return None
+
+
 def _elements(
     U: np.ndarray, conv: DofConvention, tol: ToleranceConfig, collapse: bool, mode: int
 ):
@@ -108,7 +190,9 @@ def _elements(
     skipped its CSD split (cartan._csd_level found it block-diagonal, so
     every central angle is zero), the level emits no central layer and
     each half is its left gate times its right gate, a 2x2 one taking the
-    shortest chain.
+    shortest chain.  Otherwise, when collapse is set, a 4x4 level moves
+    its central layer's gauge between its gates when that shortens their
+    chains (_steer).
     """
     n = U.shape[0]
     if n == 4:
@@ -117,36 +201,37 @@ def _elements(
     else:
         f = decompose_m4(U, tol)
         left, right, angles = f.left_blocks, f.right_blocks, f.angles
-    local = collapse and not any(angles)
     modes = (mode, mode + n // 4)
 
     def halves(gates) -> list:
+        # 4x4 halves recurse; for 2x2 halves the gates are their plate chains
         els = []
         for g, m in zip(gates, modes):
-            if len(g) == 4:
-                els += _elements(g, conv, tol, collapse, m)[0]
-            elif local:
-                els += chain_elements(synthesize_u2(g, tol), m)
-            else:
-                # every plate, even at angle zero: only the optimizer elides
-                els += chain_elements(_full_chain(*_chain_params(*_su2(g))), m)
+            els += _elements(g, conv, tol, collapse, m)[0] if n == 8 else chain_elements(g, m)
         return els
 
-    if local:
-        return halves([left[0].dot(right[0]), left[1].dot(right[1])]), f
+    if collapse and not any(angles):
+        gates = [left[0].dot(right[0]), left[1].dot(right[1])]
+        return halves(gates if n == 8 else [synthesize_u2(g, tol) for g in gates]), f
     if n == 8:
         left = (left[0].dot(_M4_DL_TOP), 1j * left[1].dot(_SXSX))
         right = (right[0], _M4_DR_BOT_SXSX.dot(right[1]))
         t1, t2, t3, t4 = angles
         central = _gadget(mode, mode + 2, t2, t1) + _gadget(mode + 1, mode + 3, t4, t3)
-    elif conv is DofConvention.PS:
+        return halves(right) + central + halves(left), f
+    if conv is DofConvention.PS:
         left = (left[0].dot(_PS_BOOKEND_L[0]), left[1].dot(_PS_BOOKEND_L[1]))
         right = (_PS_BOOKEND_R[0].dot(right[0]), _PS_BOOKEND_R[1].dot(right[1]))
         central = _gadget(mode, mode + 1, angles[0], angles[1])
     else:
         left = (left[0].dot(_SP_BOOKEND_L), left[1].dot(_SP_BOOKEND_L))
         central = _gadget(mode, mode + 1, angles[1], angles[0])
-    return halves(right) + central + halves(left), f
+    splits = [_su2(g) for g in (*right, *left)]
+    # every plate, even at angle zero: only the optimizer elides
+    chains = (collapse and _steer(splits, tol.angle_tol)) or [
+        _full_chain(*_chain_params(*sp)) for sp in splits
+    ]
+    return halves(chains[:2]) + central + halves(chains[2:]), f
 
 
 def _compile(U, opts: CompileOptions) -> tuple[OpticalCircuit, VerificationReport]:

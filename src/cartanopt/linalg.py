@@ -28,7 +28,9 @@ class ToleranceConfig:
     The one place that relates them: unitarity_tol, which decides which
     inputs are accepted, defaults to min(1e-10, equivalence_tol), and
     angle_tol is derived, never set: min(1e-12, equivalence_tol / K), so
-    angle_tol * K <= equivalence_tol holds for every config.
+    angle_tol * K <= equivalence_tol holds for every config.  A given
+    tolerance must be a Python or numpy int or float (a bool, str, None
+    or complex one is a ValueError) and is stored as a float.
 
     K = 196 is twice the 98 elision sites of an optimized dim-8 compile,
     the largest.  A site changes one factor by at most 2 angle_tol in
@@ -52,19 +54,30 @@ class ToleranceConfig:
     angle_tol: float = dataclasses.field(init=False)
 
     def __post_init__(self):
-        eq = self.equivalence_tol
-        if self.unitarity_tol is None:
-            object.__setattr__(self, "unitarity_tol", min(1e-10, eq))
-        values = (self.unitarity_tol, self.equivalence_tol)
+        eq = _real_tol("equivalence_tol", self.equivalence_tol)
+        ut = self.unitarity_tol
+        ut = min(1e-10, eq) if ut is None else _real_tol("unitarity_tol", ut)
         # NaN fails every comparison and inf passes every one, so either
         # would silently disable the check it sets
-        if not all(math.isfinite(v) for v in values):
+        if not (math.isfinite(ut) and math.isfinite(eq)):
             raise ValueError("tolerances must be finite")
-        if min(values) <= 0:
+        if min(ut, eq) <= 0:
             raise ValueError("tolerances must be strictly positive")
-        if self.equivalence_tol < self.unitarity_tol:
+        if eq < ut:
             raise ValueError("equivalence_tol must be >= unitarity_tol")
+        object.__setattr__(self, "unitarity_tol", ut)
+        object.__setattr__(self, "equivalence_tol", eq)
         object.__setattr__(self, "angle_tol", min(1e-12, eq / _K))
+
+
+def _real_tol(name: str, value) -> float:
+    """A tolerance as a float: a Python or numpy real number, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("tolerances must be finite") from None
 
 
 DEFAULT_TOL = ToleranceConfig()

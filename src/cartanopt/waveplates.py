@@ -13,8 +13,10 @@ with M = q1 - q2, K = q1 + q2, N = 2h - K (all in doubled-angle units),
 which inverts by two arctangents.  synthesize_u2 is the one place that
 decides a chain's length: it emits a shorter chain whenever the target
 is a phase, one plate times a phase, or two plates times a phase, each
-recognized by a closed-form gap of the quaternion (_branch_gaps), and
-the optimizer's whole-run screen (_may_shrink) reads the same gaps.
+recognized by a closed-form gap of the quaternion (_branch_gaps).  Its
+unchecked core _synthesize takes a split directly, for the compiler's
+gauge steering, and the steering and the optimizer's whole-run screen
+(_may_shrink) count plates by the same gaps (_fewest_plates).
 """
 
 from __future__ import annotations
@@ -190,6 +192,18 @@ def _branch_gaps(w: float, x: float, y: float, z: float) -> tuple[float, ...]:
     )
 
 
+def _fewest_plates(w: float, x: float, y: float, z: float, bound: float) -> int:
+    """Plates of the first short form whose gap is <= bound, or 3 if none is.
+
+    _FORM_PLATES ascends, so the first form within reach has the fewest.
+    Most quaternions reach none, which one min settles.
+    """
+    gaps = _branch_gaps(w, x, y, z)
+    if min(gaps) > bound:
+        return 3
+    return next(k for k, gap in zip(_FORM_PLATES, gaps) if gap <= bound)
+
+
 def _qq_fit(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:
     """(distance, d, k) of the nearest QWP-QWP product to this sign of a quaternion.
 
@@ -235,9 +249,17 @@ def synthesize_u2(U, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[str, floa
         raise ValueError(f"synthesize_u2 expects a 2x2 matrix, got {U.shape}")
     if not is_unitary(U, tol):
         raise _not_unitary("synthesize_u2", U)
-    a_tol = tol.angle_tol
-    delta, w, x, y, z = _su2(U)
+    return _synthesize(*_su2(U), tol.angle_tol)
 
+
+def _synthesize(
+    delta: float, w: float, x: float, y: float, z: float, a_tol: float
+) -> list[tuple[str, float]]:
+    """synthesize_u2 for the unitary whose _su2 split is given, unchecked.
+
+    The caller vouches that (w, x, y, z) is a unit quaternion, as _su2 of
+    a unitary or its rotation by an SU(2) factor is.
+    """
     scalar_gap, hwp_gap, qwp_gap, hh_gap, qh_gap, qq_gap = _branch_gaps(w, x, y, z)
     if scalar_gap <= a_tol:
         # scalar: all of U is a phase
@@ -365,12 +387,7 @@ def _may_shrink(plates, a_tol: float) -> bool:
         return True
     bound = a_tol + _BOUND_MARGIN
     delta, w, x, y, z = _fold_su2(plates)
-    # _FORM_PLATES ascends, so the first form within reach has the fewest
-    fewest = 3
-    for k, gap in zip(_FORM_PLATES, _branch_gaps(w, x, y, z)):
-        if gap <= bound:
-            fewest = k
-            break
+    fewest = _fewest_plates(w, x, y, z, bound)
     # fewest plates behind the PS tie with n elements unless the PS goes
     return fewest < n - 1 or (
         fewest == n - 1 and abs(delta) * _largest_entry(w, x, y, z) <= bound

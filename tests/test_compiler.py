@@ -125,14 +125,15 @@ def test_haar_batch_within_budget():
 
 def test_haar_batch_optimized():
     # the phase sweep leaves one PS before the central layer and one per
-    # mode after it: 20 -> 19
+    # mode after it, and the central layer's gauge puts one chain on the
+    # QWP-HWP form: 20 -> 18
     for conv in ("ps", "sp"):
         for seed in range(50):
             U = haar_random_unitary(4, seed=seed + 1000)
             circuit, rep = compile(U, _opts(conv, optimize=True))
             count = element_count(circuit)
-            assert count.total == 19, (conv, seed)
-            assert count.by_kind == {"pbs": 2, "hwp": 6, "qwp": 8, "ps": 3}, (conv, seed)
+            assert count.total == 18, (conv, seed)
+            assert count.by_kind == {"pbs": 2, "hwp": 6, "qwp": 7, "ps": 3}, (conv, seed)
             assert rep.distance <= 1e-9
 
 
@@ -231,13 +232,14 @@ def test_m4_unoptimized_kind_breakdown():
 
 
 def test_m4_optimized_kind_breakdown():
-    # the phase sweep takes the 16 chain phase shifters down to 10
+    # the phase sweep takes the 16 chain phase shifters down to 10, and the
+    # gauge of each 4x4 level's central layer drops one QWP per level
     for seed in range(10):
         U = haar_random_unitary(8, seed=seed)
         circuit, rep = compile_m4(U, _opts("sp", optimize=True))
         count = element_count(circuit)
-        assert count.total == 82, seed
-        assert count.by_kind == {"pbs": 12, "hwp": 28, "qwp": 32, "ps": 10}, seed
+        assert count.total == 78, seed
+        assert count.by_kind == {"pbs": 12, "hwp": 28, "qwp": 28, "ps": 10}, seed
         assert np.abs(simulate(circuit) - U).max() <= 1e-12, seed
 
 

@@ -49,14 +49,14 @@ PLAIN_TOL = 1e-12
 # SHA-256 over dump_matrix(simulate(c)) and repr of verify's distance and
 # global_phase, for the compiled circuits of the corpus in order: pins the
 # simulator and the phase-aware distance to the bit
-SIMULATE_SHA256 = "3d4fcb0fbaa43718ddf44da5f35b6dcdb4772772a23183cc39650f80ba0a0484"
+SIMULATE_SHA256 = "a4588473b3c3968ac2a910f084392b55ff5f93e4e556b647f81694aff9fbc7a8"
 # the kernel set the corpus and SIMULATE_SHA256 were recorded on
 RECORDED_KERNELS = "numpy 2.4.6, X86_V3 on, OpenBLAS SkylakeX"
 # SHA-256 over the element kinds and modes of the compiled circuits of the
 # corpus in order, with no angle: the same under the default kernels,
 # OPENBLAS_CORETYPE=Haswell, Nehalem, SandyBridge and Zen, and with numpy's
 # X86_V3 and X86_V4 loops off
-STRUCTURE_SHA256 = "90919c9983598a4c9ceb2237f369219da0b22d1815bd46d3099131619638a27f"
+STRUCTURE_SHA256 = "12335e5716b9d9dc890bbc63ecd31bd46371499ecfd9c2cb3cfd28966afc5d3c"
 
 
 def _path_block(g1, g2, convention):

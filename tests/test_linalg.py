@@ -48,6 +48,35 @@ def test_tolerance_rejects_nonpositive(field):
             ToleranceConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["unitarity_tol", "equivalence_tol"])
+@pytest.mark.parametrize(
+    "value", [True, False, np.True_, "1e-9", b"1e-9", 1e-9 + 0j, np.complex128(1e-9), [1e-9]],
+    ids=["true", "false", "np_true", "str", "bytes", "complex", "np_complex", "list"],
+)
+def test_tolerance_rejects_a_value_that_is_not_real(field, value):
+    with pytest.raises(ValueError, match=field):
+        ToleranceConfig(**{field: value})
+
+
+def test_tolerance_rejects_none_and_huge_ints():
+    # None stands for "derive" only for unitarity_tol
+    with pytest.raises(ValueError, match="equivalence_tol"):
+        ToleranceConfig(equivalence_tol=None)
+    assert ToleranceConfig(unitarity_tol=None) == DEFAULT_TOL
+    with pytest.raises(ValueError, match="finite"):
+        ToleranceConfig(equivalence_tol=10**400)
+
+
+def test_tolerances_are_stored_as_floats():
+    for ut, eq in ((1, 2), (np.int64(1), np.float32(2.0)), (np.float64(1e-10), 1e-9)):
+        tol = ToleranceConfig(unitarity_tol=ut, equivalence_tol=eq)
+        assert (tol.unitarity_tol, tol.equivalence_tol) == (float(ut), float(eq))
+        assert type(tol.unitarity_tol) is float and type(tol.equivalence_tol) is float
+    # a derived unitarity_tol follows a converted equivalence_tol
+    assert type(ToleranceConfig(equivalence_tol=np.float32(1e-3)).unitarity_tol) is float
+    assert ToleranceConfig(equivalence_tol=1) == ToleranceConfig(equivalence_tol=1.0)
+
+
 def test_tolerances_derive_from_equivalence_tol():
     # unitarity_tol, when not given, and angle_tol, always, follow
     # equivalence_tol down; angle_tol never exceeds equivalence_tol / K,

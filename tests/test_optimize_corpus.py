@@ -7,8 +7,16 @@ tests/data/optimize_corpus.json.  Plate angles sit on multiples of
 pi/8, exactly or just off by offsets around the default angle_tol and
 farther out, so the short forms of synthesize_u2 (no plate, one plate,
 two plates) fire and sit at their thresholds; the rest are uniform in
-[-4pi, 4pi).  A change meant to make the optimizer cheaper without
-changing what it emits must pass this test unchanged; after a deliberate
+[-4pi, 4pi).  A second, swept family (SWEPT_SEED) wraps plate runs in
+PBS pairs on one mode pair and puts a phase on both modes of each pair,
+a random common part plus a difference of 0 or pi on one mode; trailing
+phases on both modes take the common parts.  The phase sweep shortens
+every one of them, and a difference of pi left on a run with an HWP
+shrinks it only through the screened pass after the sweep
+(waveplates._may_shrink).  Its records come first in the file, so the
+original family's lines keep their bytes.  A change meant to make the
+optimizer cheaper without changing what it emits must pass this test
+unchanged; after a deliberate
 change to the rewrites, re-record with
 
     PYTHONPATH=src python tests/test_optimize_corpus.py
@@ -45,6 +53,8 @@ SEED = 6
 NUM_CIRCUITS = 2000
 # offsets from k*pi/8: around the default angle_tol, then farther out
 OFFSETS = (0.0, 1e-13, 1e-12, 2e-12, 1e-9, 3e-9, 5e-7, 1e-6, 2e-6, 5e-4, 1e-3, 2e-3)
+SWEPT_SEED = 7
+NUM_SWEPT = 400
 # a moved case must equal its input entry by entry to this
 PLAIN_TOL = 1e-12
 # SHA-256 over dump_matrix(simulate(c)) of the corpus circuits in order: pins
@@ -82,8 +92,47 @@ def _circuits():
     return circuits
 
 
+# offsets of a swept difference: below the default angle_tol, and between it
+# and the screen's margin above it (_may_shrink reads True, synthesize_u2
+# keeps the run).  The offset at angle_tol itself is left to the first
+# family: elided twice in one circuit, it can move a case by more than
+# PLAIN_TOL.
+TURN_OFFSETS = (0.0, 1e-13, 2e-12, 1e-9)
+
+
+def _turn(rng) -> float:
+    # 0 or pi, exactly or off by one of TURN_OFFSETS
+    offset = TURN_OFFSETS[int(rng.integers(len(TURN_OFFSETS)))]
+    return int(rng.integers(0, 2)) * math.pi + float(rng.choice((-1.0, 1.0))) * offset
+
+
+def _swept_circuits():
+    rng = np.random.default_rng(SWEPT_SEED)
+    circuits = []
+    for _ in range(NUM_SWEPT):
+        m = int(rng.choice((2, 4)))
+        i, j = (int(v) for v in rng.choice(m, size=2, replace=False))
+        elems = []
+        for _ in range(int(rng.integers(1, 4))):
+            common = float(rng.uniform(-math.pi, math.pi))
+            elems.append(OpticalElement("pbs", (i, j)))
+            for mode, turn in ((i, _turn(rng)), (j, 0.0)):
+                elems.append(OpticalElement("ps", (mode,), common + turn))
+                for _ in range(int(rng.integers(1, 3))):
+                    kind = str(rng.choice(("hwp", "qwp")))
+                    elems.append(OpticalElement(kind, (mode,), _angle(rng)))
+            elems.append(OpticalElement("pbs", (i, j)))
+        for mode in (i, j):
+            elems.append(OpticalElement("ps", (mode,), float(rng.uniform(-math.pi, math.pi))))
+        conv = str(rng.choice(("ps", "sp")))
+        circuits.append(OpticalCircuit(convention=conv, num_spatial_modes=m, elements=elems))
+    return circuits
+
+
 def _outputs():
-    """(name, circuit, optimized circuit) for every corpus case."""
+    """(name, circuit, optimized circuit) for every corpus case, the swept family first."""
+    for i, circuit in enumerate(_swept_circuits()):
+        yield f"s{i:04d}_swept", circuit, optimize(circuit)
     for i, circuit in enumerate(_circuits()):
         yield f"c{i:04d}_default", circuit, optimize(circuit)
 

@@ -35,7 +35,7 @@ from cartanopt.compiler import CompileOptions, builtin_target, compile, compile_
 from cartanopt.linalg import DEFAULT_TOL, haar_random_unitary
 from cartanopt.simulate import simulate
 from test_golden import CASES as GOLDEN_CASES
-from test_optimize_corpus import OFFSETS, _circuits
+from test_optimize_corpus import OFFSETS, _circuits, _swept_circuits
 
 DRIFT = 1e-12
 
@@ -152,9 +152,10 @@ def test_no_phase_rule_fires_on_a_kept_sweep(monkeypatch):
     # optimize skips drop_zero_ps and merge_ps in the pass right after a
     # kept sweep.  Neither may fire on any sweep optimize runs on the
     # optimizer corpus or on the golden inputs compiled with optimize on.
-    # The corpus keeps none of its sweeps (its phase rules and
-    # resynthesis leave nothing for one to merge), so every sweep output
-    # is checked, kept or not, and the golden compiles must keep some
+    # The corpus's first family keeps none of its sweeps (its phase rules
+    # and resynthesis leave nothing for one to merge), so every sweep
+    # output is checked, kept or not; the swept family keeps at least one
+    # per circuit and the golden compiles keep some
     swept_out, kept = [], []
 
     def recording(elems, a_tol):
@@ -167,8 +168,12 @@ def test_no_phase_rule_fires_on_a_kept_sweep(monkeypatch):
     monkeypatch.setattr(circuit_module, "_sweep_phases", recording)
     for circuit in _circuits():
         optimize(circuit)
+    family = _swept_circuits()
+    for circuit in family:
+        optimize(circuit)
+    assert len(kept) >= len(family)
     for _, U, convention, _ in GOLDEN_CASES:
         compile(U, CompileOptions(convention=convention, optimize=True))
-    assert len(kept) >= 10
+    assert len(kept) >= len(family) + 10
     for swept in swept_out:
         assert not _phase_rule_fires(swept), swept
