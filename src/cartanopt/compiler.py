@@ -14,8 +14,10 @@ emits no central layer and each half is the product of its two gates.
 With local collapsing on, a 4x4 level also uses its central layer's
 gauge: the gadget commutes with e^{phi X}, X = i(sz (+) -sz), so a
 closed-form phi moved from the level's left gates into its right gates
-puts one gate on a two-plate chain (_steer).  Optimized, a generic input
-then takes 18 elements at dim 4 and 78 at dim 8.
+puts one gate on a two-plate chain (_steer).  A level where no phi pays
+emits each gate's shortest chain, so it carries no zero-angle plate for
+the peephole pass to drop.  Optimized, a generic input then takes 18
+elements at dim 4 and 78 at dim 8.
 
 Also ships the built-in walk and Fourier targets and their hand-drawn
 factorizations as transcription fixtures.
@@ -70,8 +72,9 @@ class CompileOptions:
     optimize runs the peephole pass on the compiled circuit, lets a CSD
     level whose central angles all vanish skip its central layer, and
     lets every other 4x4 level move its central layer's gauge between its
-    gates to shorten one chain.  With optimize off none of these runs, and
-    the circuit is the full 20- or 88-element template.
+    gates to shorten one chain, or else emit each gate's shortest chain.
+    With optimize off none of these runs, and the circuit is the full 20-
+    or 88-element template, every plate kept even at angle zero.
     The verification report is always computed; whether a failed one is
     an error is the caller's decision.  optimize must be a bool (Python
     or numpy) and tolerances a ToleranceConfig; anything else, such as
@@ -136,7 +139,8 @@ def _qwp_hwp_root(q: tuple, on_right: bool) -> float:
     hypot(w', y')^2 = 1/2 + A cos 2t - B sin 2t with A = (w^2 + y^2 - x^2 -
     z^2) / 2 and B = wz -+ xy (- when the factor multiplies on the right).
     Its mean over t is 1/2, so the roots 2t = atan2(A, B) and that plus pi
-    are real; this returns the first, and t + pi/2 is the second.
+    are real; this returns the first, the one _steer tries (t + pi/2, the
+    second, was never the one taken on any level tried).
     """
     w, x, y, z = q
     b = w * z - x * y if on_right else w * z + x * y
@@ -148,16 +152,15 @@ def _steer(splits: list, a_tol: float) -> list | None:
 
     Takes the gates' _su2 splits.  A gate's plates are those of its
     first short form within angle_tol, 3 if none is.  Each gate with 3
-    plates in turn, at each of its two _qwp_hwp_root rotations, proposes
-    one phi; the first phi that gives the four rotated gates strictly
-    fewer plates than the unrotated ones is taken, and None means that
-    none does.  A gate that already has a short form proposes nothing:
-    the QWP-HWP form it would be moved onto has two plates, so its phi
-    could pay only through a coincidence in the other gates, and a level
-    of short gates, such as a permutation's, would try every candidate
-    in vain.  A rotation has determinant 1, so each delta stays; a gate
-    that reaches a short form takes synthesize_u2's chain, the rest the
-    full chain.
+    plates in turn proposes the phi of its first _qwp_hwp_root; the first
+    phi that gives the four rotated gates strictly fewer plates than the
+    unrotated ones is taken, and None means that none does.  A gate that
+    already has a short form proposes nothing: the QWP-HWP form it would
+    be moved onto has two plates, so its phi could pay only through a
+    coincidence in the other gates, and a level of short gates, such as a
+    permutation's, would try every candidate in vain.  A rotation has
+    determinant 1, so each delta stays; a gate that reaches a short form
+    takes synthesize_u2's chain, the rest the full chain.
     """
     quats = [sp[1:] for sp in splits]
     base = [_fewest_plates(*q, a_tol) for q in quats]
@@ -165,17 +168,16 @@ def _steer(splits: list, a_tol: float) -> list | None:
     for q0, k0, (sign, on_right) in zip(quats, base, _GAUGE):
         if k0 < 3:
             continue
-        t0 = _qwp_hwp_root(q0, on_right)
-        for phi in (sign * t0, sign * (t0 + 0.5 * math.pi)):
-            c, s = math.cos(phi), math.sin(phi)
-            rotated = [_rotate_z(q, c, g * s, r) for q, (g, r) in zip(quats, _GAUGE)]
-            plates = [_fewest_plates(*q, a_tol) for q in rotated]
-            if sum(plates) < fewest:
-                return [
-                    _synthesize(sp[0], *q, a_tol) if k < 3
-                    else _full_chain(*_chain_params(sp[0], *q))
-                    for sp, q, k in zip(splits, rotated, plates)
-                ]
+        phi = sign * _qwp_hwp_root(q0, on_right)
+        c, s = math.cos(phi), math.sin(phi)
+        rotated = [_rotate_z(q, c, g * s, r) for q, (g, r) in zip(quats, _GAUGE)]
+        plates = [_fewest_plates(*q, a_tol) for q in rotated]
+        if sum(plates) < fewest:
+            return [
+                _synthesize(sp[0], *q, a_tol) if k < 3
+                else _full_chain(*_chain_params(sp[0], *q))
+                for sp, q, k in zip(splits, rotated, plates)
+            ]
     return None
 
 
@@ -192,7 +194,9 @@ def _elements(
     each half is its left gate times its right gate, a 2x2 one taking the
     shortest chain.  Otherwise, when collapse is set, a 4x4 level moves
     its central layer's gauge between its gates when that shortens their
-    chains (_steer).
+    chains (_steer), and when it does not, each gate takes its shortest
+    chain.  With collapse off every 2x2 gate is a full PS-QWP-HWP-QWP
+    chain, every plate kept even at angle zero.
     """
     n = U.shape[0]
     if n == 4:
@@ -227,10 +231,13 @@ def _elements(
         left = (left[0].dot(_SP_BOOKEND_L), left[1].dot(_SP_BOOKEND_L))
         central = _gadget(mode, mode + 1, angles[1], angles[0])
     splits = [_su2(g) for g in (*right, *left)]
-    # every plate, even at angle zero: only the optimizer elides
-    chains = (collapse and _steer(splits, tol.angle_tol)) or [
-        _full_chain(*_chain_params(*sp)) for sp in splits
-    ]
+    if collapse:
+        chains = _steer(splits, tol.angle_tol) or [
+            _synthesize(*sp, tol.angle_tol) for sp in splits
+        ]
+    else:
+        # every plate, even at angle zero: the template keeps its 20 elements
+        chains = [_full_chain(*_chain_params(*sp)) for sp in splits]
     return halves(chains[:2]) + central + halves(chains[2:]), f
 
 

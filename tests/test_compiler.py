@@ -1,6 +1,7 @@
 """Full pipeline: matrix in, verified optical circuit out."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -13,16 +14,32 @@ import numpy as np
 import pytest
 
 from cartanopt.cartan import central_a
-from cartanopt.circuit import deserialize, element_count, serialize
+from cartanopt.circuit import (
+    _rewrite_cancel_pbs,
+    _rewrite_drop_zero_ps,
+    _rewrite_merge_ps,
+    _rewrite_resynthesize_run,
+    deserialize,
+    element_count,
+    serialize,
+)
 from cartanopt.compiler import (
     HAND_COUNTS,
     CompileOptions,
+    _elements,
     builtin_target,
     compile,
     compile_m4,
     reference_decompositions,
 )
-from cartanopt.linalg import dump_matrix, haar_random_unitary, is_unitary, phase_distance
+from cartanopt.dof import DofConvention
+from cartanopt.linalg import (
+    DEFAULT_TOL,
+    dump_matrix,
+    haar_random_unitary,
+    is_unitary,
+    phase_distance,
+)
 from cartanopt.simulate import simulate, verify
 
 WALK = 0.5 * np.array(
@@ -306,6 +323,53 @@ def test_optimized_builtin_counts_at_most_canonical():
     qft_sp, _ = compile(QFT, _opts("sp", optimize=True))
     assert element_count(qft_sp).total == 17
     assert element_count(qft_sp).total <= HAND_COUNTS[("qft", "sp")]
+
+
+def _emission_inputs():
+    """(U, convention) for the built-in targets and seeded short-form and Haar inputs."""
+    rng = np.random.default_rng(25)
+    cases = [(builtin_target(n, conv), conv) for n in ("walk", "qft") for conv in ("ps", "sp")]
+    perms4 = list(itertools.permutations(range(4)))
+    for conv in ("ps", "sp"):
+        for k in range(60):
+            P = np.eye(4, dtype=complex)[list(perms4[k % 24])]
+            phase = np.exp(2j * math.pi * rng.random()) if k % 2 else 1.0
+            cases.append((phase * P * rng.choice((-1.0, 1.0), size=4), conv))
+        for k in range(30):
+            # every third one at multiples of pi/4
+            angles = rng.integers(-8, 9, 4) * (math.pi / 4) if k % 3 == 0 else rng.random(4) * 7.0
+            cases.append((np.diag(np.exp(1j * angles)), conv))
+        cases += [(haar_random_unitary(4, 300 + s), conv) for s in range(40)]
+    for k in range(60):
+        perm = rng.permutation(8)
+        if k % 3 < 2:
+            # each half into one half: zero off-diagonal or zero diagonal CSD blocks
+            top, bottom = rng.permutation(4), 4 + rng.permutation(4)
+            perm = np.concatenate((top, bottom) if k % 3 == 0 else (bottom, top))
+        cases.append((np.eye(8, dtype=complex)[perm] * rng.choice((-1.0, 1.0), size=8), "sp"))
+    for k in range(30):
+        cases.append((np.diag(np.exp(2j * math.pi * rng.random(8))), "sp"))
+    for s in range(40):
+        a, b = haar_random_unitary(2, 400 + 2 * s), haar_random_unitary(4, 401 + 2 * s)
+        cases += [(np.kron(b, a), "sp"), (np.kron(a, b), "sp")]
+    cases += [(haar_random_unitary(8, 500 + s), "sp") for s in range(20)]
+    return cases
+
+
+def test_no_rule_fires_on_the_optimized_emission():
+    # with optimize on, every level emits each gate's shortest chain (or a
+    # steered full chain), so the peephole rules have nothing to do before
+    # the first phase sweep
+    rules = {
+        "drop_zero_ps": lambda els: _rewrite_drop_zero_ps(els, DEFAULT_TOL.angle_tol),
+        "merge_ps": _rewrite_merge_ps,
+        "resynthesize_run": lambda els: _rewrite_resynthesize_run(els, DEFAULT_TOL, set(), False),
+        "cancel_pbs": _rewrite_cancel_pbs,
+    }
+    for i, (U, conv) in enumerate(_emission_inputs()):
+        els = _elements(U, DofConvention(conv), DEFAULT_TOL, True, 0)[0]
+        for name, rule in rules.items():
+            assert not rule(list(els)), (i, conv, name)
 
 
 def test_compile_runs_without_scipy():

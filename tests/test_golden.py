@@ -49,7 +49,7 @@ PLAIN_TOL = 1e-12
 # SHA-256 over dump_matrix(simulate(c)) and repr of verify's distance and
 # global_phase, for the compiled circuits of the corpus in order: pins the
 # simulator and the phase-aware distance to the bit
-SIMULATE_SHA256 = "a4588473b3c3968ac2a910f084392b55ff5f93e4e556b647f81694aff9fbc7a8"
+SIMULATE_SHA256 = "fb4b4c5219eab758a1cce693a9b0908fd5782b84353a34d95c7d82abb498dd72"
 # the kernel set the corpus and SIMULATE_SHA256 were recorded on
 RECORDED_KERNELS = "numpy 2.4.6, X86_V3 on, OpenBLAS SkylakeX"
 # SHA-256 over the element kinds and modes of the compiled circuits of the
