@@ -366,6 +366,12 @@ def _sweep_phases(elems: list, a_tol: float) -> list:
     return [e for e in out if e is not None]
 
 
+def _sweep_if_shorter(elems: list, a_tol: float) -> list | None:
+    """_sweep_phases(elems), or None when that is not strictly shorter."""
+    swept = _sweep_phases(elems, a_tol)
+    return swept if len(swept) < len(elems) else None
+
+
 def optimize(circuit: OpticalCircuit, tol: ToleranceConfig = DEFAULT_TOL) -> OpticalCircuit:
     """Exact peephole rewrites to fixpoint; never grows a circuit.
 
@@ -381,13 +387,16 @@ def optimize(circuit: OpticalCircuit, tol: ToleranceConfig = DEFAULT_TOL) -> Opt
     """
     elems = list(circuit.elements)
     # screen: runs go through the closed-form test; sweep: a rule fired
-    # since the last sweep (a sweep's output sweeps to itself).  The first
-    # pass is unscreened only because on haar8_opt it alone reaches the
-    # synthesize_u2, is_unitary and _chain_params calls that the benchmark
-    # tracer's SITES pins; screening it waits on ROADMAP item 6.  The pass
-    # right after a kept sweep starts at resynthesis: the sweep leaves no
-    # PS within angle_tol of zero and at most one PS per run between PBSs
-    # on its mode, so neither phase rule can fire on its output.
+    # since the last sweep (a sweep's output sweeps to itself).  compile
+    # sweeps its optimized emission before this, so on a Haar compile no
+    # rule fires and the sweep is not kept: only the unscreened first pass
+    # runs, and it removes nothing.  That pass is unscreened only because
+    # on haar8_opt it alone reaches the synthesize_u2, is_unitary and
+    # _chain_params calls that the benchmark tracer's SITES pins; screening
+    # it waits on ROADMAP item 6.  The pass right after a kept sweep starts
+    # at resynthesis: the sweep leaves no PS within angle_tol of zero and
+    # at most one PS per run between PBSs on its mode, so neither phase
+    # rule can fire on its output.
     shortest, screen, sweep = set(), False, True
     while True:
         if (
@@ -404,8 +413,8 @@ def optimize(circuit: OpticalCircuit, tol: ToleranceConfig = DEFAULT_TOL) -> Opt
         # a moved phase can make a run shorter to resynthesize, so the
         # rules run again; the sweep changed only the runs' phases, and
         # most runs clear the quaternion screen
-        swept = _sweep_phases(elems, tol.angle_tol)
-        if len(swept) >= len(elems):
+        swept = _sweep_if_shorter(elems, tol.angle_tol)
+        if swept is None:
             break
         elems, screen, sweep = swept, True, False
     return OpticalCircuit(

@@ -16,8 +16,10 @@ gauge: the gadget commutes with e^{phi X}, X = i(sz (+) -sz), so a
 closed-form phi moved from the level's left gates into its right gates
 puts one gate on a two-plate chain (_steer).  A level where no phi pays
 emits each gate's shortest chain, so it carries no zero-angle plate for
-the peephole pass to drop.  Optimized, a generic input then takes 18
-elements at dim 4 and 78 at dim 8.
+the peephole pass to drop.  Last, the emission's phases are swept through
+its plates and PBSs (circuit._sweep_if_shorter), so on a Haar input the
+peephole pass has nothing left to remove.  Optimized, a generic input then
+takes 18 elements at dim 4 and 78 at dim 8.
 
 Also ships the built-in walk and Fourier targets and their hand-drawn
 factorizations as transcription fixtures.
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .cartan import decompose, decompose_m4
-from .circuit import OpticalCircuit, chain_elements, hwp, optimize, pbs
+from .circuit import OpticalCircuit, _sweep_if_shorter, chain_elements, hwp, optimize, pbs
 from .dof import DofConvention
 from .lie import SX, SY, SZ
 from .linalg import (
@@ -69,12 +71,14 @@ HAND_COUNTS = {
 class CompileOptions:
     """Knobs for the compile entry points.
 
-    optimize runs the peephole pass on the compiled circuit, lets a CSD
-    level whose central angles all vanish skip its central layer, and
-    lets every other 4x4 level move its central layer's gauge between its
-    gates to shorten one chain, or else emit each gate's shortest chain.
-    With optimize off none of these runs, and the circuit is the full 20-
-    or 88-element template, every plate kept even at angle zero.
+    optimize lets a CSD level whose central angles all vanish skip its
+    central layer, lets every other 4x4 level move its central layer's
+    gauge between its gates to shorten one chain, or else emit each
+    gate's shortest chain, sweeps the emitted phases when that is shorter,
+    and runs the peephole pass on the result, which removes nothing from
+    a Haar compile.  With optimize off none of these runs, and the
+    circuit is the full 20- or 88-element template, every plate kept even
+    at angle zero.
     The verification report is always computed; whether a failed one is
     an error is the caller's decision.  optimize must be a bool (Python
     or numpy) and tolerances a ToleranceConfig; anything else, such as
@@ -242,7 +246,7 @@ def _elements(
 
 
 def _compile(U, opts: CompileOptions) -> tuple[OpticalCircuit, VerificationReport]:
-    """Validate a 4x4 or 8x8 unitary, compile it, optimize if asked, and verify."""
+    """Validate a 4x4 or 8x8 unitary, compile it, sweep and optimize if asked, and verify."""
     U = _as_square(U)
     n = U.shape[0]
     if n not in (4, 8):
@@ -253,6 +257,11 @@ def _compile(U, opts: CompileOptions) -> tuple[OpticalCircuit, VerificationRepor
     if not is_unitary(U, tol):
         raise _not_unitary("compile", U)
     els, f = _elements(U, opts.convention, tol, opts.optimize, 0)
+    if opts.optimize:
+        # no peephole rule fires on an optimized emission before its sweep,
+        # so sweeping here leaves optimize's output unchanged
+        swept = _sweep_if_shorter(els, tol.angle_tol)
+        els = els if swept is None else swept
     if n == 4:
         angles = {"theta1_rad": f"{f.theta1:.17g}", "theta2_rad": f"{f.theta2:.17g}"}
     else:
@@ -268,6 +277,9 @@ def _compile(U, opts: CompileOptions) -> tuple[OpticalCircuit, VerificationRepor
         },
     )
     if opts.optimize:
+        # nothing left to remove on a Haar input, but optimize stays: it
+        # still shortens a few structured inputs by resynthesis after the
+        # sweep, and the benchmark's per-layer tracer requires its calls
         circuit = optimize(circuit, tol)
     return circuit, verify(circuit, U, tol)
 

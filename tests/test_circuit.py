@@ -9,6 +9,8 @@ import pytest
 from cartanopt.circuit import (
     OpticalCircuit,
     OpticalElement,
+    _rewrite_drop_zero_ps,
+    _rewrite_merge_ps,
     deserialize,
     element_count,
     hwp,
@@ -214,6 +216,28 @@ def test_deserialize_rejects_malformed_json():
 def test_optimize_drops_zero_ps():
     assert optimize(_circ([ps(0, 0.0)])).elements == ()
     assert optimize(_circ([ps(1, 2 * np.pi)])).elements == ()
+    # the phase sweep drops such phases too, so these circuits keep it out:
+    # sweeping the PS on mode 1 through the PBS takes four elements, so the
+    # sweep is not kept, and a one-element run is never resynthesized
+    a_tol = DEFAULT_TOL.angle_tol
+    for angle in (0.5 * a_tol, 2 * np.pi - 0.5 * a_tol):
+        before = _circ([ps(0, angle), ps(1, 0.7), pbs(0, 1)])
+        assert optimize(before).elements == (ps(1, 0.7), pbs(0, 1)), angle
+    # at twice angle_tol the PS is no identity and stays
+    kept = _circ([ps(0, 2 * a_tol), ps(1, 0.7), pbs(0, 1)])
+    assert optimize(kept) == kept
+
+
+def test_drop_zero_ps_rule_drops_phases_within_angle_tol():
+    a_tol = DEFAULT_TOL.angle_tol
+    for angle in (0.0, 0.5 * a_tol, -0.5 * a_tol, 2 * np.pi - 0.5 * a_tol, 2 * np.pi):
+        elems = [hwp(0, 0.3), ps(0, angle)]
+        assert _rewrite_drop_zero_ps(elems, a_tol), angle
+        assert elems == [hwp(0, 0.3)]
+    for angle in (2 * a_tol, 2 * np.pi - 2 * a_tol):
+        elems = [hwp(0, 0.3), ps(0, angle)]
+        assert not _rewrite_drop_zero_ps(elems, a_tol), angle
+        assert elems == [hwp(0, 0.3), ps(0, angle)]
 
 
 def test_optimize_cancels_pbs_pair():
@@ -234,6 +258,23 @@ def test_optimize_merges_phase_shifters():
     # a negative sum wraps into [0, 2pi)
     c = optimize(_circ([ps(0, -1.0), ps(0, -2.5)]))
     assert c.elements == (ps(0, 2 * np.pi - 3.5),)
+    # the merged PS stays behind the HWP; the phase sweep would move it in
+    # front, and resynthesizing the mode's three elements would too
+    before = _circ([hwp(0, 0.3), ps(0, 1.0), qwp(1, 0.2), ps(0, 2.5)])
+    after = optimize(before)
+    assert after.elements == (hwp(0, 0.3), ps(0, 3.5), qwp(1, 0.2))
+    assert np.abs(simulate(after) - simulate(before)).max() < 1e-12
+
+
+def test_merge_ps_rule_adds_phases_past_other_modes():
+    # a plate on another mode commutes past; the sum wraps into [0, 2pi)
+    elems = [ps(0, 4.0), qwp(1, 0.2), ps(0, 3.5)]
+    assert _rewrite_merge_ps(elems)
+    assert elems == [ps(0, 7.5 - 2 * np.pi), qwp(1, 0.2)]
+    # a plate on the PS's mode blocks the merge
+    elems = [ps(0, 1.0), hwp(0, 0.3), ps(0, 2.5)]
+    assert not _rewrite_merge_ps(elems)
+    assert elems == [ps(0, 1.0), hwp(0, 0.3), ps(0, 2.5)]
 
 
 def test_optimize_collapses_plate_run():

@@ -13,6 +13,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from cartanopt import compiler as compiler_module
 from cartanopt.cartan import central_a
 from cartanopt.circuit import (
     _rewrite_cancel_pbs,
@@ -370,6 +371,20 @@ def test_no_rule_fires_on_the_optimized_emission():
         els = _elements(U, DofConvention(conv), DEFAULT_TOL, True, 0)[0]
         for name, rule in rules.items():
             assert not rule(list(els)), (i, conv, name)
+
+
+def test_optimize_has_nothing_left_on_a_haar_compile(monkeypatch):
+    # compile sweeps its emission's phases, so with optimize on a Haar input
+    # comes out of compile final: skipping the peephole pass moves no byte.
+    # Structured inputs are left out: a few rare ones, such as 3 of the
+    # benchmark's 1800 structured inputs at seed 41 (signed permutations),
+    # still shrink by resynthesis after the sweep
+    inputs = [(haar_random_unitary(4, 700 + s), conv) for conv in ("ps", "sp") for s in range(36)]
+    inputs += [(haar_random_unitary(8, 800 + s), "sp") for s in range(36)]
+    full = [serialize(compile(U, _opts(conv, optimize=True))[0]) for U, conv in inputs]
+    monkeypatch.setattr(compiler_module, "optimize", lambda circuit, tol: circuit)
+    for (U, conv), want in zip(inputs, full):
+        assert serialize(compile(U, _opts(conv, optimize=True))[0]) == want, conv
 
 
 def test_compile_runs_without_scipy():

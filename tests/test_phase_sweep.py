@@ -150,12 +150,15 @@ def test_sweep_is_kept_only_when_shorter():
 
 def test_no_phase_rule_fires_on_a_kept_sweep(monkeypatch):
     # optimize skips drop_zero_ps and merge_ps in the pass right after a
-    # kept sweep.  Neither may fire on any sweep optimize runs on the
-    # optimizer corpus or on the golden inputs compiled with optimize on.
-    # The corpus's first family keeps none of its sweeps (its phase rules
-    # and resynthesis leave nothing for one to merge), so every sweep
-    # output is checked, kept or not; the swept family keeps at least one
-    # per circuit and the golden compiles keep some
+    # kept sweep, and compile hands optimize a swept emission.  Neither
+    # rule may fire on any sweep that optimize runs on the optimizer corpus
+    # or that compile and optimize run on the golden inputs compiled with
+    # optimize on; both reach _sweep_phases through _sweep_if_shorter, so
+    # patching it records each.  The corpus's first family keeps none of
+    # its sweeps (its phase rules and resynthesis leave nothing for one to
+    # merge), so every sweep output is checked, kept or not; the swept
+    # family keeps at least one per circuit and the golden compiles keep
+    # some, each of them in compile
     swept_out, kept = [], []
 
     def recording(elems, a_tol):

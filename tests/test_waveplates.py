@@ -404,6 +404,21 @@ def test_shrinking_examples_do_shrink():
         assert len(synthesize_u2(chain_matrix(run))) < len(run), run
 
 
+def test_bound_lets_through_a_run_at_the_edge_of_angle_tol():
+    # the screen's fold and the exact path's product differ in the last
+    # bits, so at a threshold they can fall on either side of angle_tol.
+    # This QWP-HWP-QWP run (from a seeded search over products moved about
+    # angle_tol off the QWP-HWP form) has an exact gap about 1.3e-16 below
+    # angle_tol, so synthesize_u2 takes it to two plates, and a folded gap
+    # about 2.0e-16 above: only the bound's margin lets it through
+    a_tol = DEFAULT_TOL.angle_tol
+    run = [("qwp", 1.4087968063612548), ("hwp", 2.6245717466296794), ("qwp", 1.4841521967043447)]
+    assert len(synthesize_u2(chain_matrix(run))) == 2
+    folded = min(waveplates._branch_gaps(*_fold_su2(run)[1:]))
+    assert a_tol < folded <= a_tol + 1e-9
+    assert _may_shrink(run, a_tol)
+
+
 def test_bound_rules_out_each_two_plate_chain():
     # a chain the table emits is not handed back to it: the screen knows
     # every two-plate form, with and without its PS
