@@ -26,6 +26,7 @@ from .waveplates import (
 )
 
 KINDS = ("pbs", "hwp", "qwp", "ps")
+_PLATES = frozenset(KINDS) - {"pbs"}
 # angle types an element accepts; bool (an int subclass) is rejected separately
 _REAL = (float, int, np.floating, np.integer)
 
@@ -35,7 +36,40 @@ def _is_int(v) -> bool:
     return type(v) is int or isinstance(v, np.integer)
 
 
-@dataclasses.dataclass(frozen=True)
+def _checked(kind, modes, angle):
+    """(modes, angle) as an element stores them, or the ValueError for the first fault."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown element kind {kind!r}")
+    # a tuple of exact ints is valid and already stored as it would be
+    # converted; anything else is checked and converted
+    if type(modes) is not tuple or not all(type(m) is int for m in modes):
+        if not isinstance(modes, (tuple, list)) or not all(map(_is_int, modes)):
+            raise ValueError(f"modes must be a list of integers, got {modes!r}")
+        modes = tuple(map(int, modes))
+    if modes and min(modes) < 0:
+        raise ValueError(f"negative mode index in {modes}")
+    if kind == "pbs":
+        if len(modes) != 2 or modes[0] == modes[1]:
+            raise ValueError("pbs needs two distinct modes")
+        if angle is not None:
+            raise ValueError("pbs carries no angle")
+        return modes, angle
+    if len(modes) != 1:
+        raise ValueError(f"{kind} acts on exactly one mode")
+    # an exact float needs no conversion; only its finiteness is checked
+    if type(angle) is not float:
+        if type(angle) is bool or not isinstance(angle, _REAL):
+            raise ValueError(f"{kind} angle must be a number, got {angle!r}")
+        try:
+            angle = float(angle)
+        except OverflowError:
+            angle = math.nan
+    if not math.isfinite(angle):
+        raise ValueError(f"{kind} needs a finite angle")
+    return modes, angle
+
+
+@dataclasses.dataclass(frozen=True, init=False)
 class OpticalElement:
     """One element: kind, spatial mode(s), fast-axis or phase angle.
 
@@ -49,39 +83,33 @@ class OpticalElement:
     modes: tuple[int, ...]
     angle_rad: float | None = None
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown element kind {self.kind!r}")
-        modes = self.modes
-        # a tuple of exact ints is valid and already stored as it would be
-        # converted; anything else is checked and converted
-        if type(modes) is not tuple or not all(type(m) is int for m in modes):
-            if not isinstance(modes, (tuple, list)) or not all(map(_is_int, modes)):
-                raise ValueError(f"modes must be a list of integers, got {modes!r}")
-            modes = tuple(map(int, modes))
-            object.__setattr__(self, "modes", modes)
-        if modes and min(modes) < 0:
-            raise ValueError(f"negative mode index in {modes}")
-        if self.kind == "pbs":
-            if len(modes) != 2 or modes[0] == modes[1]:
-                raise ValueError("pbs needs two distinct modes")
-            if self.angle_rad is not None:
-                raise ValueError("pbs carries no angle")
-        else:
-            if len(modes) != 1:
-                raise ValueError(f"{self.kind} acts on exactly one mode")
-            angle = self.angle_rad
-            # an exact float needs no conversion; only its finiteness is checked
-            if type(angle) is not float:
-                if type(angle) is bool or not isinstance(angle, _REAL):
-                    raise ValueError(f"{self.kind} angle must be a number, got {angle!r}")
-                try:
-                    angle = float(angle)
-                except OverflowError:
-                    angle = math.nan
-                object.__setattr__(self, "angle_rad", angle)
-            if not math.isfinite(angle):
-                raise ValueError(f"{self.kind} needs a finite angle")
+    def __init__(self, kind: str, modes: tuple[int, ...], angle_rad: float | None = None):
+        # the shape the compiler builds is settled first, by exact types: a
+        # str kind, a tuple of non-negative ints, one for a plate with a
+        # finite float angle (x - x is 0.0 only for finite x) and two
+        # distinct ones for a PBS with no angle.  Everything else goes
+        # through _checked, which stores the same values for this shape
+        exact = False
+        if type(kind) is str and type(modes) is tuple:
+            if len(modes) == 1:
+                m = modes[0]
+                exact = (
+                    kind in _PLATES and type(angle_rad) is float
+                    and angle_rad - angle_rad == 0.0 and type(m) is int and m >= 0
+                )
+            elif len(modes) == 2:
+                i, j = modes
+                exact = (
+                    kind == "pbs" and angle_rad is None and type(i) is int
+                    and type(j) is int and i >= 0 and j >= 0 and i != j
+                )
+        if not exact:
+            modes, angle_rad = _checked(kind, modes, angle_rad)
+        # frozen: the fields go straight into the instance dict
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["modes"] = modes
+        fields["angle_rad"] = angle_rad
 
 
 def pbs(i: int, j: int) -> OpticalElement:
@@ -329,7 +357,12 @@ def _rewrite_cancel_pbs(elems: list) -> bool:
     return False
 
 
-def _sweep_phases(elems: list, a_tol: float) -> list:
+def _sweep_slots(elems: list, a_tol: float) -> tuple[list, int]:
+    """The phase sweep of elems as slots, and how many elements it emits.
+
+    A slot is an element, None (empty) or the (mode, angle) of a phase
+    shifter not yet built, so a sweep that is not kept builds nothing.
+    """
     # a PS scales its whole mode, so it commutes with every plate on that
     # mode, and a phase common to modes i and j commutes with PBS(i, j)
     # (Clements et al., Optica 3, 1460 (2016)).  One pass carries a pending
@@ -338,7 +371,7 @@ def _sweep_phases(elems: list, a_tol: float) -> list:
     # Each PS goes to the first slot of its run (the run's elements up to
     # the PBS all commute with it), so a run reads PS then plates, the
     # order synthesize_u2 emits.
-    pending, start, out = {}, {}, []
+    pending, start, out, size = {}, {}, [], 0
     for e in elems:
         for m in e.modes:
             if m not in start:
@@ -352,24 +385,37 @@ def _sweep_phases(elems: list, a_tol: float) -> list:
             i, j = e.modes
             a = _elide_phase(pending.get(i, 0.0) - pending.get(j, 0.0), a_tol)
             if a is not None:
-                out[start[i]] = ps(i, a)
+                out[start[i]] = (i, a)
+                size += 1
             pending[i] = pending.get(j, 0.0)
             del start[i], start[j]
         out.append(e)
+        size += 1
     for m in sorted(pending):
         a = _elide_phase(pending[m], a_tol)
         if a is not None:
             if m in start:
-                out[start[m]] = ps(m, a)
+                out[start[m]] = (m, a)
             else:
-                out.append(ps(m, a))
-    return [e for e in out if e is not None]
+                out.append((m, a))
+            size += 1
+    return out, size
+
+
+def _swept_elements(slots: list) -> list:
+    """The elements of a sweep's slots: each (mode, angle) built as its PS."""
+    return [ps(*s) if type(s) is tuple else s for s in slots if s is not None]
+
+
+def _sweep_phases(elems: list, a_tol: float) -> list:
+    """Every phase shifter of elems swept forward (_sweep_slots), kept or not."""
+    return _swept_elements(_sweep_slots(elems, a_tol)[0])
 
 
 def _sweep_if_shorter(elems: list, a_tol: float) -> list | None:
-    """_sweep_phases(elems), or None when that is not strictly shorter."""
-    swept = _sweep_phases(elems, a_tol)
-    return swept if len(swept) < len(elems) else None
+    """_sweep_phases(elems), or None, building nothing, when that is not strictly shorter."""
+    slots, size = _sweep_slots(elems, a_tol)
+    return _swept_elements(slots) if size < len(elems) else None
 
 
 def optimize(circuit: OpticalCircuit, tol: ToleranceConfig = DEFAULT_TOL) -> OpticalCircuit:

@@ -1,6 +1,7 @@
 """Element IR: validation, counting, wire format, and peephole rewrites."""
 
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -52,25 +53,66 @@ def test_element_validation():
     assert e.angle_rad == 0.25 and type(e.angle_rad) is float
 
 
+_NOT_INTS = "modes must be a list of integers, got "
+# (kind, modes, angle, the ValueError text it gets)
+_REFUSED = [
+    ("hwp", (True,), 0.1, _NOT_INTS + "(True,)"),
+    ("hwp", (0.0,), 0.1, _NOT_INTS + "(0.0,)"),
+    ("hwp", ("0",), 0.1, _NOT_INTS + "('0',)"),
+    ("hwp", 0, 0.1, _NOT_INTS + "0"),
+    ("hwp", "0", 0.1, _NOT_INTS + "'0'"),
+    ("hwp", None, 0.1, _NOT_INTS + "None"),
+    ("pbs", (0, 1.5), None, _NOT_INTS + "(0, 1.5)"),
+    ("hwp", (-1,), 0.1, "negative mode index in (-1,)"),
+    ("hwp", (0,), "0.1", "hwp angle must be a number, got '0.1'"),
+    ("hwp", (0,), True, "hwp angle must be a number, got True"),
+    (["hwp"], (0,), 0.1, "unknown element kind ['hwp']"),
+    ("pbs", (0, 1), 0.5, "pbs carries no angle"),
+    ("qwp", (0,), None, "qwp angle must be a number, got None"),
+    ("ps", (), 0.1, "ps acts on exactly one mode"),
+    ("hwp", (0,), math.inf, "hwp needs a finite angle"),
+    ("qwp", (0,), -math.inf, "qwp needs a finite angle"),
+]
+
+
+@pytest.mark.parametrize("kind,modes,angle", [case[:3] for case in _REFUSED])
+def test_element_rejects_loose_types(kind, modes, angle):
+    (message,) = [case[3] for case in _REFUSED if case[:3] == (kind, modes, angle)]
+    with pytest.raises(ValueError) as refused:
+        OpticalElement(kind, modes, angle)
+    assert str(refused.value) == message
+
+
+class _OwnRepr(float):
+    def __repr__(self):
+        return "quarter"
+
+
 @pytest.mark.parametrize(
-    "kind,modes,angle",
+    "spelling,exact",
     [
-        ("hwp", (True,), 0.1),
-        ("hwp", (0.0,), 0.1),
-        ("hwp", ("0",), 0.1),
-        ("hwp", 0, 0.1),
-        ("hwp", "0", 0.1),
-        ("hwp", None, 0.1),
-        ("pbs", (0, 1.5), None),
-        ("hwp", (-1,), 0.1),
-        ("hwp", (0,), "0.1"),
-        ("hwp", (0,), True),
-        (["hwp"], (0,), 0.1),
+        (("hwp", [1], 0.25), ("hwp", (1,), 0.25)),
+        (("hwp", (np.int64(1),), 0.25), ("hwp", (1,), 0.25)),
+        (("qwp", [np.uint8(1)], 1), ("qwp", (1,), 1.0)),
+        (("qwp", (1,), np.float64(0.25)), ("qwp", (1,), 0.25)),
+        (("ps", (1,), np.int32(-2)), ("ps", (1,), -2.0)),
+        (("ps", (1,), -0.0), ("ps", (1,), -0.0)),
+        (("hwp", (1,), _OwnRepr(0.25)), ("hwp", (1,), 0.25)),
+        (("pbs", [0, 1], None), ("pbs", (0, 1), None)),
+        (("pbs", (np.int64(1), 0), None), ("pbs", (1, 0), None)),
     ],
 )
-def test_element_rejects_loose_types(kind, modes, angle):
-    with pytest.raises(ValueError):
-        OpticalElement(kind, modes, angle)
+def test_element_stores_accepted_spellings_as_exact_types(spelling, exact):
+    # every accepted spelling is stored as the exact-typed element would be,
+    # so it compares, hashes and serializes as that element does
+    e, want = OpticalElement(*spelling), OpticalElement(*exact)
+    assert type(e.modes) is tuple and all(type(m) is int for m in e.modes)
+    if want.angle_rad is None:
+        assert e.angle_rad is None
+    else:
+        assert type(e.angle_rad) is float and e.angle_rad.hex() == want.angle_rad.hex()
+    assert e == want and hash(e) == hash(want) and repr(e) == repr(want)
+    assert serialize(_circ([e])) == serialize(_circ([want]))
 
 
 def test_circuit_validates_mode_range():

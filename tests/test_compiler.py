@@ -16,12 +16,14 @@ import pytest
 from cartanopt import compiler as compiler_module
 from cartanopt.cartan import central_a
 from cartanopt.circuit import (
+    OpticalElement,
     _rewrite_cancel_pbs,
     _rewrite_drop_zero_ps,
     _rewrite_merge_ps,
     _rewrite_resynthesize_run,
     deserialize,
     element_count,
+    optimize,
     serialize,
 )
 from cartanopt.compiler import (
@@ -385,6 +387,26 @@ def test_optimize_has_nothing_left_on_a_haar_compile(monkeypatch):
     monkeypatch.setattr(compiler_module, "optimize", lambda circuit, tol: circuit)
     for (U, conv), want in zip(inputs, full):
         assert serialize(compile(U, _opts(conv, optimize=True))[0]) == want, conv
+
+
+def test_optimize_builds_no_element_on_a_haar_compile(monkeypatch):
+    # optimize keeps nothing on a Haar compile, and its phase sweep is not
+    # kept, so it builds no element: the sweep decides that it is strictly
+    # shorter before it builds a phase shifter
+    inputs = [(haar_random_unitary(4, 900 + s), conv) for conv in ("ps", "sp") for s in range(8)]
+    inputs += [(haar_random_unitary(8, 950 + s), "sp") for s in range(8)]
+    compiled = [compile(U, _opts(conv, optimize=True))[0] for U, conv in inputs]
+    built = []
+    init = OpticalElement.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(OpticalElement, "__init__", counting)
+    for c in compiled:
+        assert optimize(c, DEFAULT_TOL) == c
+    assert built == []
 
 
 def test_compile_runs_without_scipy():

@@ -40,6 +40,10 @@ from cartanopt.linalg import dump_matrix, haar_random_unitary
 from cartanopt.simulate import simulate, verify
 from kernels import fingerprint, pin_message
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+
+import reference  # noqa: E402  (the benchmark's independent simulator)
+
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_circuits.json"
 
 HAAR4_SEEDS = (0, 1, 2, 3, 4)
@@ -160,6 +164,16 @@ def test_structure_and_plain_equality_hold_on_every_kernel_set():
 def test_compile_m4_equals_compile_on_8x8(name, U, convention, optimize):
     opts = CompileOptions(convention=convention, optimize=optimize)
     assert serialize(compile_m4(U, opts)[0]) == _compile_json(U, convention, optimize)
+
+
+@pytest.mark.parametrize("name,U,convention,optimize", CASES, ids=[c[0] for c in CASES])
+def test_reference_simulator_accepts_every_case(name, U, convention, optimize):
+    # verify and the optimizer read the same plate table as the compiler,
+    # so a wrong entry there agrees with itself; the benchmark's reference
+    # simulator is written apart from it, from the README's element
+    # definitions
+    verdict = reference.check(_compile_json(U, convention, optimize), U, convention)
+    assert verdict.ok, verdict.reason
 
 
 def test_local_cases_skip_the_central_layer(golden):

@@ -47,6 +47,10 @@ from cartanopt.linalg import ToleranceConfig, dump_matrix
 from cartanopt.simulate import simulate
 from kernels import fingerprint, pin_message
 
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+
+import reference  # noqa: E402  (the benchmark's independent simulator)
+
 CORPUS = pathlib.Path(__file__).parent / "data" / "optimize_corpus.json"
 
 SEED = 6
@@ -152,6 +156,25 @@ def test_optimize_outputs_are_byte_identical():
     assert not moved, (
         f"{len(moved)} cases moved, first: {moved[:10]}; {pin_message(RECORDED_KERNELS)}"
     )
+
+
+def _reference_matrix(circuit) -> np.ndarray:
+    elements = [(e.kind, e.modes, e.angle_rad) for e in circuit.elements]
+    return reference.simulate(circuit.convention.tag, circuit.num_spatial_modes, elements)
+
+
+def test_reference_simulator_keeps_every_record():
+    # the rewrites and simulate read the same plate table
+    # (waveplates._plate_entries), so a wrong entry there can agree with
+    # itself; the benchmark's reference simulator is written apart from it.
+    # Every record's output equals its input entry by entry, global phase
+    # included, as the re-record requires
+    moved = [
+        name
+        for name, circuit, out in _outputs()
+        if not np.abs(_reference_matrix(out) - _reference_matrix(circuit)).max() <= PLAIN_TOL
+    ]
+    assert not moved, f"{len(moved)} records moved, first: {moved[:10]}"
 
 
 def _simulate_sha256() -> str:

@@ -26,6 +26,7 @@ from cartanopt.circuit import (
     _rewrite_drop_zero_ps,
     _rewrite_merge_ps,
     _sweep_phases,
+    _swept_elements,
     element_count,
     optimize,
     pbs,
@@ -151,26 +152,27 @@ def test_sweep_is_kept_only_when_shorter():
 def test_no_phase_rule_fires_on_a_kept_sweep(monkeypatch):
     # optimize skips drop_zero_ps and merge_ps in the pass right after a
     # kept sweep, and compile hands optimize a swept emission.  Neither
-    # rule may fire on any sweep that optimize runs on the optimizer corpus
-    # or that compile and optimize run on the golden inputs compiled with
-    # optimize on; both reach _sweep_phases through _sweep_if_shorter, so
-    # patching it records each.  The corpus's first family keeps none of
-    # its sweeps (its phase rules and resynthesis leave nothing for one to
-    # merge), so every sweep output is checked, kept or not; the swept
-    # family keeps at least one per circuit and the golden compiles keep
-    # some, each of them in compile
-    swept_out, kept = [], []
+    # rule may fire on any sweep that optimize keeps on the optimizer
+    # corpus or that compile and optimize keep on the golden inputs
+    # compiled with optimize on.  Both go through _sweep_if_shorter, which
+    # builds a sweep's elements (_swept_elements) only when it keeps the
+    # sweep, so patching that records each kept sweep.  The corpus's first
+    # family keeps none of its sweeps (its phase rules and resynthesis
+    # leave nothing for one to merge; test_sweep_on_compiled_circuits
+    # checks sweeps that are not kept); the swept family keeps at least
+    # one per circuit and the golden compiles keep some, each of them in
+    # compile
+    kept = []
 
-    def recording(elems, a_tol):
-        swept = _sweep_phases(elems, a_tol)
-        swept_out.append(swept)
-        if len(swept) < len(elems):
-            kept.append(swept)
+    def recording(slots):
+        swept = _swept_elements(slots)
+        kept.append(swept)
         return swept
 
-    monkeypatch.setattr(circuit_module, "_sweep_phases", recording)
+    monkeypatch.setattr(circuit_module, "_swept_elements", recording)
     for circuit in _circuits():
         optimize(circuit)
+    assert kept == []
     family = _swept_circuits()
     for circuit in family:
         optimize(circuit)
@@ -178,5 +180,5 @@ def test_no_phase_rule_fires_on_a_kept_sweep(monkeypatch):
     for _, U, convention, _ in GOLDEN_CASES:
         compile(U, CompileOptions(convention=convention, optimize=True))
     assert len(kept) >= len(family) + 10
-    for swept in swept_out:
+    for swept in kept:
         assert not _phase_rule_fires(swept), swept
