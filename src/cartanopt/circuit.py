@@ -20,7 +20,6 @@ from .linalg import DEFAULT_TOL, ToleranceConfig, _parse_json
 from .waveplates import (
     _canon_phase,
     _elide_phase,
-    _may_shrink,
     chain_matrix,
     synthesize_u2,
 )
@@ -295,23 +294,15 @@ def _rewrite_merge_ps(elems: list) -> bool:
     return False
 
 
-def _rewrite_resynthesize_run(
-    elems: list, tol: ToleranceConfig, shortest: set, screen_runs: bool
-) -> bool:
+def _rewrite_resynthesize_run(elems: list, tol: ToleranceConfig) -> bool:
     # a same-mode run of plates collapses through synthesize_u2 when the
     # product admits a shorter chain; elements on other modes are
     # transparent, a PBS touching the mode ends the run.  One pass finds
     # the maximal runs, tried in order of their first element, and the
     # first that shrinks is rewritten.  Only whole runs are candidates:
     # synthesize_u2 returns the shortest chain, so a part of a run that
-    # shrinks would shorten the whole run too.  With screen_runs a run
-    # reaches the exact path only when _may_shrink cannot rule a shorter
-    # chain out.  shortest holds the (kind, angle) sequences of the runs
-    # found not to shrink, so a rescan skips them.  A rewritten run is not
-    # added: a chain that synthesize_u2 emits can resynthesize shorter at
-    # the angle_tol edges of its forms, and skipping that rescan changes
-    # the optimizer's output bytes.  Each run is its element indices and
-    # its (kind, angle) sequence, gathered in the one scan.
+    # shrinks would shorten the whole run too.  Each run is its element
+    # indices and its (kind, angle) sequence, gathered in the one scan.
     runs, open_runs = [], {}
     for i, e in enumerate(elems):
         if e.kind == "pbs":
@@ -328,18 +319,14 @@ def _rewrite_resynthesize_run(
     for run, pairs in runs:
         if len(run) < 2:
             continue
-        key = tuple(pairs)
-        if key in shortest or (screen_runs and not _may_shrink(key, tol.angle_tol)):
-            continue
-        plates = synthesize_u2(chain_matrix(key), tol)
-        if len(plates) < len(key):
+        plates = synthesize_u2(chain_matrix(pairs), tol)
+        if len(plates) < len(pairs):
             i = run[0]
             mode = elems[i].modes[0]
             for j in reversed(run):
                 del elems[j]
             elems[i:i] = chain_elements(plates, mode)
             return True
-        shortest.add(key)
     return False
 
 
@@ -432,37 +419,28 @@ def optimize(circuit: OpticalCircuit, tol: ToleranceConfig = DEFAULT_TOL) -> Opt
     action, global phase included.
     """
     elems = list(circuit.elements)
-    # screen: runs go through the closed-form test; sweep: a rule fired
-    # since the last sweep (a sweep's output sweeps to itself).  compile
-    # sweeps its optimized emission before this, so on a Haar compile no
-    # rule fires and the sweep is not kept: only the unscreened first pass
-    # runs, and it removes nothing.  That pass is unscreened only because
-    # on haar8_opt it alone reaches the synthesize_u2, is_unitary and
-    # _chain_params calls that the benchmark tracer's SITES pins; screening
-    # it waits on ROADMAP item 6.  The pass right after a kept sweep starts
-    # at resynthesis: the sweep leaves no PS within angle_tol of zero and
-    # at most one PS per run between PBSs on its mode, so neither phase
-    # rule can fire on its output.
-    shortest, screen, sweep = set(), False, True
+    # fired: a rule fired since the last sweep; a sweep's output sweeps to
+    # itself, so with none the loop ends.  compile sweeps its optimized
+    # emission before this, so on a Haar compile no rule fires and the
+    # sweep is not kept: one pass runs, and it removes nothing.
+    fired = True
     while True:
         if (
-            (sweep and (
-                _rewrite_drop_zero_ps(elems, tol.angle_tol) or _rewrite_merge_ps(elems)
-            ))
-            or _rewrite_resynthesize_run(elems, tol, shortest, screen)
+            _rewrite_drop_zero_ps(elems, tol.angle_tol)
+            or _rewrite_merge_ps(elems)
+            or _rewrite_resynthesize_run(elems, tol)
             or _rewrite_cancel_pbs(elems)
         ):
-            sweep = True
+            fired = True
             continue
-        if not sweep:
+        if not fired:
             break
         # a moved phase can make a run shorter to resynthesize, so the
-        # rules run again; the sweep changed only the runs' phases, and
-        # most runs clear the quaternion screen
+        # rules run again
         swept = _sweep_if_shorter(elems, tol.angle_tol)
         if swept is None:
             break
-        elems, screen, sweep = swept, True, False
+        elems, fired = swept, False
     return OpticalCircuit(
         convention=circuit.convention,
         num_spatial_modes=circuit.num_spatial_modes,

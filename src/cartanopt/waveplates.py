@@ -15,8 +15,7 @@ decides a chain's length: it emits a shorter chain whenever the target
 is a phase, one plate times a phase, or two plates times a phase, each
 recognized by a closed-form gap of the quaternion (_branch_gaps).  Its
 unchecked core _synthesize takes a split directly, for the compiler's
-gauge steering, and the steering and the optimizer's whole-run screen
-(_may_shrink) count plates by the same gaps (_fewest_plates).
+gauge steering, which counts plates by the same gaps (_fewest_plates).
 """
 
 from __future__ import annotations
@@ -31,10 +30,6 @@ from .linalg import DEFAULT_TOL, ToleranceConfig, _identity, _not_unitary, is_un
 _TWO_PI = 2.0 * math.pi
 # |w| of a single quarter-wave plate's quaternion
 _QWP_W = 1.0 / math.sqrt(2.0)
-# how far a closed-form bound must clear each threshold beyond angle_tol: far
-# above the ~1e-15 gap between a 2x2 product of at most four plates formed in
-# another order and chain_matrix's
-_BOUND_MARGIN = 1e-9
 
 
 def _plate_entries(kind: str, angle: float) -> tuple[complex, complex, complex, complex]:
@@ -178,8 +173,7 @@ def _branch_gaps(w: float, x: float, y: float, z: float) -> tuple[float, ...]:
     the components its form fixes and invariant under flipping the
     quaternion's sign.  The QWP and QWP-HWP forms also tie hypot(x, z) to
     1/sqrt 2, which their gaps leave out, so a chain taken at one of those
-    thresholds can miss U by up to sqrt 2 times angle_tol.  _may_shrink
-    reads the same gaps.
+    thresholds can miss U by up to sqrt 2 times angle_tol.
     """
     r = math.hypot(w, y)
     return (
@@ -192,16 +186,16 @@ def _branch_gaps(w: float, x: float, y: float, z: float) -> tuple[float, ...]:
     )
 
 
-def _fewest_plates(w: float, x: float, y: float, z: float, bound: float) -> int:
-    """Plates of the first short form whose gap is <= bound, or 3 if none is.
+def _fewest_plates(w: float, x: float, y: float, z: float, a_tol: float) -> int:
+    """Plates of the first short form whose gap is <= a_tol, or 3 if none is.
 
     _FORM_PLATES ascends, so the first form within reach has the fewest.
     Most quaternions reach none, which one min settles.
     """
     gaps = _branch_gaps(w, x, y, z)
-    if min(gaps) > bound:
+    if min(gaps) > a_tol:
         return 3
-    return next(k for k, gap in zip(_FORM_PLATES, gaps) if gap <= bound)
+    return next(k for k, gap in zip(_FORM_PLATES, gaps) if gap <= a_tol)
 
 
 def _qq_fit(w: float, x: float, y: float, z: float) -> tuple[float, float, float]:
@@ -332,63 +326,3 @@ def _largest_entry(w: float, x: float, y: float, z: float) -> float:
     times this, at least 1/sqrt 2 and at most 1.
     """
     return max(math.hypot(w, z), math.hypot(x, y))
-
-
-def _fold_su2(plates) -> tuple[float, float, float, float, float]:
-    """(delta, w, x, y, z) of a run's product, folded as unit quaternions.
-
-    Each QWP and HWP lies in SU(2), so its quaternion reads off
-    _plate_entries as (Re a, Im b, Re b, Im a), and Re b is zero for
-    both: a plate's quaternion has no y part.  The fold composes each
-    new plate P = p_w + i p.sigma on the left:
-
-        w' = p_w w - p.u,   u' = p_w u + w p - p x u.
-
-    The PS angles add to one phase.  Up to rounding, delta =
-    remainder(phase, pi) is _su2's determinant phase modulo pi and the
-    quaternion is _su2's up to sign: the multiple of pi that remainder
-    drops moves into the quaternion's sign, which no gap and no entry
-    modulus can tell.
-    """
-    phase, w, x, y, z = 0.0, 1.0, 0.0, 0.0, 0.0
-    for kind, angle in plates:
-        if kind == "ps":
-            phase += angle
-            continue
-        a, b, _, _ = _plate_entries(kind, angle)
-        pw, px, pz = a.real, b.imag, a.imag
-        w, x, y, z = (
-            pw * w - px * x - pz * z,
-            pw * x + w * px + pz * y,
-            pw * y + px * z - pz * x,
-            pw * z + w * pz - px * y,
-        )
-    return math.remainder(phase, math.pi), w, x, y, z
-
-
-def _may_shrink(plates, a_tol: float) -> bool:
-    """Whether a run of plates may have an exact chain shorter than itself.
-
-    The exact chain is synthesize_u2 of the product.  False only when
-    that chain surely has at least len(plates) elements: the fewest
-    plates of a form within reach (three if none is), plus one when the
-    determinant phase surely keeps its PS.  The product's split comes
-    from _fold_su2, within rounding of _su2(chain_matrix(plates)) up to
-    the quaternion's sign, which the gaps and _largest_entry ignore.
-    Both read synthesize_u2's own tests with each threshold widened to
-    angle_tol + _BOUND_MARGIN, so a product near a threshold reads True
-    and goes to the exact path.  A form that moves the quaternion's sign
-    into the PS can keep a PS of pi that this count leaves out, which
-    only lets more runs through.  A run of five or more plates always
-    shrinks and reads True.
-    """
-    n = len(plates)
-    if n > 4:
-        return True
-    bound = a_tol + _BOUND_MARGIN
-    delta, w, x, y, z = _fold_su2(plates)
-    fewest = _fewest_plates(w, x, y, z, bound)
-    # fewest plates behind the PS tie with n elements unless the PS goes
-    return fewest < n - 1 or (
-        fewest == n - 1 and abs(delta) * _largest_entry(w, x, y, z) <= bound
-    )

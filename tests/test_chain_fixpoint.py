@@ -1,14 +1,13 @@
 """optimize leaves no same-mode run that the chain table would shorten.
 
-The optimizer resynthesizes whole runs only.  After a kept phase sweep
-it screens each run with a closed-form bound (waveplates._may_shrink)
-and hands only the runs it cannot rule out to synthesize_u2.  If the
-bound and the table disagreed, a run the table shortens could survive
-to the output.  At optimize's fixpoint
-every maximal same-mode run (a PBS on the mode ends one, elements on
-other modes do not) must therefore be at least as long as the table's
-chain for its product: on the optimizer corpus and on optimized
-structured dim-4 compiles.
+The optimizer resynthesizes whole runs only, and stops when no run's
+synthesize_u2 chain is shorter than the run.  A chain that synthesize_u2
+emits sits up to angle_tol from its target, so it can itself
+resynthesize shorter (ROADMAP item 17); the optimizer must therefore
+try rewritten runs again.  At optimize's fixpoint every maximal
+same-mode run (a PBS on the mode ends one, elements on other modes do
+not) must be at least as long as the table's chain for its product: on
+the optimizer corpus and on optimized structured dim-4 compiles.
 """
 
 from hypothesis import given, settings, strategies as st

@@ -12,6 +12,8 @@ from cartanopt.circuit import (
     OpticalElement,
     _rewrite_drop_zero_ps,
     _rewrite_merge_ps,
+    _rewrite_resynthesize_run,
+    chain_elements,
     deserialize,
     element_count,
     hwp,
@@ -21,8 +23,10 @@ from cartanopt.circuit import (
     qwp,
     serialize,
 )
-from cartanopt.linalg import DEFAULT_TOL
+from cartanopt.linalg import DEFAULT_TOL, haar_random_unitary
 from cartanopt.simulate import simulate
+from cartanopt.waveplates import chain_matrix, synthesize_u2
+from test_waveplates import _SHRINKING
 
 
 def _circ(elements, conv="sp", m=2, metadata=None):
@@ -317,6 +321,40 @@ def test_merge_ps_rule_adds_phases_past_other_modes():
     elems = [ps(0, 1.0), hwp(0, 0.3), ps(0, 2.5)]
     assert not _rewrite_merge_ps(elems)
     assert elems == [ps(0, 1.0), hwp(0, 0.3), ps(0, 2.5)]
+
+
+def _full_chain_on(mode: int, seed: int) -> list:
+    """A Haar gate's chain on one mode: PS-QWP-HWP-QWP, already its shortest."""
+    chain = chain_elements(synthesize_u2(haar_random_unitary(2, seed)), mode)
+    assert len(chain) == 4
+    return chain
+
+
+def test_resynthesize_run_rule_rewrites_only_the_shrinking_run():
+    # a shrinking run on mode 0 between PBS(0, 1)s, with a full chain on
+    # mode 1 interleaved: the mode-1 runs do not shrink, and the mode-0 run
+    # is replaced by synthesize_u2's chain for its product in its place
+    run = chain_elements(_SHRINKING[1], 0)
+    other = _full_chain_on(1, 11)
+    inner = [e for pair in zip(run, other) for e in pair] + run[len(other):]
+    before = [*_full_chain_on(1, 12), pbs(0, 1), *inner, pbs(0, 1), *_full_chain_on(0, 13)]
+    elems = list(before)
+    assert _rewrite_resynthesize_run(elems, DEFAULT_TOL)
+    rest = [e for e in before if e not in run]
+    assert len(rest) == len(before) - len(run)
+    first = before.index(run[0])
+    shorter = chain_elements(synthesize_u2(chain_matrix(_SHRINKING[1])), 0)
+    assert len(shorter) < len(run)
+    assert elems == rest[:first] + shorter + rest[first:]
+    # plain equality, global phase included
+    got, want = simulate(_circ(elems)), simulate(_circ(before))
+    assert np.abs(got - want).max() <= 1e-12
+    # generic full chains on both modes around the PBSs: nothing shrinks
+    elems = [*_full_chain_on(0, 14), *_full_chain_on(1, 15), pbs(0, 1),
+             *[e for pair in zip(_full_chain_on(0, 16), _full_chain_on(1, 17)) for e in pair]]
+    kept = list(elems)
+    assert not _rewrite_resynthesize_run(elems, DEFAULT_TOL)
+    assert elems == kept
 
 
 def test_optimize_collapses_plate_run():

@@ -366,7 +366,7 @@ def test_no_rule_fires_on_the_optimized_emission():
     rules = {
         "drop_zero_ps": lambda els: _rewrite_drop_zero_ps(els, DEFAULT_TOL.angle_tol),
         "merge_ps": _rewrite_merge_ps,
-        "resynthesize_run": lambda els: _rewrite_resynthesize_run(els, DEFAULT_TOL, set(), False),
+        "resynthesize_run": lambda els: _rewrite_resynthesize_run(els, DEFAULT_TOL),
         "cancel_pbs": _rewrite_cancel_pbs,
     }
     for i, (U, conv) in enumerate(_emission_inputs()):

@@ -12,9 +12,9 @@ PBS pairs on one mode pair and puts a phase on both modes of each pair,
 a random common part plus a difference of 0 or pi on one mode; trailing
 phases on both modes take the common parts.  The phase sweep shortens
 every one of them, and a difference of pi left on a run with an HWP
-shrinks it only through the screened pass after the sweep
-(waveplates._may_shrink).  Its records come first in the file, so the
-original family's lines keep their bytes.  A change meant to make the
+shrinks it only through the resynthesis pass after the sweep.  Its
+records come first in the file, so the original family's lines keep
+their bytes.  A change meant to make the
 optimizer cheaper without changing what it emits must pass this test
 unchanged; after a deliberate
 change to the rewrites, re-record with
@@ -96,11 +96,12 @@ def _circuits():
     return circuits
 
 
-# offsets of a swept difference: below the default angle_tol, and between it
-# and the screen's margin above it (_may_shrink reads True, synthesize_u2
-# keeps the run).  The offset at angle_tol itself is left to the first
-# family: elided twice in one circuit, it can move a case by more than
-# PLAIN_TOL.
+# offsets of a swept difference: below the default angle_tol, and above it
+# (synthesize_u2 keeps the run).  1e-9 was the margin of a closed-form
+# screen the optimizer once ran before synthesize_u2; the offsets stay,
+# because the swept family's records are pinned to the circuits they draw.
+# The offset at angle_tol itself is left to the first family: elided twice
+# in one circuit, it can move a case by more than PLAIN_TOL.
 TURN_OFFSETS = (0.0, 1e-13, 2e-12, 1e-9)
 
 

@@ -150,9 +150,9 @@ def test_sweep_is_kept_only_when_shorter():
 
 
 def test_no_phase_rule_fires_on_a_kept_sweep(monkeypatch):
-    # optimize skips drop_zero_ps and merge_ps in the pass right after a
-    # kept sweep, and compile hands optimize a swept emission.  Neither
-    # rule may fire on any sweep that optimize keeps on the optimizer
+    # the sweep leaves no PS within angle_tol of zero and at most one PS
+    # per run between PBSs on its mode, so neither drop_zero_ps nor
+    # merge_ps may fire on any sweep that optimize keeps on the optimizer
     # corpus or that compile and optimize keep on the golden inputs
     # compiled with optimize on.  Both go through _sweep_if_shorter, which
     # builds a sweep's elements (_swept_elements) only when it keeps the

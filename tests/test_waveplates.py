@@ -5,14 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cartanopt import waveplates
 from cartanopt.linalg import DEFAULT_TOL, haar_random_unitary
 from cartanopt.waveplates import (
     PLATE_MATRIX,
-    _fold_su2,
-    _may_shrink,
     _su2,
     chain_matrix,
     hwp_matrix,
@@ -302,51 +300,10 @@ def test_chains_at_the_qwp_thresholds_stay_within_angle_tol():
         assert np.abs(chain_matrix(synthesize_u2(U)) - U).max() <= a_tol
 
 
-def test_generic_chain_suffixes_are_ruled_out():
-    # a generic PS-QWP-HWP-QWP chain and its proper suffixes are generic
-    # runs, so the bound spares synthesize_u2 every one of them
-    for seed in range(20):
-        plates = synthesize_u2(haar_random_unitary(2, seed))
-        assert len(plates) == 4
-        for k in range(3):
-            assert not _may_shrink(plates[k:], DEFAULT_TOL.angle_tol)
-
-
-@pytest.mark.parametrize("n", range(1, 5))
-def test_quaternion_fold_matches_the_product_split(n):
-    # the screen's fold against _su2 of chain_matrix: the same quaternion
-    # up to sign, the same determinant phase up to pi.  Composing the fold
-    # in reverse order gives the transposed product (y -> -y), which every
-    # gap ignores, so only this comparison sees that slip
-    rng = np.random.default_rng([n, 19])
-    for _ in range(500):
-        run = [(str(rng.choice(("hwp", "qwp"))), float(rng.uniform(-7.0, 7.0))) for _ in range(n)]
-        run.insert(int(rng.integers(n + 1)), ("ps", float(rng.uniform(-7.0, 7.0))))
-        delta, *q = _fold_su2(run)
-        want_delta, *want = _su2(chain_matrix(run))
-        q, want = np.array(q), np.array(want)
-        assert min(np.abs(q - want).max(), np.abs(q + want).max()) <= 1e-14, run
-        assert abs(math.remainder(delta - want_delta, math.pi)) <= 1e-14, run
-
-
-# multiples of pi/8 put products on the short branches; the offsets sit
-# around angle_tol, around the bound's margin and farther out
-_special_angles = st.builds(
-    lambda k, sign, offset: k * math.pi / 8 + sign * offset,
-    st.integers(-16, 16),
-    st.sampled_from((-1.0, 1.0)),
-    st.sampled_from((0.0, 1e-13, 1e-12, 2e-12, 1e-9, 3e-9, 1e-6, 2e-6, 1e-3, 2e-3)),
-)
-_plates = st.tuples(
-    st.sampled_from(("ps", "hwp", "qwp")),
-    st.one_of(_special_angles, st.floats(-4 * math.pi, 4 * math.pi)),
-)
-
-
-# each two-plate family behind H(0.1) H(0.1) = -I, bare and behind a PS:
-# the table takes the four plates to two (QWP-QWP to a PS and two, or a tie
-# with QWP-HWP-QWP), so the screen has to let them through.  Then two runs
-# the screen must fold with their phase: a QWP-HWP-QWP chain behind a PS of
+# runs that synthesize_u2 shortens: each two-plate family behind H(0.1)
+# H(0.1) = -I, bare and behind a PS, which the table takes to two plates
+# (QWP-QWP to a PS and two, or a tie with QWP-HWP-QWP).  Then two runs that
+# shrink only with their phase counted: a QWP-HWP-QWP chain behind a PS of
 # pi, which the sign of its plates absorbs, and a QWP and H(0.7) H(0.7) = -I
 # with the PS between them, which leave a PS and one QWP
 FAMILIES = (("hwp", "hwp"), ("qwp", "hwp"), ("hwp", "qwp"), ("qwp", "qwp"))
@@ -358,21 +315,6 @@ _SHRINKING = [
     [("ps", math.pi), ("qwp", 0.3), ("hwp", 1.1), ("qwp", 2.0)],
     [("qwp", 0.3), ("hwp", 0.7), ("ps", 0.5), ("hwp", 0.7)],
 ]
-
-
-def _with_examples(test):
-    """Add every _SHRINKING run as an example."""
-    for run in _SHRINKING:
-        test = example(run)(test)
-    return test
-
-
-@settings(max_examples=600, deadline=None, derandomize=True)
-@given(st.lists(_plates, min_size=2, max_size=6))
-@_with_examples
-def test_whole_bound_never_rules_out_a_shorter_chain(plates):
-    if not _may_shrink(plates, DEFAULT_TOL.angle_tol):
-        assert len(synthesize_u2(chain_matrix(plates))) >= len(plates)
 
 
 # plate and PS angles at exact multiples of pi/8, or anywhere
@@ -402,31 +344,6 @@ def test_no_part_of_a_run_shrinks_unless_the_run_does(plates):
 def test_shrinking_examples_do_shrink():
     for run in _SHRINKING:
         assert len(synthesize_u2(chain_matrix(run))) < len(run), run
-
-
-def test_bound_lets_through_a_run_at_the_edge_of_angle_tol():
-    # the screen's fold and the exact path's product differ in the last
-    # bits, so at a threshold they can fall on either side of angle_tol.
-    # This QWP-HWP-QWP run (from a seeded search over products moved about
-    # angle_tol off the QWP-HWP form) has an exact gap about 1.3e-16 below
-    # angle_tol, so synthesize_u2 takes it to two plates, and a folded gap
-    # about 2.0e-16 above: only the bound's margin lets it through
-    a_tol = DEFAULT_TOL.angle_tol
-    run = [("qwp", 1.4087968063612548), ("hwp", 2.6245717466296794), ("qwp", 1.4841521967043447)]
-    assert len(synthesize_u2(chain_matrix(run))) == 2
-    folded = min(waveplates._branch_gaps(*_fold_su2(run)[1:]))
-    assert a_tol < folded <= a_tol + 1e-9
-    assert _may_shrink(run, a_tol)
-
-
-def test_bound_rules_out_each_two_plate_chain():
-    # a chain the table emits is not handed back to it: the screen knows
-    # every two-plate form, with and without its PS
-    for p1, p2 in FAMILIES:
-        for head in ([], [("ps", 0.5)]):
-            chain = synthesize_u2(chain_matrix(head + [(p1, 0.3), (p2, 0.7)]))
-            assert len(chain) == len(head) + 2
-            assert not _may_shrink(chain, DEFAULT_TOL.angle_tol)
 
 
 # plate angles at multiples of pi/8, exactly or off by offsets around the
