@@ -416,7 +416,8 @@ def optimize(circuit: OpticalCircuit, tol: ToleranceConfig = DEFAULT_TOL) -> Opt
     when that is strictly shorter.  Every rewrite preserves the simulated
     unitary exactly (not merely up to phase), so repeated application
     terminates with a circuit of equal or smaller count and identical
-    action, global phase included.
+    action, global phase included.  A circuit that no rule shortens is
+    returned as it came, not rebuilt.
     """
     elems = list(circuit.elements)
     # fired: a rule fired since the last sweep; a sweep's output sweeps to
@@ -441,6 +442,9 @@ def optimize(circuit: OpticalCircuit, tol: ToleranceConfig = DEFAULT_TOL) -> Opt
         if swept is None:
             break
         elems, fired = swept, False
+    if len(elems) == len(circuit.elements):
+        # every rewrite and every kept sweep removes an element
+        return circuit
     return OpticalCircuit(
         convention=circuit.convention,
         num_spatial_modes=circuit.num_spatial_modes,

@@ -16,10 +16,17 @@ gauge: the gadget commutes with e^{phi X}, X = i(sz (+) -sz), so a
 closed-form phi moved from the level's left gates into its right gates
 puts one gate on a two-plate chain (_steer).  A level where no phi pays
 emits each gate's shortest chain, so it carries no zero-angle plate for
-the peephole pass to drop.  Last, the emission's phases are swept through
-its plates and PBSs (circuit._sweep_if_shorter), so on a Haar input the
-peephole pass has nothing left to remove.  Optimized, a generic input then
-takes 18 elements at dim 4 and 78 at dim 8.
+the peephole pass to drop.  Where a 4x4 level's CSD angles are special,
+more of its factors are free, and with local collapsing on the level
+spends that too: equal angles free a whole 2x2 basis, which makes one
+right gate the identity (_equal_angles; a path-polarization product
+takes 15 elements, not 17), and an angle at 0 or pi/2 frees one phase per
+angle between two gates (_free_phases; the built-in walk and Fourier
+targets take 10 and 11 elements in ps, below their hand-drawn 11 and 12).
+Haar inputs have no such level.  Last, the emission's phases are swept
+through its plates and PBSs (circuit._sweep_if_shorter), so on a Haar
+input the peephole pass has nothing left to remove.  Optimized, a generic
+input then takes 18 elements at dim 4 and 78 at dim 8.
 
 Also ships the built-in walk and Fourier targets and their hand-drawn
 factorizations as transcription fixtures.
@@ -34,7 +41,7 @@ import math
 import numpy as np
 
 from . import __version__
-from .cartan import decompose, decompose_m4
+from .cartan import _D_SX, decompose, decompose_m4
 from .circuit import OpticalCircuit, _sweep_if_shorter, chain_elements, hwp, optimize, pbs
 from .dof import DofConvention
 from .lie import SX, SY, SZ
@@ -42,6 +49,7 @@ from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     _as_square,
+    _identity,
     _not_unitary,
     dump_matrix,
     is_unitary,
@@ -57,8 +65,9 @@ from .waveplates import (
 )
 
 # Element counts of the hand-drawn reference circuits for the built-in
-# targets, keyed by (target name, convention tag).  Informational only:
-# those circuits were optimized by hand beyond the peephole rules.
+# targets, keyed by (target name, convention tag).  The optimized compile
+# is at or below each (walk/ps 10, qft/ps 11, walk/sp 10, qft/sp 17,
+# pinned in tests/test_degenerate_levels.py); the CLI prints them beside it.
 HAND_COUNTS = {
     ("walk", "ps"): 11,
     ("qft", "ps"): 12,
@@ -72,13 +81,14 @@ class CompileOptions:
     """Knobs for the compile entry points.
 
     optimize lets a CSD level whose central angles all vanish skip its
-    central layer, lets every other 4x4 level move its central layer's
-    gauge between its gates to shorten one chain, or else emit each
-    gate's shortest chain, sweeps the emitted phases when that is shorter,
-    and runs the peephole pass on the result, which removes nothing from
-    a Haar compile.  With optimize off none of these runs, and the
-    circuit is the full 20- or 88-element template, every plate kept even
-    at angle zero.
+    central layer, lets every other 4x4 level spend the basis its CSD
+    leaves free at equal or degenerate angles and move its central
+    layer's gauge between its gates to shorten one chain, or else emit
+    each gate's shortest chain, sweeps the emitted phases when that is
+    shorter, and runs the peephole pass on the result, which removes
+    nothing from a Haar compile.  With optimize off none of these runs,
+    and the circuit is the full 20- or 88-element template, every plate
+    kept even at angle zero.
     The verification report is always computed; whether a failed one is
     an error is the caller's decision.  optimize must be a bool (Python
     or numpy) and tolerances a ToleranceConfig; anything else, such as
@@ -185,6 +195,105 @@ def _steer(splits: list, a_tol: float) -> list | None:
     return None
 
 
+# Where a 4x4 level's CSD angles are special, the CSD pins more than it
+# must: K A K' is not unique (N. Khaneja and S. J. Glaser, Chem. Phys. 267,
+# 11 (2001)).  With optimize on, _elements spends that freedom on its
+# gates' chains: _equal_angles when the two angles are equal, _free_phases
+# where an angle's sine or cosine vanishes.  Either replaces the level's
+# CSD short-cut in linalg.ToleranceConfig's budget: a level that takes the
+# short-cut has no angle left to snap or phase to choose.
+
+
+def _equal_angles(left, right, angles, conv: DofConvention, a_tol: float):
+    """The level's gates and angles with its CSD's first right block moved into its left gates.
+
+    When the two CSD angles are within angle_tol of each other and strictly
+    inside (0, pi/2), C and S are multiples of I, so blkdiag(Q, Q) commutes
+    with the central factor for every 2x2 unitary Q: V1, V2 -> V1 Q, V2 Q
+    and W1, W2 -> Q^dag W1, Q^dag W2.  Q = W1 makes W1 the identity.
+    Through the convention's folds (cartan.decompose) that is L_k -> L_k
+    Q_k and R_k -> Q_k^dag R_k, with Q_0 = Q and Q_1 = F Q F^dag, F = I in
+    PS and D SX in SP.  Both angles become their mean, which moves the
+    central factor by at most angle_tol / 2.  Any other level comes back as
+    it was.  (An angle at 0 or pi/2 is left to _free_phases: there, taking
+    Q = W1 lengthens some permutations.)
+    """
+    t1, t2 = angles
+    # t1 >= t2 >= 0: t2 has the smaller sine and t1 the smaller cosine
+    if abs(t1 - t2) > a_tol or math.sin(t2) <= a_tol or math.cos(t1) <= a_tol:
+        return left, right, angles
+    Q = right[0]
+    Q1 = Q if conv is DofConvention.PS else _D_SX.dot(Q).dot(_D_SX.T)
+    mean = (t1 + t2) / 2.0
+    left = (left[0].dot(Q), left[1].dot(Q1))
+    return left, (_identity(2), Q1.conj().T.dot(right[1])), (mean, mean)
+
+
+def _phase_rotated(split: tuple, u: float, t: float, on_right: bool) -> tuple:
+    """The _su2 split of e^{iu} V e^{i t sz} if on_right, else of e^{iu} e^{i t sz} V.
+
+    Takes V's split.  The phase is brought back into _su2's range [-pi/2,
+    pi/2], the quaternion changing sign when the phase moves by an odd
+    multiple of pi, so _synthesize gets the split that _su2 of the product
+    would give: a phase of pi there would be a PS that a plate's sign
+    carries for free.
+    """
+    d, *q = split
+    q = _rotate_z(q, math.cos(t), math.sin(t), on_right)
+    d += u
+    delta = math.remainder(d, math.pi)
+    if round((d - delta) / math.pi) % 2:
+        q = tuple(-v for v in q)
+    return (delta, *q)
+
+
+def _free_phases(splits: list, angles, conv: DofConvention, a_tol: float) -> list:
+    """The _su2 splits of R0, R1, L0, L1 once the level's degenerate angles take their free phase.
+
+    Where the sine of CSD angle i is within angle_tol, the V2 column and
+    the W2 row of index i have a free relative phase; where its cosine is,
+    the V2 column and the W1 row (linalg._cosine_sine pins it only below
+    rounding).  Through the convention's folds and bookends that column is
+    L1's column c, c = i in PS and 1 - i in SP, and the row is R1's row c
+    (sine) or R0's row 1 - c (cosine).  Moving the phase e^{2iu} between
+    them multiplies L1 on the right and that R gate on the left by
+    e^{+-iu} e^{+-iu sz}: a rotation of _rotate_z, as _steer's gauge, plus a
+    phase u moved from one gate to the other.  Each free phase is taken in
+    closed form, as the one of 0 and the four rotations that zero one
+    component of the R gate's quaternion that leaves that gate the fewest
+    plates, 0 on a tie.  The choices stand only when the four gates then
+    have strictly fewer plates.  A choice moves the product by at most
+    twice the sine or cosine, at most 2 angle_tol.
+    """
+    moved, fewer = list(splits), 0
+    for i, angle in enumerate(angles):
+        sine = math.sin(angle) <= a_tol
+        if not sine and math.cos(angle) > a_tol:
+            continue
+        c = i if conv is DofConvention.PS else 1 - i
+        k, r = (1, c) if sine else (0, 1 - c)
+        q = moved[k][1:]
+        w, x, y, z = q
+        # R_k's left factor is e^{-iu} e^{i t sz} with t = (2r - 1) u; these
+        # t zero w, z, x and y in turn, and a dict counts each t once
+        roots = (0.0, math.atan2(w, z), math.atan2(-z, w), math.atan2(-x, y), math.atan2(y, x))
+        plates = {
+            t: _fewest_plates(*_rotate_z(q, math.cos(t), math.sin(t), False), a_tol) for t in roots
+        }
+        t = min(plates, key=plates.get)
+        if t:
+            fewer += plates[0.0] - plates[t]
+            u = (2 * r - 1) * t
+            moved[k] = _phase_rotated(moved[k], -u, t, False)
+            # and L1's right factor e^{iu} e^{i t sz} with t = (1 - 2c) u
+            moved[3] = _phase_rotated(moved[3], u, (1 - 2 * c) * u, True)
+    if not fewer:
+        return splits
+    # L0 never moves, and R0 and R1 have `fewer` plates fewer than before
+    grown = _fewest_plates(*moved[3][1:], a_tol) - _fewest_plates(*splits[3][1:], a_tol)
+    return moved if fewer > grown else splits
+
+
 def _elements(
     U: np.ndarray, conv: DofConvention, tol: ToleranceConfig, collapse: bool, mode: int
 ):
@@ -196,11 +305,13 @@ def _elements(
     skipped its CSD split (cartan._csd_level found it block-diagonal, so
     every central angle is zero), the level emits no central layer and
     each half is its left gate times its right gate, a 2x2 one taking the
-    shortest chain.  Otherwise, when collapse is set, a 4x4 level moves
-    its central layer's gauge between its gates when that shortens their
-    chains (_steer), and when it does not, each gate takes its shortest
-    chain.  With collapse off every 2x2 gate is a full PS-QWP-HWP-QWP
-    chain, every plate kept even at angle zero.
+    shortest chain.  Otherwise, when collapse is set, a 4x4 level first
+    spends what its CSD leaves free at equal or degenerate angles
+    (_equal_angles, _free_phases), then moves its central layer's gauge
+    between its gates when that shortens their chains (_steer), and when
+    it does not, each gate takes its shortest chain.  With collapse off
+    every 2x2 gate is a full PS-QWP-HWP-QWP chain, every plate kept even
+    at angle zero.
     """
     n = U.shape[0]
     if n == 4:
@@ -227,6 +338,8 @@ def _elements(
         t1, t2, t3, t4 = angles
         central = _gadget(mode, mode + 2, t2, t1) + _gadget(mode + 1, mode + 3, t4, t3)
         return halves(right) + central + halves(left), f
+    if collapse:
+        left, right, angles = _equal_angles(left, right, angles, conv, tol.angle_tol)
     if conv is DofConvention.PS:
         left = (left[0].dot(_PS_BOOKEND_L[0]), left[1].dot(_PS_BOOKEND_L[1]))
         right = (_PS_BOOKEND_R[0].dot(right[0]), _PS_BOOKEND_R[1].dot(right[1]))
@@ -236,6 +349,7 @@ def _elements(
         central = _gadget(mode, mode + 1, angles[1], angles[0])
     splits = [_su2(g) for g in (*right, *left)]
     if collapse:
+        splits = _free_phases(splits, angles, conv, tol.angle_tol)
         chains = _steer(splits, tol.angle_tol) or [
             _synthesize(*sp, tol.angle_tol) for sp in splits
         ]
@@ -277,9 +391,10 @@ def _compile(U, opts: CompileOptions) -> tuple[OpticalCircuit, VerificationRepor
         },
     )
     if opts.optimize:
-        # nothing left to remove on a Haar input, but optimize stays: it
-        # still shortens a few structured inputs by resynthesis after the
-        # sweep, and the benchmark's per-layer tracer requires its calls
+        # nothing left to remove on a Haar input, where optimize returns the
+        # circuit it was given, but it stays: it still shortens a few
+        # structured inputs by resynthesis after the sweep, and the
+        # benchmark's per-layer tracer requires its calls
         circuit = optimize(circuit, tol)
     return circuit, verify(circuit, U, tol)
 

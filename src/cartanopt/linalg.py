@@ -40,9 +40,17 @@ class ToleranceConfig:
     successive sites add at most linearly (M. A. Nielsen and I. L. Chuang,
     Quantum Computation and Quantum Information, sec. 4.5.3).  The sites:
     6 for the CSD short-cut or collapse of the 5 levels, the 4+4 one twice
-    because its dropped blocks are 4x4; 32 for the short form and the PS of
-    the 16 chains, left off at emission, by the zero-PS drop or at the
-    first resynthesis; 16 for the phase sweep, one per PBS (12) and per
+    because its dropped blocks are 4x4.  A 4x4 level that takes neither
+    may spend its free basis instead (compiler._equal_angles,
+    compiler._free_phases), at most one of the two, since one needs both
+    angles inside (0, pi/2) and the other one at an end.  Snapping its equal
+    angles to their mean moves the central factor by at most angle_tol / 2.
+    Choosing its degenerate angles' phases moves it by at most 2 angle_tol,
+    both together too, since they change disjoint rows and columns of the
+    cosine-sine factor.  So each takes its level's short-cut site, and K
+    stays.  Then 32 for the short form and the PS of the 16 chains, left
+    off at emission, by the zero-PS drop or at the first resynthesis; 16
+    for the phase sweep, one per PBS (12) and per
     mode end (4); 44 for the resyntheses after it, the PS of each of the
     28 same-mode runs (16 chains, 12 central HWPs) and the short form of
     each chain.  The sweep is counted once: a second kept sweep needs a

@@ -329,7 +329,7 @@ def test_optimized_builtin_counts_at_most_canonical():
 
 
 def _emission_inputs():
-    """(U, convention) for the built-in targets and seeded short-form and Haar inputs."""
+    """(U, convention) for the built-in targets and seeded short-form, product and Haar inputs."""
     rng = np.random.default_rng(25)
     cases = [(builtin_target(n, conv), conv) for n in ("walk", "qft") for conv in ("ps", "sp")]
     perms4 = list(itertools.permutations(range(4)))
@@ -356,6 +356,15 @@ def _emission_inputs():
         a, b = haar_random_unitary(2, 400 + 2 * s), haar_random_unitary(4, 401 + 2 * s)
         cases += [(np.kron(b, a), "sp"), (np.kron(a, b), "sp")]
     cases += [(haar_random_unitary(8, 500 + s), "sp") for s in range(20)]
+    # levels that spend their CSD's free basis: the built-ins times a phase
+    # (degenerate angles) and path-polarization products (equal angles)
+    rng = np.random.default_rng(26)
+    for conv in ("ps", "sp"):
+        for k in range(20):
+            phase = np.exp(2j * math.pi * rng.random())
+            cases.append((phase * builtin_target(("walk", "qft")[k % 2], conv), conv))
+            a, b = haar_random_unitary(2, 600 + 2 * k), haar_random_unitary(2, 601 + 2 * k)
+            cases.append((phase * np.kron(a, b), conv))
     return cases
 
 

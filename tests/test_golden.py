@@ -53,14 +53,14 @@ PLAIN_TOL = 1e-12
 # SHA-256 over dump_matrix(simulate(c)) and repr of verify's distance and
 # global_phase, for the compiled circuits of the corpus in order: pins the
 # simulator and the phase-aware distance to the bit
-SIMULATE_SHA256 = "fb4b4c5219eab758a1cce693a9b0908fd5782b84353a34d95c7d82abb498dd72"
+SIMULATE_SHA256 = "940dde2a74a7fa3887195896bafa5249cf3375e403e032aff65adb1cd0bbf265"
 # the kernel set the corpus and SIMULATE_SHA256 were recorded on
 RECORDED_KERNELS = "numpy 2.4.6, X86_V3 on, OpenBLAS SkylakeX"
 # SHA-256 over the element kinds and modes of the compiled circuits of the
 # corpus in order, with no angle: the same under the default kernels,
 # OPENBLAS_CORETYPE=Haswell, Nehalem, SandyBridge and Zen, and with numpy's
 # X86_V3 and X86_V4 loops off
-STRUCTURE_SHA256 = "12335e5716b9d9dc890bbc63ecd31bd46371499ecfd9c2cb3cfd28966afc5d3c"
+STRUCTURE_SHA256 = "cae81b857eec6640b23ae9e8c19724119b9be3450bf25cda701ac09a82914544"
 
 
 def _path_block(g1, g2, convention):
@@ -99,6 +99,12 @@ def _cases():
     block8[:4, :4] = haar_random_unitary(4, 5)
     block8[4:, 4:] = haar_random_unitary(4, 6)
     cases.append(("block8_sp", block8, "sp", True))
+    # a path (x) polarization product: its two CSD angles are equal, and
+    # the level spends the basis that leaves free (compiler._equal_angles)
+    path, pol = haar_random_unitary(2, 7), haar_random_unitary(2, 8)
+    for conv in ("ps", "sp"):
+        U = np.kron(path, pol) if conv == "sp" else np.kron(pol, path)
+        cases.append((f"kron_{conv}", U, conv, True))
     return cases
 
 
