@@ -14,19 +14,24 @@ emits no central layer and each half is the product of its two gates.
 With local collapsing on, a 4x4 level also uses its central layer's
 gauge: the gadget commutes with e^{phi X}, X = i(sz (+) -sz), so a
 closed-form phi moved from the level's left gates into its right gates
-puts one gate on a two-plate chain (_steer).  A level where no phi pays
-emits each gate's shortest chain, so it carries no zero-angle plate for
-the peephole pass to drop.  Where a 4x4 level's CSD angles are special,
-more of its factors are free, and with local collapsing on the level
-spends that too: equal angles free a whole 2x2 basis, which makes one
-right gate the identity (_equal_angles; a path-polarization product
-takes 15 elements, not 17), and an angle at 0 or pi/2 frees one phase per
-angle between two gates (_free_phases; the built-in walk and Fourier
-targets take 10 and 11 elements in ps, below their hand-drawn 11 and 12).
+puts one gate on a two-plate chain (_steer).  The 4+4 level's two
+gadgets commute likewise with a rotation on their own two modes, which
+reaches into the inner gates of all four 4x4 sub-levels, so an 8x8 level
+factors its sub-levels before it emits any of them and moves both
+rotations with theirs (_steer_m4): two more gates take two-plate chains.
+A level where no phi pays emits each gate's shortest chain, so it
+carries no zero-angle plate for the peephole pass to drop.  Where a 4x4
+level's CSD angles are special, more of its factors are free, and with
+local collapsing on the level spends that too: equal angles free a whole
+2x2 basis, which makes one right gate the identity (_equal_angles; a
+path-polarization product takes 15 elements, not 17), and an angle at 0
+or pi/2 frees one phase per angle between two gates (_free_phases; the
+built-in walk and Fourier targets take 10 and 11 elements in ps, below
+their hand-drawn 11 and 12).
 Haar inputs have no such level.  Last, the emission's phases are swept
 through its plates and PBSs (circuit._sweep_if_shorter), so on a Haar
 input the peephole pass has nothing left to remove.  Optimized, a generic
-input then takes 18 elements at dim 4 and 78 at dim 8.
+input then takes 18 elements at dim 4 and 76 at dim 8.
 
 Also ships the built-in walk and Fourier targets and their hand-drawn
 factorizations as transcription fixtures.
@@ -61,6 +66,7 @@ from .waveplates import (
     _full_chain,
     _su2,
     _synthesize,
+    _three_plates,
     synthesize_u2,
 )
 
@@ -84,7 +90,8 @@ class CompileOptions:
     central layer, lets every other 4x4 level spend the basis its CSD
     leaves free at equal or degenerate angles and move its central
     layer's gauge between its gates to shorten one chain, or else emit
-    each gate's shortest chain, sweeps the emitted phases when that is
+    each gate's shortest chain, lets the 4+4 level move its two gadgets'
+    gauges into the 4x4 levels' gates, sweeps the emitted phases when that is
     shorter, and runs the peephole pass on the result, which removes
     nothing from a Haar compile.  With optimize off none of these runs,
     and the circuit is the full 20- or 88-element template, every plate
@@ -161,38 +168,98 @@ def _qwp_hwp_root(q: tuple, on_right: bool) -> float:
     return 0.5 * math.atan2(0.5 * (w * w + y * y - x * x - z * z), b)
 
 
-def _steer(splits: list, a_tol: float) -> list | None:
-    """Chains of a level's gates R0, R1, L0, L1 after the gauge rotation, or None.
+# The order in which _steer's gates propose their phi: a 4x4 level alone,
+# and a right sub-level of a dim-8 compile, tries R0 and R1 first; a left
+# sub-level tries L0 and L1 first, the gates that the 4+4 gauge leaves alone.
+_RIGHT_FIRST = (0, 1, 2, 3)
+_LEFT_FIRST = (2, 3, 0, 1)
 
-    Takes the gates' _su2 splits.  A gate's plates are those of its
-    first short form within angle_tol, 3 if none is.  Each gate with 3
-    plates in turn proposes the phi of its first _qwp_hwp_root; the first
-    phi that gives the four rotated gates strictly fewer plates than the
-    unrotated ones is taken, and None means that none does.  A gate that
-    already has a short form proposes nothing: the QWP-HWP form it would
-    be moved onto has two plates, so its phi could pay only through a
-    coincidence in the other gates, and a level of short gates, such as a
-    permutation's, would try every candidate in vain.  A rotation has
-    determinant 1, so each delta stays; a gate that reaches a short form
-    takes synthesize_u2's chain, the rest the full chain.
+
+def _steer(
+    splits: list, a_tol: float, order: tuple = _RIGHT_FIRST, base: list | None = None
+) -> tuple | None:
+    """(splits, plates) of four gates after a gauge rotation, or None.
+
+    Takes the _su2 splits of gates that a gauge moves with the signs and
+    sides of _GAUGE: a level's R0, R1, L0, L1, or the four gates of a 4+4
+    gadget (_steer_m4).  A gate's plates are those of its first short
+    form within angle_tol, 3 if none is; `base` gives them where the
+    caller has them.  Each gate with 3 plates in turn, in `order`,
+    proposes the phi of its first _qwp_hwp_root; the first phi that gives
+    the four rotated gates strictly fewer plates than the unrotated ones
+    is taken, and None means that none does.  A gate that already has a
+    short form proposes nothing: the QWP-HWP form it would be moved onto
+    has two plates, so its phi could pay only through a coincidence in the
+    other gates, and a level of short gates, such as a permutation's,
+    would try every candidate in vain.  A rotation has determinant 1, so
+    each delta stays.
     """
     quats = [sp[1:] for sp in splits]
-    base = [_fewest_plates(*q, a_tol) for q in quats]
+    if base is None:
+        base = [_fewest_plates(*q, a_tol) for q in quats]
     fewest = sum(base)
-    for q0, k0, (sign, on_right) in zip(quats, base, _GAUGE):
-        if k0 < 3:
+    for i in order:
+        if base[i] < 3:
             continue
-        phi = sign * _qwp_hwp_root(q0, on_right)
+        sign, on_right = _GAUGE[i]
+        phi = sign * _qwp_hwp_root(quats[i], on_right)
         c, s = math.cos(phi), math.sin(phi)
         rotated = [_rotate_z(q, c, g * s, r) for q, (g, r) in zip(quats, _GAUGE)]
         plates = [_fewest_plates(*q, a_tol) for q in rotated]
         if sum(plates) < fewest:
-            return [
-                _synthesize(sp[0], *q, a_tol) if k < 3
-                else _full_chain(*_chain_params(sp[0], *q))
-                for sp, q, k in zip(splits, rotated, plates)
-            ]
+            return [(sp[0], *q) for sp, q in zip(splits, rotated)], plates
     return None
+
+
+def _chains(splits: list, plates: list, a_tol: float) -> list:
+    """Each gate's shortest chain, from its split and its plates (None where no gauge counted them).
+
+    A gate a gauge counted at 3 plates has no short form, so it goes
+    straight to the full chain without its gaps being taken again.
+    """
+    return [
+        _three_plates(_chain_params(*sp), *sp[1:], a_tol) if k == 3 else _synthesize(*sp, a_tol)
+        for sp, k in zip(splits, plates)
+    ]
+
+
+def _steer_m4(levels: list, a_tol: float) -> list | None:
+    """(splits, plates) of the four 4x4 sub-levels after their own gauges and the 4+4 level's, or None.
+
+    Takes each sub-level's _su2 splits of R0, R1, L0, L1, the sub-levels
+    in the order right-top, right-bottom, left-top, left-bottom.  The 4+4
+    level's gadget on modes (a1, a3) commutes with e^{phi X} on those two
+    modes, as a 4x4 level's gadget does on its own, and the gadget on
+    (a2, a4) with e^{psi X}.  Moving e^{phi X} from the left blocks into
+    the right ones multiplies L0 of each right sub-level on the left and
+    R0 of each left sub-level on the right, with the signs and sides of
+    _GAUGE taken in the sub-level order above; psi does the same through
+    L1 and R1.  So each sub-level first steers its own gauge onto a gate
+    that the 4+4 gauge leaves alone (_RIGHT_FIRST, _LEFT_FIRST), and then
+    _steer picks each gadget's phi from its four gates, the left
+    sub-levels' first; their plates are counted on those gates alone.  On
+    a Haar input the left-top R0 and R1 propose first, and their phi and
+    psi are taken.  None when neither gadget's is: each sub-level then
+    steers as a 4x4 level alone, and the emission is the one without this
+    rule.
+    """
+    states = []
+    for splits, order in zip(levels, (_RIGHT_FIRST, _RIGHT_FIRST, _LEFT_FIRST, _LEFT_FIRST)):
+        states.append(_steer(splits, a_tol, order) or (list(splits), [None] * 4))
+    moved = False
+    for k in (0, 1):
+        gates = (2 + k, 2 + k, k, k)
+        splits = [st[0][i] for st, i in zip(states, gates)]
+        plates = [
+            _fewest_plates(*sp[1:], a_tol) if st[1][i] is None else st[1][i]
+            for st, i, sp in zip(states, gates, splits)
+        ]
+        steered = _steer(splits, a_tol, _LEFT_FIRST, plates)
+        if steered is not None:
+            moved = True
+            for st, i, sp, p in zip(states, gates, *steered):
+                st[0][i], st[1][i] = sp, p
+    return states if moved else None
 
 
 # Where a 4x4 level's CSD angles are special, the CSD pins more than it
@@ -294,69 +361,103 @@ def _free_phases(splits: list, angles, conv: DofConvention, a_tol: float) -> lis
     return moved if fewer > grown else splits
 
 
-def _elements(
-    U: np.ndarray, conv: DofConvention, tol: ToleranceConfig, collapse: bool, mode: int
-):
-    """Element list realizing an n x n unitary (n = 4 or 8) from spatial mode `mode` on.
+def _level4(U: np.ndarray, conv: DofConvention, tol: ToleranceConfig, collapse: bool):
+    """A 4x4 level factored and not yet emitted: (f, gates, central).
 
-    Does one CSD level and returns (elements, factors).  The two halves
-    of each side act on modes `mode` and `mode + n/4`: 2x2 halves become
-    plate chains, 4x4 halves recurse.  When collapse is set and the level
-    skipped its CSD split (cartan._csd_level found it block-diagonal, so
-    every central angle is zero), the level emits no central layer and
-    each half is its left gate times its right gate, a 2x2 one taking the
-    shortest chain.  Otherwise, when collapse is set, a 4x4 level first
-    spends what its CSD leaves free at equal or degenerate angles
-    (_equal_angles, _free_phases), then moves its central layer's gauge
-    between its gates when that shortens their chains (_steer), and when
-    it does not, each gate takes its shortest chain.  With collapse off
-    every 2x2 gate is a full PS-QWP-HWP-QWP chain, every plate kept even
-    at angle zero.
+    gates are the _su2 splits of R0, R1, L0, L1 after the bookend folds,
+    and central the angles of the level's gadget.  With collapse set, the
+    level has first spent what its CSD leaves free at equal or degenerate
+    angles (_equal_angles, _free_phases).  When collapse is set and the
+    level skipped its CSD split (cartan._csd_level found it block-diagonal,
+    so both angles are zero), central is None and gates are the shortest
+    chains of L0 R0 and L1 R1.
     """
-    n = U.shape[0]
-    if n == 4:
-        f = decompose(U, conv, tol)
-        left, right, angles = f.left_gates, f.right_gates, (f.theta1, f.theta2)
-    else:
-        f = decompose_m4(U, tol)
-        left, right, angles = f.left_blocks, f.right_blocks, f.angles
-    modes = (mode, mode + n // 4)
-
-    def halves(gates) -> list:
-        # 4x4 halves recurse; for 2x2 halves the gates are their plate chains
-        els = []
-        for g, m in zip(gates, modes):
-            els += _elements(g, conv, tol, collapse, m)[0] if n == 8 else chain_elements(g, m)
-        return els
-
+    f = decompose(U, conv, tol)
+    left, right, angles = f.left_gates, f.right_gates, (f.theta1, f.theta2)
     if collapse and not any(angles):
-        gates = [left[0].dot(right[0]), left[1].dot(right[1])]
-        return halves(gates if n == 8 else [synthesize_u2(g, tol) for g in gates]), f
-    if n == 8:
-        left = (left[0].dot(_M4_DL_TOP), 1j * left[1].dot(_SXSX))
-        right = (right[0], _M4_DR_BOT_SXSX.dot(right[1]))
-        t1, t2, t3, t4 = angles
-        central = _gadget(mode, mode + 2, t2, t1) + _gadget(mode + 1, mode + 3, t4, t3)
-        return halves(right) + central + halves(left), f
+        return f, [synthesize_u2(left[k].dot(right[k]), tol) for k in (0, 1)], None
     if collapse:
         left, right, angles = _equal_angles(left, right, angles, conv, tol.angle_tol)
     if conv is DofConvention.PS:
         left = (left[0].dot(_PS_BOOKEND_L[0]), left[1].dot(_PS_BOOKEND_L[1]))
         right = (_PS_BOOKEND_R[0].dot(right[0]), _PS_BOOKEND_R[1].dot(right[1]))
-        central = _gadget(mode, mode + 1, angles[0], angles[1])
+        central = (angles[0], angles[1])
     else:
         left = (left[0].dot(_SP_BOOKEND_L), left[1].dot(_SP_BOOKEND_L))
-        central = _gadget(mode, mode + 1, angles[1], angles[0])
+        central = (angles[1], angles[0])
     splits = [_su2(g) for g in (*right, *left)]
     if collapse:
         splits = _free_phases(splits, angles, conv, tol.angle_tol)
-        chains = _steer(splits, tol.angle_tol) or [
-            _synthesize(*sp, tol.angle_tol) for sp in splits
-        ]
-    else:
+    return f, splits, central
+
+
+def _level_chains(splits: list, collapse: bool, a_tol: float) -> list:
+    """The chains of a 4x4 level's gates that steers its own gauge alone."""
+    if not collapse:
         # every plate, even at angle zero: the template keeps its 20 elements
-        chains = [_full_chain(*_chain_params(*sp)) for sp in splits]
-    return halves(chains[:2]) + central + halves(chains[2:]), f
+        return [_full_chain(*_chain_params(*sp)) for sp in splits]
+    return _chains(*(_steer(splits, a_tol) or (splits, [None] * 4)), a_tol)
+
+
+def _emit4(chains: list, central: tuple | None, mode: int) -> list:
+    """A 4x4 level's elements on modes (mode, mode + 1): R0, R1, its gadget, L0, L1.
+
+    A collapsed level (central None) has the two chains of its products.
+    """
+    els = chain_elements(chains[0], mode) + chain_elements(chains[1], mode + 1)
+    if central is None:
+        return els
+    els += _gadget(mode, mode + 1, *central)
+    return els + chain_elements(chains[2], mode) + chain_elements(chains[3], mode + 1)
+
+
+def _elements(
+    U: np.ndarray, conv: DofConvention, tol: ToleranceConfig, collapse: bool, mode: int
+):
+    """Element list realizing an n x n unitary (n = 4 or 8) from spatial mode `mode` on.
+
+    Does one CSD level and returns (elements, factors).  A 4x4 level is
+    factored (_level4), its gates take their chains, and it is emitted
+    (_emit4).  When collapse is set, a 4x4 level moves its central
+    layer's gauge between its gates when that shortens their chains
+    (_steer), and each gate takes its shortest chain.
+    With collapse off every 2x2 gate is a full PS-QWP-HWP-QWP chain, every
+    plate kept even at angle zero.  An 8x8 level factors its four 4x4
+    halves, on modes `mode` and `mode + 2`, before it emits any of them,
+    so that with collapse set the 4+4 level's gauge can move gates of
+    four sub-levels at once (_steer_m4).  When collapse is set and the
+    8x8 level skipped its CSD split, it emits no central layer and each
+    half is its left block times its right block.
+    """
+    a_tol = tol.angle_tol
+    if U.shape[0] == 4:
+        f, gates, central = _level4(U, conv, tol, collapse)
+        if central is not None:
+            gates = _level_chains(gates, collapse, a_tol)
+        return _emit4(gates, central, mode), f
+    f = decompose_m4(U, tol)
+    left, right, angles = f.left_blocks, f.right_blocks, f.angles
+    if collapse and not any(angles):
+        blocks, central = [left[0].dot(right[0]), left[1].dot(right[1])], []
+    else:
+        blocks = [right[0], _M4_DR_BOT_SXSX.dot(right[1])]
+        blocks += [left[0].dot(_M4_DL_TOP), 1j * left[1].dot(_SXSX)]
+        t1, t2, t3, t4 = angles
+        central = _gadget(mode, mode + 2, t2, t1) + _gadget(mode + 1, mode + 3, t4, t3)
+    levels = [_level4(b, conv, tol, collapse) for b in blocks]
+    states = None
+    if collapse and central and all(lv[2] is not None for lv in levels):
+        states = _steer_m4([lv[1] for lv in levels], a_tol)
+    els = []
+    for i, (_, gates, sub_central) in enumerate(levels):
+        if i == 2:
+            els += central
+        if states is not None:
+            gates = _chains(*states[i], a_tol)
+        elif sub_central is not None:
+            gates = _level_chains(gates, collapse, a_tol)
+        els += _emit4(gates, sub_central, mode + 2 * (i % 2))
+    return els, f
 
 
 def _compile(U, opts: CompileOptions) -> tuple[OpticalCircuit, VerificationReport]:

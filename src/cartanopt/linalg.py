@@ -48,10 +48,14 @@ class ToleranceConfig:
     Choosing its degenerate angles' phases moves it by at most 2 angle_tol,
     both together too, since they change disjoint rows and columns of the
     cosine-sine factor.  So each takes its level's short-cut site, and K
-    stays.  Then 32 for the short form and the PS of the 16 chains, left
-    off at emission, by the zero-PS drop or at the first resynthesis; 16
-    for the phase sweep, one per PBS (12) and per
-    mode end (4); 44 for the resyntheses after it, the PS of each of the
+    stays.  The gauge rotations of a 4x4 level and of the 4+4 level
+    (compiler._steer, compiler._steer_m4) move an exact factor e^{i t sz}
+    across a central gadget that commutes with it, which leaves the
+    product as it was, so they add no site: a gate they move onto a short
+    form takes it at its chain's site.  Then 32 for the short form and
+    the PS of the 16 chains, left off at emission, by the zero-PS drop or
+    at the first resynthesis; 16 for the phase sweep, one per PBS (12) and
+    per mode end (4); 44 for the resyntheses after it, the PS of each of the
     28 same-mode runs (16 chains, 12 central HWPs) and the short form of
     each chain.  The sweep is counted once: a second kept sweep needs a
     resynthesis to bring some phase within angle_tol of another mode's.

@@ -296,8 +296,18 @@ def _synthesize(
                 break
     if pair is not None and len(pair) < 3 + (_elide_phase(delta, p_tol) is not None):
         return pair
-    (_, phase), *plates = _full_chain(*_chain_params(delta, w, x, y, z))
-    return _phase_then(phase, p_tol, *plates)
+    return _three_plates(_chain_params(delta, w, x, y, z), w, x, y, z, a_tol)
+
+
+def _three_plates(params: tuple, w: float, x: float, y: float, z: float, a_tol: float) -> list:
+    """synthesize_u2's chain for a quaternion with no short form, from its _chain_params.
+
+    The full chain, its PS left off when that moves no entry by more
+    than angle_tol.  The compiler calls it for gates it has already
+    counted at 3 plates, so that their short-form gaps are not taken again.
+    """
+    (_, phase), *plates = _full_chain(*params)
+    return _phase_then(phase, a_tol / _largest_entry(w, x, y, z), *plates)
 
 
 def _full_chain(delta: float, q_first: float, h: float, q_last: float) -> list[tuple[str, float]]:

@@ -6,10 +6,11 @@ directions the angles reach: at most 16 for U(4) and 64 for U(8), with
 the global phase kept.  Every angle beyond the rank is redundant.
 Optimized Haar compiles carried 17 angles at dim 4 and 70 at dim 8, one
 and six surplus, until each 4x4 level moved its central layer's gauge
-into its gates (compiler._steer): now they carry 16 and 66.  The two
-angles left at dim 8 are the gauge directions of the 4+4 level's two
-gadgets, each of which reaches into two 4x4 sub-levels.  The test names
-keep the counts they were written for, so their ids stay stable.
+into its gates (compiler._steer), which left 16 and 66.  The two angles
+left at dim 8 were the gauge directions of the 4+4 level's two gadgets,
+each of which reaches into two 4x4 sub-levels; the 4+4 level now moves
+those too (compiler._steer_m4), so a dim-8 compile carries 64 angles and
+neither size has a surplus.
 """
 
 import numpy as np
@@ -43,14 +44,14 @@ def jacobian_rank(circuit: OpticalCircuit, step: float = 1e-6) -> tuple[int, int
 
 @pytest.mark.parametrize("convention", ["ps", "sp"])
 @pytest.mark.parametrize("seed", [1, 2])
-def test_dim4_surplus_is_one(convention, seed):
+def test_dim4_surplus_is_zero(convention, seed):
     U = haar_random_unitary(4, seed)
     circuit, _ = compile(U, CompileOptions(convention=convention, optimize=True))
     rank, angles = jacobian_rank(circuit)
     assert (rank, angles - rank) == (16, 0)
 
 
-def test_dim8_surplus_is_six():
+def test_dim8_surplus_is_zero():
     circuit, _ = compile_m4(haar_random_unitary(8, 3), CompileOptions(convention="sp", optimize=True))
     rank, angles = jacobian_rank(circuit)
-    assert (rank, angles - rank) == (64, 2)
+    assert (rank, angles - rank) == (64, 0)

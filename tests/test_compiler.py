@@ -252,14 +252,15 @@ def test_m4_unoptimized_kind_breakdown():
 
 
 def test_m4_optimized_kind_breakdown():
-    # the phase sweep takes the 16 chain phase shifters down to 10, and the
-    # gauge of each 4x4 level's central layer drops one QWP per level
+    # the phase sweep takes the 16 chain phase shifters down to 10, the
+    # gauge of each 4x4 level's central layer drops one QWP per level, and
+    # the gauge of each of the 4+4 level's two gadgets drops one more
     for seed in range(10):
         U = haar_random_unitary(8, seed=seed)
         circuit, rep = compile_m4(U, _opts("sp", optimize=True))
         count = element_count(circuit)
-        assert count.total == 78, seed
-        assert count.by_kind == {"pbs": 12, "hwp": 28, "qwp": 28, "ps": 10}, seed
+        assert count.total == 76, seed
+        assert count.by_kind == {"pbs": 12, "hwp": 28, "qwp": 26, "ps": 10}, seed
         assert np.abs(simulate(circuit) - U).max() <= 1e-12, seed
 
 
@@ -369,9 +370,8 @@ def _emission_inputs():
 
 
 def test_no_rule_fires_on_the_optimized_emission():
-    # with optimize on, every level emits each gate's shortest chain (or a
-    # steered full chain), so the peephole rules have nothing to do before
-    # the first phase sweep
+    # with optimize on, every level emits each gate's shortest chain, so
+    # the peephole rules have nothing to do before the first phase sweep
     rules = {
         "drop_zero_ps": lambda els: _rewrite_drop_zero_ps(els, DEFAULT_TOL.angle_tol),
         "merge_ps": _rewrite_merge_ps,

@@ -4,7 +4,10 @@ Each PBS-HWP(a)-HWP(b)-PBS gadget on modes (m, m+1) commutes with
 e^{phi X}, X = i(sz (+) -sz), for every a and b.  With optimize on, a 4x4
 level moves that rotation from its left gates into its right gates where
 it puts one gate on the QWP-HWP form (compiler._steer), working on the
-gates' _su2 quaternions rather than on their matrices.
+gates' _su2 quaternions rather than on their matrices.  At dim 8 the 4+4
+level's two gadgets, on modes (a1, a3) and (a2, a4), commute likewise,
+and each moves one more gate of a left sub-level onto that form
+(compiler._steer_m4): a Haar 8x8 compile takes 76 elements, not 78.
 """
 
 import math
@@ -16,11 +19,13 @@ from cartanopt import compiler
 from cartanopt.circuit import OpticalCircuit
 from cartanopt.compiler import (
     CompileOptions,
+    _chains,
     _elements,
     _gadget,
     _qwp_hwp_root,
     _rotate_z,
     _steer,
+    builtin_target,
     compile,
 )
 from cartanopt.dof import PS_TO_SP_IX, DofConvention
@@ -91,7 +96,7 @@ def test_the_scalar_rotation_is_the_matrix_product(on_right):
 
 
 def _unsteered(monkeypatch):
-    monkeypatch.setattr(compiler, "_steer", lambda splits, a_tol: None)
+    monkeypatch.setattr(compiler, "_steer", lambda *args: None)
 
 
 def _level_inputs():
@@ -150,7 +155,100 @@ def test_steer_takes_the_first_gate_that_shortens():
     for seed in range(20):
         f = compiler.decompose(haar_random_unitary(4, seed), DofConvention.SP, DEFAULT_TOL)
         splits = [_su2(g) for g in (*f.right_gates, *f.left_gates)]
-        chains = _steer(splits, DEFAULT_TOL.angle_tol)
-        plates = [sum(k != "ps" for k, _ in c) for c in chains]
+        splits, plates = _steer(splits, DEFAULT_TOL.angle_tol)
+        chains = _chains(splits, plates, DEFAULT_TOL.angle_tol)
         # R0, tried first, takes the QWP-HWP form; the other three stay whole
-        assert plates == [2, 3, 3, 3], seed
+        assert [sum(k != "ps" for k, _ in c) for c in chains] == plates == [2, 3, 3, 3], seed
+
+
+def _gauge_m4(phi: float, psi: float) -> np.ndarray:
+    """e^{phi X} on modes (a1, a3) times e^{psi X} on (a2, a4), in the SP basis order."""
+    G = np.zeros((8, 8), dtype=complex)
+    for mode, t in enumerate((phi, psi, -phi, -psi)):
+        G[2 * mode:2 * mode + 2, 2 * mode:2 * mode + 2] = _rz(t)
+    return G
+
+
+def test_both_4_plus_4_gadgets_commute_with_their_gauges():
+    # the 4+4 level's central layer as compiler._elements emits it
+    rng = np.random.default_rng(27)
+    pairs = _angle_pairs()
+    for (a, b), (c, d) in zip(pairs, pairs[::-1]):
+        central = _gadget(0, 2, a, b) + _gadget(1, 3, c, d)
+        M = simulate(OpticalCircuit("sp", 4, central))
+        for phi, psi in rng.uniform(-math.pi, math.pi, (5, 2)):
+            for G in (_gauge_m4(phi, 0.0), _gauge_m4(0.0, psi), _gauge_m4(phi, psi)):
+                assert np.abs(M.dot(G) - G.dot(M)).max() <= 1e-15, (a, b, c, d, phi, psi)
+
+
+def _gate_plates(circuit) -> list:
+    """Plates of each same-mode run between PBSs that holds more than one plate.
+
+    In a compiled circuit those runs are the gates' chains: a gadget's
+    HWP stands alone between its two PBSs.
+    """
+    runs = {m: [0] for m in range(circuit.num_spatial_modes)}
+    for e in circuit.elements:
+        if e.kind == "pbs":
+            for m in e.modes:
+                runs[m].append(0)
+        elif e.kind != "ps":
+            runs[e.modes[0]][-1] += 1
+    return sorted(k for r in runs.values() for k in r if k > 1)
+
+
+def test_a_haar_8x8_compile_has_six_two_plate_gates():
+    for seed in range(10):
+        U = haar_random_unitary(8, 700 + seed)
+        circuit, _ = compile(U, CompileOptions(convention="sp", optimize=True))
+        # one gate per 4x4 sub-level from its own gauge, and the left-top
+        # sub-level's R0 and R1 from the 4+4 level's two gadgets
+        assert _gate_plates(circuit) == [2] * 6 + [3] * 10, seed
+        assert len(circuit.elements) == 76, seed
+        assert np.abs(simulate(circuit) - U).max() <= 1e-12, seed
+
+
+def _dim8_inputs() -> list:
+    """(family, U) for a seeded dim-8 set whose levels are special as well as generic."""
+    rng = np.random.default_rng(28)
+    cases = []
+    for k in range(72):
+        perm = rng.permutation(8)
+        if k % 3 < 2:
+            # each half into one half: zero off-diagonal or zero diagonal CSD blocks
+            top, bottom = rng.permutation(4), 4 + rng.permutation(4)
+            perm = np.concatenate((top, bottom) if k % 3 == 0 else (bottom, top))
+        P = np.eye(8, dtype=complex)[perm] * rng.choice((-1.0, 1.0), size=8)
+        cases.append(("signed_perm", np.exp(2j * math.pi * rng.random()) * P))
+    for s in range(24):
+        a, b = haar_random_unitary(2, 1300 + 2 * s), haar_random_unitary(4, 1301 + 2 * s)
+        cases += [("kron42", np.kron(b, a)), ("kron24", np.kron(a, b))]
+    for s in range(12):
+        a = haar_random_unitary(2, 1400 + s)
+        B = builtin_target(("walk", "qft")[s % 2], "sp")
+        cases += [("builtin_x", np.kron(B, a)), ("x_builtin", np.kron(a, B))]
+    for _ in range(24):
+        cases.append(("diag_phase", np.diag(np.exp(2j * math.pi * rng.random(8)))))
+    return cases
+
+
+def test_the_4_plus_4_gauge_never_grows_a_dim8_circuit(monkeypatch):
+    opts = CompileOptions(convention="sp", optimize=True)
+    compiled = []
+    for family, U in _dim8_inputs():
+        circuit = compile(U, opts)[0]
+        # plain equality, global phase included
+        assert np.abs(simulate(circuit) - U).max() <= 1e-12, family
+        compiled.append(circuit)
+    monkeypatch.setattr(compiler, "_steer_m4", lambda levels, a_tol: None)
+    shrank = {}
+    for (family, U), circuit in zip(_dim8_inputs(), compiled):
+        before = len(compile(U, opts)[0].elements)
+        assert len(circuit.elements) <= before, family
+        shrank[family] = shrank.get(family, 0) + (len(circuit.elements) < before)
+    # every 2x4 product gains, and so do some 4x2 and built-in products (14
+    # of 24, 6 and 8 of 12 here); none of the signed permutations or
+    # diagonals here does
+    assert shrank["kron24"] == 24
+    assert shrank["kron42"] >= 12
+    assert shrank["builtin_x"] >= 5 and shrank["x_builtin"] >= 7

@@ -53,14 +53,14 @@ PLAIN_TOL = 1e-12
 # SHA-256 over dump_matrix(simulate(c)) and repr of verify's distance and
 # global_phase, for the compiled circuits of the corpus in order: pins the
 # simulator and the phase-aware distance to the bit
-SIMULATE_SHA256 = "940dde2a74a7fa3887195896bafa5249cf3375e403e032aff65adb1cd0bbf265"
+SIMULATE_SHA256 = "dd70999bd078769c05ff2062b0d9e312f028b24fdd0f6cad3e5102300390121f"
 # the kernel set the corpus and SIMULATE_SHA256 were recorded on
 RECORDED_KERNELS = "numpy 2.4.6, X86_V3 on, OpenBLAS SkylakeX"
 # SHA-256 over the element kinds and modes of the compiled circuits of the
 # corpus in order, with no angle: the same under the default kernels,
 # OPENBLAS_CORETYPE=Haswell, Nehalem, SandyBridge and Zen, and with numpy's
 # X86_V3 and X86_V4 loops off
-STRUCTURE_SHA256 = "cae81b857eec6640b23ae9e8c19724119b9be3450bf25cda701ac09a82914544"
+STRUCTURE_SHA256 = "fb8765c65be7816c3c05845b02c5680b21237d8a64e5be608752579f1098c006"
 
 
 def _path_block(g1, g2, convention):
