@@ -53,14 +53,14 @@ PLAIN_TOL = 1e-12
 # SHA-256 over dump_matrix(simulate(c)) and repr of verify's distance and
 # global_phase, for the compiled circuits of the corpus in order: pins the
 # simulator and the phase-aware distance to the bit
-SIMULATE_SHA256 = "dd70999bd078769c05ff2062b0d9e312f028b24fdd0f6cad3e5102300390121f"
+SIMULATE_SHA256 = "b171e1636e560e4893f31c82ae9f9116fd92b2f2746a05b6a95589013e33c3bc"
 # the kernel set the corpus and SIMULATE_SHA256 were recorded on
 RECORDED_KERNELS = "numpy 2.4.6, X86_V3 on, OpenBLAS SkylakeX"
 # SHA-256 over the element kinds and modes of the compiled circuits of the
 # corpus in order, with no angle: the same under the default kernels,
 # OPENBLAS_CORETYPE=Haswell, Nehalem, SandyBridge and Zen, and with numpy's
 # X86_V3 and X86_V4 loops off
-STRUCTURE_SHA256 = "fb8765c65be7816c3c05845b02c5680b21237d8a64e5be608752579f1098c006"
+STRUCTURE_SHA256 = "467bfebdf64d018249043a738a7f01b1871f5e5bc0cdabcd0f6638fab0437a7a"
 
 
 def _path_block(g1, g2, convention):
@@ -105,6 +105,17 @@ def _cases():
     for conv in ("ps", "sp"):
         U = np.kron(path, pol) if conv == "sp" else np.kron(pol, path)
         cases.append((f"kron_{conv}", U, conv, True))
+    # dim-8 branches that no Haar input reaches: a signed permutation,
+    # whose sub-levels keep their central layers while the 4+4 gauge pays
+    # nowhere (46 elements); the reversal, whose 4+4 level has a central
+    # layer while its sub-levels collapse (38); and a diagonal, where every
+    # level collapses (16).  (A 4 (x) 2 product reaches the first branch
+    # too, but its equal CSD angles leave its structure to the kernel set.)
+    perm8 = np.eye(8, dtype=complex)[[6, 2, 1, 7, 0, 4, 3, 5]]
+    cases.append(("perm8_sp", perm8 * np.array([1, -1, -1, 1, 1, 1, -1, 1]), "sp", True))
+    cases.append(("rev8_sp", np.eye(8, dtype=complex)[::-1], "sp", True))
+    phases8 = np.exp(1j * np.array([0.3, -1.2, 2.5, 0.9, -2.1, 1.7, -0.6, 2.8]))
+    cases.append(("diag8_sp", np.diag(phases8), "sp", True))
     return cases
 
 
