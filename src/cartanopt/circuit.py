@@ -394,13 +394,11 @@ def _swept_elements(slots: list) -> list:
     return [ps(*s) if type(s) is tuple else s for s in slots if s is not None]
 
 
-def _sweep_phases(elems: list, a_tol: float) -> list:
-    """Every phase shifter of elems swept forward (_sweep_slots), kept or not."""
-    return _swept_elements(_sweep_slots(elems, a_tol)[0])
-
-
 def _sweep_if_shorter(elems: list, a_tol: float) -> list | None:
-    """_sweep_phases(elems), or None, building nothing, when that is not strictly shorter."""
+    """elems with every phase shifter swept forward (_sweep_slots), if that is strictly shorter.
+
+    None, and nothing built, when it is not.
+    """
     slots, size = _sweep_slots(elems, a_tol)
     return _swept_elements(slots) if size < len(elems) else None
 

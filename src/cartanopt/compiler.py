@@ -1,11 +1,11 @@
 """End-to-end pipeline from a unitary matrix to an optical circuit.
 
-One recursion over cosine-sine (CSD) levels does the work for both
-sizes.  A 4x4 input takes one Cartan level: local gates around a
-central layer of two PBSs enclosing one HWP per arm.  An 8x8 input
-takes one CSD level at the 4+4 spatial split, whose central layer is
-two PBS-HWP-HWP-PBS gadgets across mode pairs (a1,a3) and (a2,a4), and
-whose four 4x4 halves recurse through the 4x4 level.  Each level folds
+One loop over 4x4 cosine-sine (CSD) levels does the work for both
+sizes (_elements).  A 4x4 input is one such Cartan level: local gates
+around a central layer of two PBSs enclosing one HWP per arm.  An 8x8
+input first takes one CSD level at the 4+4 spatial split, whose central
+layer is two PBS-HWP-HWP-PBS gadgets across mode pairs (a1,a3) and
+(a2,a4), and whose four 4x4 blocks are the loop's levels.  Each level folds
 the fixed unit gates that complete its central layer into its halves;
 2x2 halves become PS-QWP-HWP-QWP chains.  The budget is therefore 4 x 4
 + 4 = 20 elements for dim 4 and 4 x 20 + 8 = 88 for dim 8.  When every
@@ -391,59 +391,39 @@ def _level4(U: np.ndarray, conv: DofConvention, tol: ToleranceConfig, collapse: 
     return f, splits, central
 
 
-def _level_chains(splits: list, collapse: bool, a_tol: float) -> list:
-    """The chains of a 4x4 level's gates that steers its own gauge alone."""
-    if not collapse:
-        # every plate, even at angle zero: the template keeps its 20 elements
-        return [_full_chain(*_chain_params(*sp)) for sp in splits]
-    return _chains(*(_steer(splits, a_tol) or (splits, [None] * 4)), a_tol)
+def _elements(U: np.ndarray, conv: DofConvention, tol: ToleranceConfig, collapse: bool):
+    """Element list realizing an n x n unitary (n = 4 or 8), and its top factorization.
 
-
-def _emit4(chains: list, central: tuple | None, mode: int) -> list:
-    """A 4x4 level's elements on modes (mode, mode + 1): R0, R1, its gadget, L0, L1.
-
-    A collapsed level (central None) has the two chains of its products.
-    """
-    els = chain_elements(chains[0], mode) + chain_elements(chains[1], mode + 1)
-    if central is None:
-        return els
-    els += _gadget(mode, mode + 1, *central)
-    return els + chain_elements(chains[2], mode) + chain_elements(chains[3], mode + 1)
-
-
-def _elements(
-    U: np.ndarray, conv: DofConvention, tol: ToleranceConfig, collapse: bool, mode: int
-):
-    """Element list realizing an n x n unitary (n = 4 or 8) from spatial mode `mode` on.
-
-    Does one CSD level and returns (elements, factors).  A 4x4 level is
-    factored (_level4), its gates take their chains, and it is emitted
-    (_emit4).  When collapse is set, a 4x4 level moves its central
+    One loop over a list of 4x4 levels serves both sizes: a 4x4 input is a
+    list of one level and no central layer; an 8x8 input takes one CSD
+    level first, and its list is the four folded 4x4 blocks, right-top,
+    right-bottom, left-top, left-bottom, with the 4+4 level's two gadgets
+    emitted before the third.  When collapse is set and the 8x8 level
+    skipped its CSD split, the list is the two products of each half's
+    left and right blocks, and there is no 4+4 central layer.  Each level
+    is factored (_level4) before any is emitted, so that with collapse set
+    the 4+4 level's gauge can move gates of four sub-levels at once
+    (_steer_m4); where it does not, each 4x4 level moves its own central
     layer's gauge between its gates when that shortens their chains
-    (_steer), and each gate takes its shortest chain.
-    With collapse off every 2x2 gate is a full PS-QWP-HWP-QWP chain, every
-    plate kept even at angle zero.  An 8x8 level factors its four 4x4
-    halves, on modes `mode` and `mode + 2`, before it emits any of them,
-    so that with collapse set the 4+4 level's gauge can move gates of
-    four sub-levels at once (_steer_m4).  When collapse is set and the
-    8x8 level skipped its CSD split, it emits no central layer and each
-    half is its left block times its right block.
+    (_steer), and each gate takes its shortest chain.  With collapse off
+    every 2x2 gate is a full PS-QWP-HWP-QWP chain, every plate kept even at
+    angle zero.  Level i is emitted as R0, R1, its gadget, L0, L1 on modes
+    2 (i mod 2) and the next; a collapsed level emits its two products.
     """
     a_tol = tol.angle_tol
+    f, central = None, []
     if U.shape[0] == 4:
-        f, gates, central = _level4(U, conv, tol, collapse)
-        if central is not None:
-            gates = _level_chains(gates, collapse, a_tol)
-        return _emit4(gates, central, mode), f
-    f = decompose_m4(U, tol)
-    left, right, angles = f.left_blocks, f.right_blocks, f.angles
-    if collapse and not any(angles):
-        blocks, central = [left[0].dot(right[0]), left[1].dot(right[1])], []
+        blocks = [U]
     else:
-        blocks = [right[0], _M4_DR_BOT_SXSX.dot(right[1])]
-        blocks += [left[0].dot(_M4_DL_TOP), 1j * left[1].dot(_SXSX)]
-        t1, t2, t3, t4 = angles
-        central = _gadget(mode, mode + 2, t2, t1) + _gadget(mode + 1, mode + 3, t4, t3)
+        f = decompose_m4(U, tol)
+        left, right, angles = f.left_blocks, f.right_blocks, f.angles
+        if collapse and not any(angles):
+            blocks = [left[0].dot(right[0]), left[1].dot(right[1])]
+        else:
+            blocks = [right[0], _M4_DR_BOT_SXSX.dot(right[1])]
+            blocks += [left[0].dot(_M4_DL_TOP), 1j * left[1].dot(_SXSX)]
+            t1, t2, t3, t4 = angles
+            central = _gadget(0, 2, t2, t1) + _gadget(1, 3, t4, t3)
     levels = [_level4(b, conv, tol, collapse) for b in blocks]
     states = None
     if collapse and central and all(lv[2] is not None for lv in levels):
@@ -452,12 +432,20 @@ def _elements(
     for i, (_, gates, sub_central) in enumerate(levels):
         if i == 2:
             els += central
-        if states is not None:
-            gates = _chains(*states[i], a_tol)
-        elif sub_central is not None:
-            gates = _level_chains(gates, collapse, a_tol)
-        els += _emit4(gates, sub_central, mode + 2 * (i % 2))
-    return els, f
+        if sub_central is None:
+            chains = gates
+        elif not collapse:
+            chains = [_full_chain(*_chain_params(*sp)) for sp in gates]
+        elif states is not None:
+            chains = _chains(*states[i], a_tol)
+        else:
+            chains = _chains(*(_steer(gates, a_tol) or (gates, [None] * 4)), a_tol)
+        m = 2 * (i % 2)
+        els += chain_elements(chains[0], m) + chain_elements(chains[1], m + 1)
+        if sub_central is not None:
+            els += _gadget(m, m + 1, *sub_central)
+            els += chain_elements(chains[2], m) + chain_elements(chains[3], m + 1)
+    return els, levels[0][0] if f is None else f
 
 
 def _compile(U, opts: CompileOptions) -> tuple[OpticalCircuit, VerificationReport]:
@@ -471,7 +459,7 @@ def _compile(U, opts: CompileOptions) -> tuple[OpticalCircuit, VerificationRepor
     tol = opts.tolerances
     if not is_unitary(U, tol):
         raise _not_unitary("compile", U)
-    els, f = _elements(U, opts.convention, tol, opts.optimize, 0)
+    els, f = _elements(U, opts.convention, tol, opts.optimize)
     if opts.optimize:
         # no peephole rule fires on an optimized emission before its sweep,
         # so sweeping here leaves optimize's output unchanged

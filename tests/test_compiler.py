@@ -379,7 +379,7 @@ def test_no_rule_fires_on_the_optimized_emission():
         "cancel_pbs": _rewrite_cancel_pbs,
     }
     for i, (U, conv) in enumerate(_emission_inputs()):
-        els = _elements(U, DofConvention(conv), DEFAULT_TOL, True, 0)[0]
+        els = _elements(U, DofConvention(conv), DEFAULT_TOL, True)[0]
         for name, rule in rules.items():
             assert not rule(list(els)), (i, conv, name)
 

@@ -8,6 +8,9 @@ gates' _su2 quaternions rather than on their matrices.  At dim 8 the 4+4
 level's two gadgets, on modes (a1, a3) and (a2, a4), commute likewise,
 and each moves one more gate of a left sub-level onto that form
 (compiler._steer_m4): a Haar 8x8 compile takes 76 elements, not 78.
+No emission rule, neither these gauges nor the free-basis rules of
+tests/test_degenerate_levels.py, lengthens a seeded dim-8 set against
+itself patched off, but for one pinned permutation (ROADMAP item 18).
 """
 
 import math
@@ -121,11 +124,11 @@ def _level_inputs():
 def test_a_steered_level_keeps_its_product(monkeypatch):
     steered = []
     for U, conv in _level_inputs():
-        els, _ = _elements(U, DofConvention(conv), DEFAULT_TOL, True, 0)
+        els, _ = _elements(U, DofConvention(conv), DEFAULT_TOL, True)
         steered.append(OpticalCircuit(conv, len(U) // 2, els))
     _unsteered(monkeypatch)
     for (U, conv), circuit in zip(_level_inputs(), steered):
-        els, _ = _elements(U, DofConvention(conv), DEFAULT_TOL, True, 0)
+        els, _ = _elements(U, DofConvention(conv), DEFAULT_TOL, True)
         before = simulate(OpticalCircuit(conv, len(U) // 2, els))
         assert np.abs(simulate(circuit) - before).max() <= 1e-14
 
@@ -208,11 +211,14 @@ def test_a_haar_8x8_compile_has_six_two_plate_gates():
         assert np.abs(simulate(circuit) - U).max() <= 1e-12, seed
 
 
-def _dim8_inputs() -> list:
-    """(family, U) for a seeded dim-8 set whose levels are special as well as generic."""
-    rng = np.random.default_rng(28)
+def _signed_perms(rng, n: int) -> list:
+    """("signed_perm", U) for n signed 8x8 permutations times a phase, drawn from rng.
+
+    In the block shapes of tests/test_compiler.py::_emission_inputs: two in
+    three map each half into one half, the rest are free.
+    """
     cases = []
-    for k in range(72):
+    for k in range(n):
         perm = rng.permutation(8)
         if k % 3 < 2:
             # each half into one half: zero off-diagonal or zero diagonal CSD blocks
@@ -220,6 +226,13 @@ def _dim8_inputs() -> list:
             perm = np.concatenate((top, bottom) if k % 3 == 0 else (bottom, top))
         P = np.eye(8, dtype=complex)[perm] * rng.choice((-1.0, 1.0), size=8)
         cases.append(("signed_perm", np.exp(2j * math.pi * rng.random()) * P))
+    return cases
+
+
+def _dim8_inputs() -> list:
+    """(family, U) for a seeded dim-8 set whose levels are special as well as generic."""
+    rng = np.random.default_rng(28)
+    cases = _signed_perms(rng, 72)
     for s in range(24):
         a, b = haar_random_unitary(2, 1300 + 2 * s), haar_random_unitary(4, 1301 + 2 * s)
         cases += [("kron42", np.kron(b, a)), ("kron24", np.kron(a, b))]
@@ -232,23 +245,73 @@ def _dim8_inputs() -> list:
     return cases
 
 
-def test_the_4_plus_4_gauge_never_grows_a_dim8_circuit(monkeypatch):
+def _perm_inputs() -> list:
+    """120 more signed permutations, the draw in which ROADMAP item 19's probe found a grower."""
+    return _signed_perms(np.random.default_rng(7), 120)
+
+
+# Each emission rule patched off: it hands back what it was given, or None
+# where None means that it found nothing to move.
+_RULES_OFF = {
+    "_equal_angles": lambda left, right, angles, conv, a_tol: (left, right, angles),
+    "_free_phases": lambda splits, angles, conv, a_tol: splits,
+    "_steer": lambda *args: None,
+    "_steer_m4": lambda levels, a_tol: None,
+}
+# How many inputs of each family a rule shortens at least, on every
+# OpenBLAS core tried (the product families' counts move with the core:
+# their CSD angles are equal, so rounding picks their CSD bases).  With
+# the rule off as a mutant, the family shortens none.
+_SHRANK = {
+    "_equal_angles": {"kron42": 24, "builtin_x": 12},
+    "_free_phases": {"signed_perm": 112, "kron24": 6, "x_builtin": 5},
+    "_steer": {"kron42": 14, "kron24": 24, "builtin_x": 6, "x_builtin": 9},
+    "_steer_m4": {"kron42": 12, "kron24": 24, "builtin_x": 5, "x_builtin": 7},
+}
+# Inputs of _perm_inputs() that a rule lengthens today, each pinned below
+_GROWERS = {"_free_phases": {46}}
+
+
+@pytest.fixture(scope="module")
+def compiled8():
     opts = CompileOptions(convention="sp", optimize=True)
-    compiled = []
-    for family, U in _dim8_inputs():
+    inputs = _dim8_inputs() + _perm_inputs()
+    circuits = []
+    for family, U in inputs:
         circuit = compile(U, opts)[0]
         # plain equality, global phase included
         assert np.abs(simulate(circuit) - U).max() <= 1e-12, family
-        compiled.append(circuit)
-    monkeypatch.setattr(compiler, "_steer_m4", lambda levels, a_tol: None)
+        circuits.append(circuit)
+    return inputs, circuits
+
+
+@pytest.mark.parametrize("rule", list(_RULES_OFF), ids=[r.lstrip("_") for r in _RULES_OFF])
+def test_no_emission_rule_grows_a_dim8_circuit(monkeypatch, compiled8, rule):
+    opts = CompileOptions(convention="sp", optimize=True)
+    inputs, circuits = compiled8
+    skip = {len(inputs) - len(_perm_inputs()) + i for i in _GROWERS.get(rule, ())}
+    monkeypatch.setattr(compiler, rule, _RULES_OFF[rule])
     shrank = {}
-    for (family, U), circuit in zip(_dim8_inputs(), compiled):
+    for i, ((family, U), circuit) in enumerate(zip(inputs, circuits)):
+        if i in skip:
+            continue
         before = len(compile(U, opts)[0].elements)
-        assert len(circuit.elements) <= before, family
+        assert len(circuit.elements) <= before, (rule, family, i)
         shrank[family] = shrank.get(family, 0) + (len(circuit.elements) < before)
-    # every 2x4 product gains, and so do some 4x2 and built-in products (14
-    # of 24, 6 and 8 of 12 here); none of the signed permutations or
-    # diagonals here does
-    assert shrank["kron24"] == 24
-    assert shrank["kron42"] >= 12
-    assert shrank["builtin_x"] >= 5 and shrank["x_builtin"] >= 7
+    for family, floor in _SHRANK[rule].items():
+        assert shrank[family] >= floor, (rule, family, shrank[family])
+
+
+# Known fault (ROADMAP item 18): with its free phases taken, this
+# permutation's emission of 53 elements does not sweep strictly shorter,
+# so optimize finds no rule and keeps 53; without them, 57 sweep to 55,
+# and optimize's resynthesis then removes a phase of pi at the head of an
+# HWP run, which leaves 52.  A sweep that turns the HWP for that phase
+# fixes it and turns this pin into a failure until the mark is removed.
+@pytest.mark.xfail(strict=True, reason="the sweep leaves a phase of pi on an HWP run")
+def test_the_free_phases_do_not_grow_permutation_46(monkeypatch):
+    opts = CompileOptions(convention="sp", optimize=True)
+    U = _perm_inputs()[46][1]
+    after = len(compile(U, opts)[0].elements)
+    monkeypatch.setattr(compiler, "_free_phases", _RULES_OFF["_free_phases"])
+    assert after <= len(compile(U, opts)[0].elements)

@@ -25,7 +25,7 @@ from cartanopt.circuit import (
     OpticalElement,
     _rewrite_drop_zero_ps,
     _rewrite_merge_ps,
-    _sweep_phases,
+    _sweep_slots,
     _swept_elements,
     element_count,
     optimize,
@@ -96,8 +96,8 @@ def _check(circuit, drift=DRIFT):
     assert optimize(once) == once
     # optimize sweeps again only after another rule fired: a sweep's
     # output must sweep to itself
-    swept = _sweep_phases(list(circuit.elements), DEFAULT_TOL.angle_tol)
-    assert _sweep_phases(swept, DEFAULT_TOL.angle_tol) == swept
+    swept = _swept_elements(_sweep_slots(list(circuit.elements), DEFAULT_TOL.angle_tol)[0])
+    assert _swept_elements(_sweep_slots(swept, DEFAULT_TOL.angle_tol)[0]) == swept
     # neither phase rule fires on a sweep's output, so the rule pass after
     # a kept sweep starts at resynthesis
     assert not _phase_rule_fires(swept)
