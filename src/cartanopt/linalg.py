@@ -124,7 +124,9 @@ def _as_square(M) -> np.ndarray:
 # dispatches to (tests/kernels.py names it).  Those kernels fuse multiply
 # and add, so the arithmetic stays in numpy: the same products on Python
 # complex round otherwise in the last bit, and only bookkeeping (indexing,
-# allocation, formatting) moves out of it.
+# allocation, formatting) moves out of it.  _cosine_sine's test of its
+# angles' order is such bookkeeping: it runs on Python floats and decides
+# only whether the factors are permuted, never how a product rounds.
 
 
 @functools.lru_cache(maxsize=8)
@@ -200,8 +202,9 @@ def cossin(U: np.ndarray, half: int):
 
         U = blkdiag(V1, V2) @ [[C, S], [-S, C]] @ blkdiag(W1, W2),
 
-    C = diag(cos theta), S = diag(sin theta), theta in [0, pi/2].  U is
-    not checked.  The factors are unitary to rounding; their gauge is
+    C = diag(cos theta), S = diag(sin theta), theta in [0, pi/2] and
+    descending but for rounding between nearly equal angles.  U is not
+    checked.  The factors are unitary to rounding; their gauge is
     whatever the split leaves (_cosine_sine pins it).
     """
     if half == 2:
@@ -319,25 +322,37 @@ def _cosine_sine(U: np.ndarray, half: int):
 
         U = blkdiag(V1, V2) @ [[C, S], [-S, C]] @ blkdiag(W1, W2),
 
-    thetas descending in [0, pi/2], from cossin's Stewart split.  A fixed
-    gauge makes the factors deterministic.  For each index the common
-    phase of (V1 col, V2 col, W1 row, W2 row) is chosen so the first
-    non-negligible entry of the V1 column is real and positive.  Where
-    sin theta is at most _FREE_PHASE_FLOOR the V2 column and W2 row have
-    a free relative phase, and where cos theta is, the V2 column and W1
-    row do; that phase is chosen so the first non-negligible entry of the
-    V2 column is real and positive.
+    thetas descending in [0, pi/2], from cossin's Stewart split.  cossin
+    already returns its angles descending, large angles first; only where
+    rounding swaps two nearly equal ones does a stable sort reorder the
+    angles and the factors.  A fixed gauge makes the factors
+    deterministic.  For each index the common phase of (V1 col, V2 col,
+    W1 row, W2 row) is chosen so the first non-negligible entry of the V1
+    column is real and positive.  Where sin theta is at most
+    _FREE_PHASE_FLOOR the V2 column and W2 row have a free relative
+    phase, and where cos theta is, the V2 column and W1 row do; that
+    phase is chosen so the first non-negligible entry of the V2 column is
+    real and positive.
     """
     V1, V2, thetas, W1, W2 = cossin(U, half)
-    order = np.argsort(-thetas, kind="stable")
-    thetas = thetas[order]
-    V1, V2, W1, W2 = V1[:, order], V2[:, order], W1[order], W2[order]
+    ts = thetas.tolist()
+    if any(a < b for a, b in zip(ts, ts[1:])):
+        order = np.argsort(-thetas, kind="stable")
+        thetas = thetas[order]
+        V1, V2, W1, W2 = V1[:, order], V2[:, order], W1[order], W2[order]
+        ts = thetas.tolist()
+    else:
+        # the layouts the permuting copies give, so the in-place gauge
+        # below runs the same loops (and rounds the same) either way
+        V1, V2 = np.asfortranarray(V1), np.asfortranarray(V2)
+        W1, W2 = np.ascontiguousarray(W1), np.ascontiguousarray(W2)
     ph = _lead_phases(V1)
-    V1 *= ph.conj()
-    V2 *= ph.conj()
-    W1 *= ph[:, None]
-    W2 *= ph[:, None]
-    for i, t in enumerate(thetas.tolist()):
+    phc, phr = ph.conj(), ph[:, None]
+    V1 *= phc
+    V2 *= phc
+    W1 *= phr
+    W2 *= phr
+    for i, t in enumerate(ts):
         sin_free = math.sin(t) <= _FREE_PHASE_FLOOR
         if sin_free or math.cos(t) <= _FREE_PHASE_FLOOR:
             ph = _lead_phases(V2[:, i:i + 1])[0]

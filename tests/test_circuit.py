@@ -124,6 +124,9 @@ def test_circuit_validates_mode_range():
         _circ([hwp(2, 0.1)], m=2)
     with pytest.raises(ValueError):
         _circ([pbs(0, 3)], m=2)
+    # every mode is checked, not only the last
+    with pytest.raises(ValueError):
+        _circ([pbs(3, 0)], m=2)
     with pytest.raises(ValueError):
         _circ([hwp(0, 0.1)], m=3)
     with pytest.raises(ValueError, match="not an OpticalElement"):
