@@ -17,17 +17,17 @@ closed-form phi moved from the level's left gates into its right gates
 puts one gate on a two-plate chain (_steer).  The 4+4 level's two
 gadgets commute likewise with a rotation on their own two modes, which
 reaches into the inner gates of all four 4x4 sub-levels, so an 8x8 level
-factors its sub-levels before it emits any of them and moves both
-rotations with theirs (_steer_m4): two more gates take two-plate chains.
-A level where no phi pays emits each gate's shortest chain, so it
-carries no zero-angle plate for the peephole pass to drop.  Where a 4x4
-level's CSD angles are special, more of its factors are free, and with
-local collapsing on the level spends that too: equal angles free a whole
-2x2 basis, which makes one right gate the identity (_equal_angles; a
-path-polarization product takes 15 elements, not 17), and an angle at 0
-or pi/2 frees one phase per angle between two gates (_free_phases; the
-built-in walk and Fourier targets take 10 and 11 elements in ps, below
-their hand-drawn 11 and 12).
+factors its sub-levels before it emits any of them, and one gauge pass
+steers each level once and then moves both rotations (_steer_levels): two
+more gates take two-plate chains.  A level where no phi pays keeps its
+gates and emits each one's shortest chain, so it carries no zero-angle
+plate for the peephole pass to drop.  Where a 4x4 level's CSD angles are
+special, more of its factors are free, and with local collapsing on the
+level spends that too: equal angles free a whole 2x2 basis, which makes
+one right gate the identity (_equal_angles; a path-polarization product
+takes 15 elements, not 17), and an angle at 0 or pi/2 frees one phase per
+angle between two gates (_free_phases; the built-in walk and Fourier
+targets take 10 and 11 elements in ps, below their hand-drawn 11 and 12).
 Haar inputs have no such level.  Last, the emission's phases are swept
 through its plates and PBSs (circuit._sweep_if_shorter), so on a Haar
 input the peephole pass has nothing left to remove.  Optimized, a generic
@@ -177,22 +177,22 @@ _LEFT_FIRST = (2, 3, 0, 1)
 
 def _steer(
     splits: list, a_tol: float, order: tuple = _RIGHT_FIRST, base: list | None = None
-) -> tuple | None:
-    """(splits, plates) of four gates after a gauge rotation, or None.
+) -> tuple:
+    """(splits, plates) of four gates, after a gauge rotation where one pays.
 
     Takes the _su2 splits of gates that a gauge moves with the signs and
     sides of _GAUGE: a level's R0, R1, L0, L1, or the four gates of a 4+4
-    gadget (_steer_m4).  A gate's plates are those of its first short
+    gadget (_steer_levels).  A gate's plates are those of its first short
     form within angle_tol, 3 if none is; `base` gives them where the
     caller has them.  Each gate with 3 plates in turn, in `order`,
     proposes the phi of its first _qwp_hwp_root; the first phi that gives
     the four rotated gates strictly fewer plates than the unrotated ones
-    is taken, and None means that none does.  A gate that already has a
-    short form proposes nothing: the QWP-HWP form it would be moved onto
-    has two plates, so its phi could pay only through a coincidence in the
-    other gates, and a level of short gates, such as a permutation's,
-    would try every candidate in vain.  A rotation has determinant 1, so
-    each delta stays.
+    is taken.  Where none does, the gates come back unrotated with the
+    plates already counted.  A gate that already has a short form proposes
+    nothing: the QWP-HWP form it would be moved onto has two plates, so
+    its phi could pay only through a coincidence in the other gates, and a
+    level of short gates, such as a permutation's, would try every
+    candidate in vain.  A rotation has determinant 1, so each delta stays.
     """
     quats = [sp[1:] for sp in splits]
     if base is None:
@@ -208,14 +208,14 @@ def _steer(
         plates = [_fewest_plates(*q, a_tol) for q in rotated]
         if sum(plates) < fewest:
             return [(sp[0], *q) for sp, q in zip(splits, rotated)], plates
-    return None
+    return list(splits), base
 
 
 def _chains(splits: list, plates: list, a_tol: float) -> list:
-    """Each gate's shortest chain, from its split and its plates (None where no gauge counted them).
+    """Each gate's shortest chain, from its split and its plates as _steer counted them.
 
-    A gate a gauge counted at 3 plates has no short form, so it goes
-    straight to the full chain without its gaps being taken again.
+    A gate counted at 3 plates has no short form, so it goes straight to
+    the full chain without its gaps being taken again.
     """
     return [
         _three_plates(_chain_params(*sp), *sp[1:], a_tol) if k == 3 else _synthesize(*sp, a_tol)
@@ -223,43 +223,40 @@ def _chains(splits: list, plates: list, a_tol: float) -> list:
     ]
 
 
-def _steer_m4(levels: list, a_tol: float) -> list | None:
-    """(splits, plates) of the four 4x4 sub-levels after their own gauges and the 4+4 level's, or None.
+def _steer_levels(levels: list, a_tol: float) -> list:
+    """(splits, plates) of each _level4 level after its gauges, None for a collapsed level.
 
-    Takes each sub-level's _su2 splits of R0, R1, L0, L1, the sub-levels
-    in the order right-top, right-bottom, left-top, left-bottom.  The 4+4
-    level's gadget on modes (a1, a3) commutes with e^{phi X} on those two
-    modes, as a 4x4 level's gadget does on its own, and the gadget on
-    (a2, a4) with e^{psi X}.  Moving e^{phi X} from the left blocks into
-    the right ones multiplies L0 of each right sub-level on the left and
-    R0 of each left sub-level on the right, with the signs and sides of
-    _GAUGE taken in the sub-level order above; psi does the same through
-    L1 and R1.  So each sub-level first steers its own gauge onto a gate
-    that the 4+4 gauge leaves alone (_RIGHT_FIRST, _LEFT_FIRST), and then
-    _steer picks each gadget's phi from its four gates, the left
-    sub-levels' first; their plates are counted on those gates alone.  On
-    a Haar input the left-top R0 and R1 propose first, and their phi and
-    psi are taken.  None when neither gadget's is: each sub-level then
-    steers as a 4x4 level alone, and the emission is the one without this
-    rule.
+    Each level steers its own gauge once (_steer), in the order its place
+    sets.  A 4x4 level alone, and a level of a collapsed 8x8 level, tries
+    R0 and R1 first.  At dim 8 the levels are the four 4x4 sub-levels,
+    right-top, right-bottom, left-top, left-bottom.  The 4+4 level's
+    gadget on modes (a1, a3) commutes with e^{phi X} on those two modes,
+    as a 4x4 level's gadget does on its own, and the gadget on (a2, a4)
+    with e^{psi X}.  Moving e^{phi X} from the left blocks into the right
+    ones multiplies L0 of each right sub-level on the left and R0 of each
+    left sub-level on the right, with the signs and sides of _GAUGE taken
+    in the sub-level order above; psi does the same through L1 and R1.  So
+    each sub-level first steers its own gauge onto a gate that the 4+4
+    gauge leaves alone (_RIGHT_FIRST, _LEFT_FIRST), and then, when none of
+    the four collapsed, _steer picks each gadget's phi from its four gates,
+    the left sub-levels' first, with the plates their sub-levels' steering
+    counted.  On a Haar input the left-top R0 and R1 propose first, and
+    their phi and psi are taken.
     """
-    states = []
-    for splits, order in zip(levels, (_RIGHT_FIRST, _RIGHT_FIRST, _LEFT_FIRST, _LEFT_FIRST)):
-        states.append(_steer(splits, a_tol, order) or (list(splits), [None] * 4))
-    moved = False
-    for k in (0, 1):
-        gates = (2 + k, 2 + k, k, k)
-        splits = [st[0][i] for st, i in zip(states, gates)]
-        plates = [
-            _fewest_plates(*sp[1:], a_tol) if st[1][i] is None else st[1][i]
-            for st, i, sp in zip(states, gates, splits)
-        ]
-        steered = _steer(splits, a_tol, _LEFT_FIRST, plates)
-        if steered is not None:
-            moved = True
+    orders = (_RIGHT_FIRST, _RIGHT_FIRST, _LEFT_FIRST, _LEFT_FIRST)
+    states = [
+        None if central is None else _steer(splits, a_tol, order)
+        for (_, splits, central), order in zip(levels, orders)
+    ]
+    if len(states) == 4 and all(states):
+        for k in (0, 1):
+            gates = (2 + k, 2 + k, k, k)
+            splits = [st[0][i] for st, i in zip(states, gates)]
+            plates = [st[1][i] for st, i in zip(states, gates)]
+            steered = _steer(splits, a_tol, _LEFT_FIRST, plates)
             for st, i, sp, p in zip(states, gates, *steered):
                 st[0][i], st[1][i] = sp, p
-    return states if moved else None
+    return states
 
 
 # Where a 4x4 level's CSD angles are special, the CSD pins more than it
@@ -402,13 +399,14 @@ def _elements(U: np.ndarray, conv: DofConvention, tol: ToleranceConfig, collapse
     skipped its CSD split, the list is the two products of each half's
     left and right blocks, and there is no 4+4 central layer.  Each level
     is factored (_level4) before any is emitted, so that with collapse set
-    the 4+4 level's gauge can move gates of four sub-levels at once
-    (_steer_m4); where it does not, each 4x4 level moves its own central
-    layer's gauge between its gates when that shortens their chains
-    (_steer), and each gate takes its shortest chain.  With collapse off
-    every 2x2 gate is a full PS-QWP-HWP-QWP chain, every plate kept even at
-    angle zero.  Level i is emitted as R0, R1, its gadget, L0, L1 on modes
-    2 (i mod 2) and the next; a collapsed level emits its two products.
+    one gauge pass (_steer_levels) can move each 4x4 level's own central
+    layer's gauge between its gates where that shortens their chains, and
+    the 4+4 level's gauge across the gates of four sub-levels at once;
+    each gate then takes its shortest chain from the plates that pass
+    counted (_chains).  With collapse off every 2x2 gate is a full
+    PS-QWP-HWP-QWP chain, every plate kept even at angle zero.  Level i is
+    emitted as R0, R1, its gadget, L0, L1 on modes 2 (i mod 2) and the
+    next; a collapsed level emits its two products.
     """
     a_tol = tol.angle_tol
     f, central = None, []
@@ -425,9 +423,7 @@ def _elements(U: np.ndarray, conv: DofConvention, tol: ToleranceConfig, collapse
             t1, t2, t3, t4 = angles
             central = _gadget(0, 2, t2, t1) + _gadget(1, 3, t4, t3)
     levels = [_level4(b, conv, tol, collapse) for b in blocks]
-    states = None
-    if collapse and central and all(lv[2] is not None for lv in levels):
-        states = _steer_m4([lv[1] for lv in levels], a_tol)
+    states = _steer_levels(levels, a_tol) if collapse else None
     els = []
     for i, (_, gates, sub_central) in enumerate(levels):
         if i == 2:
@@ -436,10 +432,8 @@ def _elements(U: np.ndarray, conv: DofConvention, tol: ToleranceConfig, collapse
             chains = gates
         elif not collapse:
             chains = [_full_chain(*_chain_params(*sp)) for sp in gates]
-        elif states is not None:
-            chains = _chains(*states[i], a_tol)
         else:
-            chains = _chains(*(_steer(gates, a_tol) or (gates, [None] * 4)), a_tol)
+            chains = _chains(*states[i], a_tol)
         m = 2 * (i % 2)
         els += chain_elements(chains[0], m) + chain_elements(chains[1], m + 1)
         if sub_central is not None:

@@ -49,7 +49,7 @@ class ToleranceConfig:
     both together too, since they change disjoint rows and columns of the
     cosine-sine factor.  So each takes its level's short-cut site, and K
     stays.  The gauge rotations of a 4x4 level and of the 4+4 level
-    (compiler._steer, compiler._steer_m4) move an exact factor e^{i t sz}
+    (compiler._steer, compiler._steer_levels) move an exact factor e^{i t sz}
     across a central gadget that commutes with it, which leaves the
     product as it was, so they add no site: a gate they move onto a short
     form takes it at its chain's site.  Then 32 for the short form and

@@ -9,8 +9,8 @@ and six surplus, until each 4x4 level moved its central layer's gauge
 into its gates (compiler._steer), which left 16 and 66.  The two angles
 left at dim 8 were the gauge directions of the 4+4 level's two gadgets,
 each of which reaches into two 4x4 sub-levels; the 4+4 level now moves
-those too (compiler._steer_m4), so a dim-8 compile carries 64 angles and
-neither size has a surplus.
+those too (compiler._steer_levels), so a dim-8 compile carries 64 angles
+and neither size has a surplus.
 """
 
 import numpy as np

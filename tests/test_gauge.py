@@ -6,8 +6,10 @@ level moves that rotation from its left gates into its right gates where
 it puts one gate on the QWP-HWP form (compiler._steer), working on the
 gates' _su2 quaternions rather than on their matrices.  At dim 8 the 4+4
 level's two gadgets, on modes (a1, a3) and (a2, a4), commute likewise,
-and each moves one more gate of a left sub-level onto that form
-(compiler._steer_m4): a Haar 8x8 compile takes 76 elements, not 78.
+and each moves one more gate of a left sub-level onto that form, in the
+same single gauge pass (compiler._steer_levels): a Haar 8x8 compile takes
+76 elements, not 78.  Whether or not a gauge pays, _steer hands on the
+plates it counted, and the chains built from them are synthesize_u2's.
 No emission rule, neither these gauges nor the free-basis rules of
 tests/test_degenerate_levels.py, lengthens a seeded dim-8 set against
 itself patched off, but for one pinned permutation (ROADMAP item 18).
@@ -34,7 +36,14 @@ from cartanopt.compiler import (
 from cartanopt.dof import PS_TO_SP_IX, DofConvention
 from cartanopt.linalg import DEFAULT_TOL, haar_random_unitary
 from cartanopt.simulate import simulate
-from cartanopt.waveplates import _QWP_W, _su2, qwp_matrix
+from cartanopt.waveplates import (
+    _QWP_W,
+    _fewest_plates,
+    _su2,
+    _synthesize,
+    hwp_matrix,
+    qwp_matrix,
+)
 
 SPECIAL = (0.0, math.pi / 4, math.pi / 2)
 
@@ -98,8 +107,13 @@ def test_the_scalar_rotation_is_the_matrix_product(on_right):
         assert abs(math.remainder(want_delta - delta, math.pi)) <= 1e-14, (seed, t)
 
 
+def _never_steer(splits, a_tol, order=(), base=None):
+    """_steer with no gate proposing a phi: every gauge patched off."""
+    return _steer(splits, a_tol, (), base)
+
+
 def _unsteered(monkeypatch):
-    monkeypatch.setattr(compiler, "_steer", lambda *args: None)
+    monkeypatch.setattr(compiler, "_steer", _never_steer)
 
 
 def _level_inputs():
@@ -162,6 +176,78 @@ def test_steer_takes_the_first_gate_that_shortens():
         chains = _chains(splits, plates, DEFAULT_TOL.angle_tol)
         # R0, tried first, takes the QWP-HWP form; the other three stay whole
         assert [sum(k != "ps" for k, _ in c) for c in chains] == plates == [2, 3, 3, 3], seed
+
+
+def _near_forms(a_tol: float) -> list:
+    """_su2 splits of gates 0 to 2 angle_tol from each short form of synthesize_u2."""
+    rng = np.random.default_rng(29)
+    H, Q = hwp_matrix, qwp_matrix
+    forms = (
+        lambda a, b: np.eye(2),
+        lambda a, b: H(a),
+        lambda a, b: Q(a),
+        lambda a, b: H(b).dot(H(a)),
+        lambda a, b: H(b).dot(Q(a)),
+        lambda a, b: Q(b).dot(Q(a)),
+    )
+    splits = []
+    for form in forms:
+        for eps in np.linspace(0.0, 2 * a_tol, 9):
+            a, b = rng.uniform(0.0, math.pi, 2)
+            delta, *q = _su2(np.exp(1j * rng.uniform(-math.pi, math.pi)) * form(a, b))
+            # a step of length eps away from q on the sphere
+            d = rng.standard_normal(4)
+            d -= np.dot(d, q) * np.array(q)
+            q = np.array(q) + eps * d / np.linalg.norm(d)
+            splits.append((delta, *(float(v) for v in q / np.linalg.norm(q))))
+    return splits
+
+
+def _check_steered(splits: list, plates: list, a_tol: float):
+    assert plates == [_fewest_plates(*sp[1:], a_tol) for sp in splits]
+    assert _chains(splits, plates, a_tol) == [_synthesize(*sp, a_tol) for sp in splits]
+
+
+def test_steer_hands_on_the_plates_of_the_chains_it_gives(monkeypatch):
+    # _chains trusts the plates _steer returns: a gate at 3 skips its gaps
+    a_tol = DEFAULT_TOL.angle_tol
+    moved = kept = 0
+    calls, states = [], []
+
+    def recording(splits, *args):
+        out = _steer(splits, *args)
+        # _steer_levels writes a gadget's gates back into the lists it returns
+        calls.append((list(splits), list(out[0]), list(out[1])))
+        return out
+
+    def recording_levels(levels, a_tol):
+        out = steer_levels(levels, a_tol)
+        states.extend(st for st in out if st is not None)
+        return out
+
+    steer_levels = compiler._steer_levels
+    monkeypatch.setattr(compiler, "_steer", recording)
+    monkeypatch.setattr(compiler, "_steer_levels", recording_levels)
+    # a signed permutation's levels have short gates only, so nothing pays
+    perm = np.eye(4, dtype=complex)[[2, 0, 3, 1]] * np.array([1, -1, -1, 1])
+    for U, conv in _level_inputs() + [(perm, "ps"), (perm, "sp")]:
+        _elements(U, DofConvention(conv), DEFAULT_TOL, True)
+    near = _near_forms(a_tol)
+    groups = [near[i:i + 4] for i in range(0, len(near) - 3, 2)]
+    for s in range(len(near) // 3):
+        # a generic gate in each place in turn, so that a phi is proposed
+        three = near[3 * s:3 * s + 3]
+        groups.append(three[:s % 4] + [_su2(haar_random_unitary(2, 1500 + s))] + three[s % 4:])
+    for group in groups:
+        for order in (compiler._RIGHT_FIRST, compiler._LEFT_FIRST):
+            recording(group, a_tol, order)
+    for before, splits, plates in calls:
+        _check_steered(splits, plates, a_tol)
+        moved += splits != before
+        kept += splits == before
+    for splits, plates in states:
+        _check_steered(splits, plates, a_tol)
+    assert moved >= 200 and kept >= 80, (moved, kept)
 
 
 def _gauge_m4(phi: float, psi: float) -> np.ndarray:
@@ -250,13 +336,16 @@ def _perm_inputs() -> list:
     return _signed_perms(np.random.default_rng(7), 120)
 
 
-# Each emission rule patched off: it hands back what it was given, or None
-# where None means that it found nothing to move.
+# Each emission rule patched off: it hands back what it was given.  With
+# _steer off no gate proposes a phi, so no gauge moves; with the 4+4 gauge
+# off every level steers alone, as a 4x4 level.
 _RULES_OFF = {
     "_equal_angles": lambda left, right, angles, conv, a_tol: (left, right, angles),
     "_free_phases": lambda splits, angles, conv, a_tol: splits,
-    "_steer": lambda *args: None,
-    "_steer_m4": lambda levels, a_tol: None,
+    "_steer": _never_steer,
+    "_steer_levels": lambda levels, a_tol: [
+        None if central is None else _steer(splits, a_tol) for _, splits, central in levels
+    ],
 }
 # How many inputs of each family a rule shortens at least, on every
 # OpenBLAS core tried (the product families' counts move with the core:
@@ -266,7 +355,7 @@ _SHRANK = {
     "_equal_angles": {"kron42": 24, "builtin_x": 12},
     "_free_phases": {"signed_perm": 112, "kron24": 6, "x_builtin": 5},
     "_steer": {"kron42": 14, "kron24": 24, "builtin_x": 6, "x_builtin": 9},
-    "_steer_m4": {"kron42": 12, "kron24": 24, "builtin_x": 5, "x_builtin": 7},
+    "_steer_levels": {"kron42": 12, "kron24": 24, "builtin_x": 5, "x_builtin": 7},
 }
 # Inputs of _perm_inputs() that a rule lengthens today, each pinned below
 _GROWERS = {"_free_phases": {46}}
