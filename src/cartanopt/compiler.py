@@ -18,7 +18,7 @@ puts one gate on a two-plate chain (_steer).  The 4+4 level's two
 gadgets commute likewise with a rotation on their own two modes, which
 reaches into the inner gates of all four 4x4 sub-levels, so an 8x8 level
 factors its sub-levels before it emits any of them, and one gauge pass
-steers each level once and then moves both rotations (_steer_levels): two
+steers each level and then moves both rotations (_steer_levels): two
 more gates take two-plate chains.  A level where no phi pays keeps its
 gates and emits each one's shortest chain, so it carries no zero-angle
 plate for the peephole pass to drop.  Where a 4x4 level's CSD angles are
@@ -187,12 +187,12 @@ def _steer(
     caller has them.  Each gate with 3 plates in turn, in `order`,
     proposes the phi of its first _qwp_hwp_root; the first phi that gives
     the four rotated gates strictly fewer plates than the unrotated ones
-    is taken.  Where none does, the gates come back unrotated with the
-    plates already counted.  A gate that already has a short form proposes
-    nothing: the QWP-HWP form it would be moved onto has two plates, so
-    its phi could pay only through a coincidence in the other gates, and a
-    level of short gates, such as a permutation's, would try every
-    candidate in vain.  A rotation has determinant 1, so each delta stays.
+    is taken; where none is, the gates come back as they were, with the
+    plates counted.  A gate that already has a short form proposes nothing:
+    the QWP-HWP form it would be moved onto has two plates, so its phi
+    could pay only through a coincidence in the other gates, and a level
+    of short gates, such as a permutation's, would try every candidate in
+    vain.  A rotation has determinant 1, so each delta stays.
     """
     quats = [sp[1:] for sp in splits]
     if base is None:
@@ -226,36 +226,41 @@ def _chains(splits: list, plates: list, a_tol: float) -> list:
 def _steer_levels(levels: list, a_tol: float) -> list:
     """(splits, plates) of each _level4 level after its gauges, None for a collapsed level.
 
-    Each level steers its own gauge once (_steer), in the order its place
-    sets.  A 4x4 level alone, and a level of a collapsed 8x8 level, tries
-    R0 and R1 first.  At dim 8 the levels are the four 4x4 sub-levels,
-    right-top, right-bottom, left-top, left-bottom.  The 4+4 level's
-    gadget on modes (a1, a3) commutes with e^{phi X} on those two modes,
-    as a 4x4 level's gadget does on its own, and the gadget on (a2, a4)
-    with e^{psi X}.  Moving e^{phi X} from the left blocks into the right
-    ones multiplies L0 of each right sub-level on the left and R0 of each
-    left sub-level on the right, with the signs and sides of _GAUGE taken
-    in the sub-level order above; psi does the same through L1 and R1.  So
-    each sub-level first steers its own gauge onto a gate that the 4+4
-    gauge leaves alone (_RIGHT_FIRST, _LEFT_FIRST), and then, when none of
-    the four collapsed, _steer picks each gadget's phi from its four gates,
-    the left sub-levels' first, with the plates their sub-levels' steering
-    counted.  On a Haar input the left-top R0 and R1 propose first, and
-    their phi and psi are taken.
+    A 4x4 level alone, and each level of a collapsed 8x8 level, steers its
+    own gauge (_steer), R0 and R1 first.  Otherwise the levels are the four
+    4x4 sub-levels, right-top, right-bottom, left-top, left-bottom.  The
+    4+4 level's gadget on modes (a1, a3) commutes with e^{phi X} on those
+    two modes, as a 4x4 level's gadget does on its own, and the gadget on
+    (a2, a4) with e^{psi X}.  Moving e^{phi X} from the left blocks into
+    the right ones multiplies L0 of each right sub-level on the left and
+    R0 of each left sub-level on the right, with the signs and sides of
+    _GAUGE taken in the sub-level order above; psi does the same through
+    L1 and R1.  So where none of the four collapsed, each sub-level first
+    steers its own gauge onto a gate that the 4+4 gauge leaves alone
+    (_RIGHT_FIRST, _LEFT_FIRST), and then _steer picks each gadget's phi
+    from its four gates, the left sub-levels' first, with the plates their
+    sub-levels' steering counted.  On a Haar input the left-top R0 and R1
+    propose first, and their phi and psi are taken.  Where neither
+    gadget's is, the left sub-levels steer again, R0 first, whose phi may
+    save more than L0's, and the emission is the one without this rule.
     """
-    orders = (_RIGHT_FIRST, _RIGHT_FIRST, _LEFT_FIRST, _LEFT_FIRST)
+    gauge = len(levels) == 4 and all(lv[2] is not None for lv in levels)
     states = [
-        None if central is None else _steer(splits, a_tol, order)
-        for (_, splits, central), order in zip(levels, orders)
+        None if c is None else _steer(sp, a_tol, _LEFT_FIRST if gauge and i > 1 else _RIGHT_FIRST)
+        for i, (_, sp, c) in enumerate(levels)
     ]
-    if len(states) == 4 and all(states):
+    if gauge:
+        moved = False
         for k in (0, 1):
             gates = (2 + k, 2 + k, k, k)
             splits = [st[0][i] for st, i in zip(states, gates)]
             plates = [st[1][i] for st, i in zip(states, gates)]
             steered = _steer(splits, a_tol, _LEFT_FIRST, plates)
+            moved |= sum(steered[1]) < sum(plates)
             for st, i, sp, p in zip(states, gates, *steered):
                 st[0][i], st[1][i] = sp, p
+        if not moved:
+            states[2:] = [_steer(splits, a_tol) for _, splits, _ in levels[2:]]
     return states
 
 

@@ -7,8 +7,9 @@ it puts one gate on the QWP-HWP form (compiler._steer), working on the
 gates' _su2 quaternions rather than on their matrices.  At dim 8 the 4+4
 level's two gadgets, on modes (a1, a3) and (a2, a4), commute likewise,
 and each moves one more gate of a left sub-level onto that form, in the
-same single gauge pass (compiler._steer_levels): a Haar 8x8 compile takes
-76 elements, not 78.  Whether or not a gauge pays, _steer hands on the
+same gauge pass (compiler._steer_levels): a Haar 8x8 compile takes 76
+elements, not 78.  Where that gauge moves nothing, every level steers as
+a 4x4 level alone.  Whether or not a gauge pays, _steer hands on the
 plates it counted, and the chains built from them are synthesize_u2's.
 No emission rule, neither these gauges nor the free-basis rules of
 tests/test_degenerate_levels.py, lengthens a seeded dim-8 set against
@@ -23,6 +24,7 @@ import pytest
 from cartanopt import compiler
 from cartanopt.circuit import OpticalCircuit
 from cartanopt.compiler import (
+    _GAUGE,
     CompileOptions,
     _chains,
     _elements,
@@ -295,6 +297,37 @@ def test_a_haar_8x8_compile_has_six_two_plate_gates():
         assert _gate_plates(circuit) == [2] * 6 + [3] * 10, seed
         assert len(circuit.elements) == 76, seed
         assert np.abs(simulate(circuit) - U).max() <= 1e-12, seed
+
+
+def _r_first_level(seed: int, a_tol: float) -> list:
+    """Splits of a level whose R0 phi puts R0 and R1 on the QWP-HWP form, and whose L0 phi one gate."""
+    rng = np.random.default_rng(seed)
+    a, b, c, d, phi = rng.uniform(0.0, math.pi, 5)
+    gates = [hwp_matrix(b).dot(qwp_matrix(a)), hwp_matrix(d).dot(qwp_matrix(c))]
+    gates += [haar_random_unitary(2, 1600 + 2 * seed + j) for j in (0, 1)]
+    c, s = math.cos(phi), math.sin(phi)
+    splits = [_su2(g) for g in gates]
+    splits = [(sp[0], *_rotate_z(sp[1:], c, g * s, r)) for sp, (g, r) in zip(splits, _GAUGE)]
+    # each order takes its first proposer's phi, so L0 first saves less
+    assert _steer(splits, a_tol)[1] == [2, 2, 3, 3]
+    assert _steer(splits, a_tol, compiler._LEFT_FIRST)[1] == [3, 3, 2, 3]
+    return splits
+
+
+def test_without_a_4_plus_4_gauge_every_level_steers_alone():
+    # where neither gadget's phi pays, or a sub-level collapsed, the left
+    # sub-levels' _LEFT_FIRST order would cost a plate each: they steer as
+    # 4x4 levels alone, and the emission is the one without the 4+4 rule
+    a_tol = DEFAULT_TOL.angle_tol
+    eye = (None, [_su2(np.eye(2))] * 4, (0.1, 0.2))
+    left = [(None, _r_first_level(seed, a_tol), (0.1, 0.2)) for seed in range(20)]
+    # a gadget's phi costs the right sub-levels' identity gates more
+    # plates than it saves in the left ones
+    cases = [[eye, eye, lt, lb] for lt, lb in zip(left[::2], left[1::2])]
+    cases += [[lt, eye, lb, (None, [], None)] for lt, lb in zip(left[::2], left[1::2])]
+    for levels in cases:
+        alone = [None if c is None else _steer(sp, a_tol) for _, sp, c in levels]
+        assert compiler._steer_levels(levels, a_tol) == alone
 
 
 def _signed_perms(rng, n: int) -> list:
