@@ -9,6 +9,7 @@ and QR, run on Python scalars for 2+2 blocks, with a fixed gauge.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import functools
 import json
@@ -122,11 +123,17 @@ def _as_square(M) -> np.ndarray:
 # (SIMULATE_SHA256) and every circuit's angles.  They are the bits of one
 # CPU kernel set, the OpenBLAS core under zgemm and the SIMD loops numpy
 # dispatches to (tests/kernels.py names it).  Those kernels fuse multiply
-# and add, so the arithmetic stays in numpy: the same products on Python
-# complex round otherwise in the last bit, and only bookkeeping (indexing,
-# allocation, formatting) moves out of it.  _cosine_sine's test of its
-# angles' order is such bookkeeping: it runs on Python floats and decides
-# only whether the factors are permuted, never how a product rounds.
+# and add, so products and array arithmetic stay in numpy: the same
+# products on Python complex round otherwise in the last bit, and only
+# bookkeeping (indexing, allocation, formatting) moves out of it.
+# _cosine_sine's test of its angles' order is such bookkeeping: it runs on
+# Python floats and decides only whether the factors are permuted, never
+# how a product rounds.  A transcendental of one Python number may move to
+# cmath where a bit test shows numpy's loop rounds as libm does on every
+# kernel set: e^{i phase} does (on glibc numpy's complex exp takes libm's
+# sin and cos), atan2 does not (numpy's X86_V4 arctan2 loop differs from
+# libm's in the last bit on about 1 in 13 Gaussian points), so
+# phase_distance takes its phase from np.arctan2.
 
 
 @functools.lru_cache(maxsize=8)
@@ -174,9 +181,10 @@ def phase_distance(A, B) -> tuple[float, float]:
     B = _as_square(B)
     if A.shape != B.shape:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    t = np.trace(A.conj().T.dot(B))
-    phase = float(np.angle(t)) if abs(t) > 0 else 0.0
-    distance = float(np.abs(A * np.exp(1j * phase) - B).max())
+    t = A.conj().T.dot(B).trace()
+    # np.angle's arctan2 without np.angle's wrapper (see the note above)
+    phase = float(np.arctan2(t.imag, t.real)) if abs(t) > 0 else 0.0
+    distance = float(np.abs(A * cmath.exp(1j * phase) - B).max())
     return distance, phase
 
 
@@ -204,8 +212,9 @@ def cossin(U: np.ndarray, half: int):
 
     C = diag(cos theta), S = diag(sin theta), theta in [0, pi/2] and
     descending but for rounding between nearly equal angles.  U is not
-    checked.  The factors are unitary to rounding; their gauge is
-    whatever the split leaves (_cosine_sine pins it).
+    checked.  The factors are unitary to rounding and separate
+    contiguous arrays; their gauge is whatever the split leaves
+    (_cosine_sine pins it).
     """
     if half == 2:
         return _cossin_2x2(U)
@@ -230,7 +239,8 @@ def cossin(U: np.ndarray, half: int):
         c[n:] = np.linalg.norm(Y, axis=0)
         V1[:, n:] = Y / c[n:]
         W2[n:] = (V2[:, n:].conj().T @ U22) / c[n:, None]
-    return V1, V2, np.arctan2(s, c), W1, W2
+    # V1 and W1 are reversed views: copies, so that a caller's @ reaches zgemm
+    return np.ascontiguousarray(V1), V2, np.arctan2(s, c), np.ascontiguousarray(W1), W2
 
 
 # 2x2 matrices as row-major 4-tuples of Python scalars: at half=2 numpy's
@@ -341,11 +351,6 @@ def _cosine_sine(U: np.ndarray, half: int):
         thetas = thetas[order]
         V1, V2, W1, W2 = V1[:, order], V2[:, order], W1[order], W2[order]
         ts = thetas.tolist()
-    else:
-        # the layouts the permuting copies give, so the in-place gauge
-        # below runs the same loops (and rounds the same) either way
-        V1, V2 = np.asfortranarray(V1), np.asfortranarray(V2)
-        W1, W2 = np.ascontiguousarray(W1), np.ascontiguousarray(W2)
     ph = _lead_phases(V1)
     phc, phr = ph.conj(), ph[:, None]
     V1 *= phc

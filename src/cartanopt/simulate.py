@@ -7,9 +7,10 @@ rows of its two modes and leaves every V row alone; a plate or phase
 shifter left-multiplies its mode's two rows by its 2x2 matrix.  A
 polarization-major circuit is permuted once at the end (dof.PS_TO_SP_IX).
 Each mode's two rows are their own 2 x 2m array, which a plate replaces
-by P.dot(rows), every P from one _plate_stack call, and a PBS swaps H
-rows through one row copy: no per-call dispatch of @ or of fancy
-indexing, and the bits of the @ version (see the note in linalg).
+by P.dot(rows), every P from one _plate_stack call fed by the same walk
+over the elements that lists the ops, and a PBS swaps H rows through one
+row copy: no per-call dispatch of @ or of fancy indexing, and the bits
+of the @ version (see the note in linalg).
 element_unitary gives one element's dense embedding in either
 convention, the reference the row updates must agree with.
 """
@@ -49,19 +50,25 @@ def element_unitary(e: OpticalElement, convention, m: int) -> np.ndarray:
 def simulate(circuit: OpticalCircuit) -> np.ndarray:
     """Product of the element unitaries, first element applied first."""
     m = circuit.num_spatial_modes
+    # each element's op: a plate's mode, or a PBS's mode pair
+    ops, plates = [], []
+    for e in circuit.elements:
+        if e.kind == "pbs":
+            ops.append(e.modes)
+        else:
+            ops.append(e.modes[0])
+            plates.append((e.kind, e.angle_rad))
+    stack = iter(_plate_stack(plates))
     # rows[k] holds mode k's (H, V) rows of the product so far
     rows = list(np.eye(2 * m, dtype=complex).reshape(m, 2, 2 * m))
-    elements = circuit.elements
-    plates = iter(_plate_stack((e.kind, e.angle_rad) for e in elements if e.kind != "pbs"))
-    for e in elements:
-        if e.kind == "pbs":
-            a, b = rows[e.modes[0]], rows[e.modes[1]]
+    for op in ops:
+        if op.__class__ is int:
+            rows[op] = next(stack).dot(rows[op])
+        else:
+            a, b = rows[op[0]], rows[op[1]]
             h = a[0].copy()
             a[0] = b[0]
             b[0] = h
-        else:
-            k = e.modes[0]
-            rows[k] = next(plates).dot(rows[k])
     M = np.concatenate(rows)
     if circuit.convention is DofConvention.PS:
         M = M[PS_TO_SP_IX[m]]

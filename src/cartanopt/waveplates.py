@@ -114,13 +114,15 @@ def _su2(U: np.ndarray) -> tuple[float, float, float, float, float]:
     """(delta, w, x, y, z) with U = e^{i delta} (w I + i(x sx + y sy + z sz)), in SU(2).
 
     The determinant is formed on Python complex, which rounds as numpy's
-    scalar product does; V = U e^{-i delta} stays one numpy multiply,
-    whose SIMD loop may fuse multiply and add and so round otherwise.
+    scalar product does, and so is e^{-i delta}, whose libm sin and cos
+    numpy's complex exp calls too; V = U e^{-i delta} stays one numpy
+    multiply, whose SIMD loop may fuse multiply and add and so round
+    otherwise.
     """
     (a, b), (c, d) = U.tolist()
     det = a * d - b * c
     delta = math.atan2(det.imag, det.real) / 2.0
-    (va, vb), _ = (U * np.exp(-1j * delta)).tolist()
+    (va, vb), _ = (U * cmath.exp(-1j * delta)).tolist()
     return delta, va.real, vb.imag, vb.real, va.imag
 
 

@@ -186,6 +186,41 @@ def test_phase_distance_dimension_mismatch():
         phase_distance(np.eye(4, dtype=complex), np.eye(2, dtype=complex))
 
 
+def test_phase_distance_of_a_zero_trace_pair():
+    # tr(A^dag B) = 0 leaves the phase undefined: it is taken as 0
+    d, ph = phase_distance(np.eye(4, dtype=complex), np.diag([1, -1, 1, -1]))
+    assert (d.hex(), ph.hex()) == ((2.0).hex(), (0.0).hex())
+
+
+def _numpy_scalar_phase_distance(A, B):
+    """phase_distance as it read on numpy 0-d calls: np.trace, np.angle, np.exp."""
+    t = np.trace(A.conj().T.dot(B))
+    phase = float(np.angle(t)) if abs(t) > 0 else 0.0
+    distance = float(np.abs(A * np.exp(1j * phase) - B).max())
+    return distance, phase
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_phase_distance_keeps_the_bits_of_the_numpy_scalar_version(dim):
+    # Haar pairs, globally phased copies, near-equal pairs and a zero-trace
+    # pair.  numpy's arctan2 loop differs from libm's atan2 in the last bit
+    # on some kernel sets, so a phase taken by cmath.phase fails here
+    rng = np.random.default_rng([22, dim])
+    n = 2_000  # pairs of each kind
+    shape = (2 * n, dim, dim)
+    Q, _ = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    eps = 10.0 ** rng.integers(-16, -6, n)
+    pairs = [(np.eye(dim, dtype=complex), np.diag(np.tile([1.0, -1.0], dim // 2)))]
+    for i in range(n):
+        A, B = Q[i], Q[n + i]
+        pairs += [(A, B), (A, A * phases[i]), (A, (A + eps[i] * B) * phases[i])]
+    for i, (A, B) in enumerate(pairs):
+        got, want = phase_distance(A, B), _numpy_scalar_phase_distance(A, B)
+        assert [type(v) for v in got] == [float, float], i
+        assert [v.hex() for v in got] == [v.hex() for v in want], i
+
+
 def _block_csd(U):
     V1, V2, thetas, W1, W2 = _cosine_sine(U, 2)
     return (V1, V2), tuple(float(t) for t in thetas), (W1, W2)

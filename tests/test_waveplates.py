@@ -106,8 +106,9 @@ def _seeded_2x2(rng, n):
 
 
 def test_su2_keeps_the_bits_of_the_numpy_scalar_version():
-    # Python complex products round as numpy's scalar ones; the product
-    # with e^{-i delta} is the same numpy multiply in both
+    # Python complex products round as numpy's scalar ones, and cmath.exp
+    # as np.exp (on glibc both take libm's sin and cos); the product with
+    # e^{-i delta} is the same numpy multiply in both
     for U in _seeded_2x2(np.random.default_rng(20), 10_000):
         got, want = _su2(U), _old_su2(U)
         assert [v.hex() for v in got] == [float(v).hex() for v in want], U
