@@ -18,16 +18,16 @@ puts one gate on a two-plate chain (_steer).  The 4+4 level's two
 gadgets commute likewise with a rotation on their own two modes, which
 reaches into the inner gates of all four 4x4 sub-levels, so an 8x8 level
 factors its sub-levels before it emits any of them, and one gauge pass
-steers each level and then moves both rotations (_steer_levels): two
+steers each level once and then moves both rotations (_steer_levels): two
 more gates take two-plate chains.  A level where no phi pays keeps its
 gates and emits each one's shortest chain, so it carries no zero-angle
-plate for the peephole pass to drop.  Where a 4x4 level's CSD angles are
+plate for the peephole pass to drop.  Where a level's CSD angles are
 special, more of its factors are free, and with local collapsing on the
-level spends that too: equal angles free a whole 2x2 basis, which makes
-one right gate the identity (_equal_angles; a path-polarization product
-takes 15 elements, not 17), and an angle at 0 or pi/2 frees one phase per
-angle between two gates (_free_phases; the built-in walk and Fourier
-targets take 10 and 11 elements in ps, below their hand-drawn 11 and 12).
+level spends that too: equal angles free a whole basis, which makes one
+right block the identity (_equal_angles; a 2x2 product takes 15 elements,
+not 17, and a 2x4 product drops a sub-level), and at a 4x4 level an angle
+at 0 or pi/2 frees one phase per angle between two gates (_free_phases;
+the built-in walk and Fourier targets take 10 and 11 elements in ps).
 Haar inputs have no such level.  Last, the emission's phases are swept
 through its plates and PBSs (circuit._sweep_if_shorter), so on a Haar
 input the peephole pass has nothing left to remove.  Optimized, a generic
@@ -87,15 +87,15 @@ class CompileOptions:
     """Knobs for the compile entry points.
 
     optimize lets a CSD level whose central angles all vanish skip its
-    central layer, lets every other 4x4 level spend the basis its CSD
-    leaves free at equal or degenerate angles and move its central
-    layer's gauge between its gates to shorten one chain, or else emit
-    each gate's shortest chain, lets the 4+4 level move its two gadgets'
-    gauges into the 4x4 levels' gates, sweeps the emitted phases when that is
-    shorter, and runs the peephole pass on the result, which removes
-    nothing from a Haar compile.  With optimize off none of these runs,
-    and the circuit is the full 20- or 88-element template, every plate
-    kept even at angle zero.
+    central layer, lets every other level spend the basis its CSD leaves
+    free at equal angles, and a 4x4 level at degenerate angles too, lets
+    each 4x4 level move its central layer's gauge between its gates to
+    shorten one chain, or else emit each gate's shortest chain, lets the
+    4+4 level move its two gadgets' gauges into the 4x4 levels' gates,
+    sweeps the emitted phases when that is shorter, and runs the peephole
+    pass on the result, which removes nothing from a Haar compile.  With
+    optimize off none of these runs, and the circuit is the full 20- or
+    88-element template, every plate kept even at angle zero.
     The verification report is always computed; whether a failed one is
     an error is the caller's decision.  optimize must be a bool (Python
     or numpy) and tolerances a ToleranceConfig; anything else, such as
@@ -239,10 +239,8 @@ def _steer_levels(levels: list, a_tol: float) -> list:
     steers its own gauge onto a gate that the 4+4 gauge leaves alone
     (_RIGHT_FIRST, _LEFT_FIRST), and then _steer picks each gadget's phi
     from its four gates, the left sub-levels' first, with the plates their
-    sub-levels' steering counted.  On a Haar input the left-top R0 and R1
-    propose first, and their phi and psi are taken.  Where neither
-    gadget's is, the left sub-levels steer again, R0 first, whose phi may
-    save more than L0's, and the emission is the one without this rule.
+    sub-levels' steering counted.  Each level steers once.  On a Haar input
+    the left-top R0 and R1 propose first, and their phi and psi are taken.
     """
     gauge = len(levels) == 4 and all(lv[2] is not None for lv in levels)
     states = [
@@ -250,52 +248,47 @@ def _steer_levels(levels: list, a_tol: float) -> list:
         for i, (_, sp, c) in enumerate(levels)
     ]
     if gauge:
-        moved = False
         for k in (0, 1):
             gates = (2 + k, 2 + k, k, k)
             splits = [st[0][i] for st, i in zip(states, gates)]
             plates = [st[1][i] for st, i in zip(states, gates)]
-            steered = _steer(splits, a_tol, _LEFT_FIRST, plates)
-            moved |= sum(steered[1]) < sum(plates)
-            for st, i, sp, p in zip(states, gates, *steered):
+            for st, i, sp, p in zip(states, gates, *_steer(splits, a_tol, _LEFT_FIRST, plates)):
                 st[0][i], st[1][i] = sp, p
-        if not moved:
-            states[2:] = [_steer(splits, a_tol) for _, splits, _ in levels[2:]]
     return states
 
 
-# Where a 4x4 level's CSD angles are special, the CSD pins more than it
-# must: K A K' is not unique (N. Khaneja and S. J. Glaser, Chem. Phys. 267,
-# 11 (2001)).  With optimize on, _elements spends that freedom on its
-# gates' chains: _equal_angles when the two angles are equal, _free_phases
-# where an angle's sine or cosine vanishes.  Either replaces the level's
-# CSD short-cut in linalg.ToleranceConfig's budget: a level that takes the
-# short-cut has no angle left to snap or phase to choose.
+# Where a level's CSD angles are special, the CSD pins more than it must:
+# K A K' is not unique (N. Khaneja and S. J. Glaser, Chem. Phys. 267, 11
+# (2001)).  With optimize on, _elements spends that freedom on its gates'
+# chains: _equal_angles when a level's angles are equal, _free_phases
+# where a 4x4 level's angle has a vanishing sine or cosine.  Either
+# replaces the level's CSD short-cut in linalg.ToleranceConfig's budget: a
+# level that takes the short-cut has no angle left to snap or phase to choose.
 
 
-def _equal_angles(left, right, angles, conv: DofConvention, a_tol: float):
-    """The level's gates and angles with its CSD's first right block moved into its left gates.
+def _equal_angles(left, right, angles: tuple, fold, a_tol: float):
+    """A CSD level's blocks and angles with its first right block moved into its left blocks.
 
-    When the two CSD angles are within angle_tol of each other and strictly
-    inside (0, pi/2), C and S are multiples of I, so blkdiag(Q, Q) commutes
-    with the central factor for every 2x2 unitary Q: V1, V2 -> V1 Q, V2 Q
-    and W1, W2 -> Q^dag W1, Q^dag W2.  Q = W1 makes W1 the identity.
-    Through the convention's folds (cartan.decompose) that is L_k -> L_k
-    Q_k and R_k -> Q_k^dag R_k, with Q_0 = Q and Q_1 = F Q F^dag, F = I in
-    PS and D SX in SP.  Both angles become their mean, which moves the
-    central factor by at most angle_tol / 2.  Any other level comes back as
-    it was.  (An angle at 0 or pi/2 is left to _free_phases: there, taking
-    Q = W1 lengthens some permutations.)
+    The blocks are a 4x4 level's gates or the 4+4 level's 4x4 blocks.  When
+    all the angles lie within angle_tol of each other and strictly inside
+    (0, pi/2), C and S are multiples of I, so blkdiag(Q, Q) commutes with
+    the central factor for every unitary Q: V_k -> V_k Q, W_k -> Q^dag W_k,
+    and Q = W1 makes W1 the identity.  Through a fold F of the second blocks
+    (cartan.decompose) Q_1 = F Q F^dag takes the place of Q: fold is None
+    for F = I (the 4+4 level, and PS) and cartan._D_SX in SP.  Each of the n
+    angles becomes their mean, a move of at most (n - 1) / n angle_tol.  Any
+    other level comes back as it was.  (An angle at 0 or pi/2 is left to
+    _free_phases: there, taking Q = W1 lengthens some permutations.)
     """
-    t1, t2 = angles
-    # t1 >= t2 >= 0: t2 has the smaller sine and t1 the smaller cosine
-    if abs(t1 - t2) > a_tol or math.sin(t2) <= a_tol or math.cos(t1) <= a_tol:
+    lo, hi = min(angles), max(angles)
+    # the smallest angle has the smallest sine and the largest the smallest cosine
+    if hi - lo > a_tol or math.sin(lo) <= a_tol or math.cos(hi) <= a_tol:
         return left, right, angles
     Q = right[0]
-    Q1 = Q if conv is DofConvention.PS else _D_SX.dot(Q).dot(_D_SX.T)
-    mean = (t1 + t2) / 2.0
+    Q1 = Q if fold is None else fold.dot(Q).dot(fold.T)
+    mean = sum(angles) / len(angles)
     left = (left[0].dot(Q), left[1].dot(Q1))
-    return left, (_identity(2), Q1.conj().T.dot(right[1])), (mean, mean)
+    return left, (_identity(len(Q)), Q1.conj().T.dot(right[1])), (mean,) * len(angles)
 
 
 def _phase_rotated(split: tuple, u: float, t: float, on_right: bool) -> tuple:
@@ -379,7 +372,8 @@ def _level4(U: np.ndarray, conv: DofConvention, tol: ToleranceConfig, collapse: 
     if collapse and not any(angles):
         return f, [synthesize_u2(left[k].dot(right[k]), tol) for k in (0, 1)], None
     if collapse:
-        left, right, angles = _equal_angles(left, right, angles, conv, tol.angle_tol)
+        fold = None if conv is DofConvention.PS else _D_SX
+        left, right, angles = _equal_angles(left, right, angles, fold, tol.angle_tol)
     if conv is DofConvention.PS:
         left = (left[0].dot(_PS_BOOKEND_L[0]), left[1].dot(_PS_BOOKEND_L[1]))
         right = (_PS_BOOKEND_R[0].dot(right[0]), _PS_BOOKEND_R[1].dot(right[1]))
@@ -400,15 +394,16 @@ def _elements(U: np.ndarray, conv: DofConvention, tol: ToleranceConfig, collapse
     list of one level and no central layer; an 8x8 input takes one CSD
     level first, and its list is the four folded 4x4 blocks, right-top,
     right-bottom, left-top, left-bottom, with the 4+4 level's two gadgets
-    emitted before the third.  When collapse is set and the 8x8 level
-    skipped its CSD split, the list is the two products of each half's
-    left and right blocks, and there is no 4+4 central layer.  Each level
-    is factored (_level4) before any is emitted, so that with collapse set
-    one gauge pass (_steer_levels) can move each 4x4 level's own central
-    layer's gauge between its gates where that shortens their chains, and
-    the 4+4 level's gauge across the gates of four sub-levels at once;
-    each gate then takes its shortest chain from the plates that pass
-    counted (_chains).  With collapse off every 2x2 gate is a full
+    emitted before the third; with collapse set, equal 4+4 angles make
+    the first the identity (_equal_angles).  When collapse is set and the
+    8x8 level skipped its CSD split, the list is the two products of each
+    half's left and right blocks, and there is no 4+4 central layer.  Each
+    level is factored (_level4) before any is emitted, so that with
+    collapse set one gauge pass (_steer_levels) can move each 4x4 level's
+    own central layer's gauge between its gates where that shortens their
+    chains, and the 4+4 level's gauge across the gates of four sub-levels
+    at once; each gate then takes its shortest chain from the plates that
+    pass counted (_chains).  With collapse off every 2x2 gate is a full
     PS-QWP-HWP-QWP chain, every plate kept even at angle zero.  Level i is
     emitted as R0, R1, its gadget, L0, L1 on modes 2 (i mod 2) and the
     next; a collapsed level emits its two products.
@@ -420,6 +415,8 @@ def _elements(U: np.ndarray, conv: DofConvention, tol: ToleranceConfig, collapse
     else:
         f = decompose_m4(U, tol)
         left, right, angles = f.left_blocks, f.right_blocks, f.angles
+        if collapse:
+            left, right, angles = _equal_angles(left, right, angles, None, a_tol)
         if collapse and not any(angles):
             blocks = [left[0].dot(right[0]), left[1].dot(right[1])]
         else:

@@ -48,7 +48,9 @@ class ToleranceConfig:
     angles to their mean moves the central factor by at most angle_tol / 2.
     Choosing its degenerate angles' phases moves it by at most 2 angle_tol,
     both together too, since they change disjoint rows and columns of the
-    cosine-sine factor.  So each takes its level's short-cut site, and K
+    cosine-sine factor.  So each takes its level's short-cut site.  The 4+4
+    level snaps four equal angles (compiler._equal_angles), one by up to
+    3/4 angle_tol, and takes its two short-cut sites.  So K
     stays.  The gauge rotations of a 4x4 level and of the 4+4 level
     (compiler._steer, compiler._steer_levels) move an exact factor e^{i t sz}
     across a central gadget that commutes with it, which leaves the

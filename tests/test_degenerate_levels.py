@@ -80,7 +80,7 @@ def _inputs() -> list:
 
 def _free_basis_off(monkeypatch):
     monkeypatch.setattr(
-        compiler, "_equal_angles", lambda left, right, angles, conv, a_tol: (left, right, angles)
+        compiler, "_equal_angles", lambda left, right, angles, fold, a_tol: (left, right, angles)
     )
     monkeypatch.setattr(compiler, "_free_phases", lambda splits, angles, conv, a_tol: splits)
 

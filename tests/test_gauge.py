@@ -8,26 +8,33 @@ gates' _su2 quaternions rather than on their matrices.  At dim 8 the 4+4
 level's two gadgets, on modes (a1, a3) and (a2, a4), commute likewise,
 and each moves one more gate of a left sub-level onto that form, in the
 same gauge pass (compiler._steer_levels): a Haar 8x8 compile takes 76
-elements, not 78.  Where that gauge moves nothing, every level steers as
-a 4x4 level alone.  Whether or not a gauge pays, _steer hands on the
-plates it counted, and the chains built from them are synthesize_u2's.
+elements, not 78.  Each level steers once; where a sub-level collapsed,
+every level steers as a 4x4 level alone.  Whether or not a gauge pays,
+_steer hands on the plates it counted, and the chains built from them are
+synthesize_u2's.  Where the four 4+4 angles are equal, as for every 2x4
+product, the 4+4 level spends the basis its CSD leaves free
+(compiler._equal_angles, the 4x4 levels' rule), so its right-top
+sub-level collapses and the product compiles alike on every kernel set.
 No emission rule, neither these gauges nor the free-basis rules of
 tests/test_degenerate_levels.py, lengthens a seeded dim-8 set against
 itself patched off, but for one pinned permutation (ROADMAP item 18).
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from cartanopt import compiler
+from cartanopt.cartan import RecursiveFactors, decompose_m4, reassemble_m4
 from cartanopt.circuit import OpticalCircuit
 from cartanopt.compiler import (
     _GAUGE,
     CompileOptions,
     _chains,
     _elements,
+    _equal_angles,
     _gadget,
     _qwp_hwp_root,
     _rotate_z,
@@ -315,17 +322,15 @@ def _r_first_level(seed: int, a_tol: float) -> list:
 
 
 def test_without_a_4_plus_4_gauge_every_level_steers_alone():
-    # where neither gadget's phi pays, or a sub-level collapsed, the left
-    # sub-levels' _LEFT_FIRST order would cost a plate each: they steer as
-    # 4x4 levels alone, and the emission is the one without the 4+4 rule
+    # where a sub-level collapsed, the 8x8 level has no gauge to move, and
+    # the left sub-levels' _LEFT_FIRST order would cost a plate each: they
+    # steer as 4x4 levels alone, and the emission is the one without the
+    # 4+4 rule
     a_tol = DEFAULT_TOL.angle_tol
     eye = (None, [_su2(np.eye(2))] * 4, (0.1, 0.2))
     left = [(None, _r_first_level(seed, a_tol), (0.1, 0.2)) for seed in range(20)]
-    # a gadget's phi costs the right sub-levels' identity gates more
-    # plates than it saves in the left ones
-    cases = [[eye, eye, lt, lb] for lt, lb in zip(left[::2], left[1::2])]
-    cases += [[lt, eye, lb, (None, [], None)] for lt, lb in zip(left[::2], left[1::2])]
-    for levels in cases:
+    for lt, lb in zip(left[::2], left[1::2]):
+        levels = [lt, eye, lb, (None, [], None)]
         alone = [None if c is None else _steer(sp, a_tol) for _, sp, c in levels]
         assert compiler._steer_levels(levels, a_tol) == alone
 
@@ -373,7 +378,7 @@ def _perm_inputs() -> list:
 # _steer off no gate proposes a phi, so no gauge moves; with the 4+4 gauge
 # off every level steers alone, as a 4x4 level.
 _RULES_OFF = {
-    "_equal_angles": lambda left, right, angles, conv, a_tol: (left, right, angles),
+    "_equal_angles": lambda left, right, angles, fold, a_tol: (left, right, angles),
     "_free_phases": lambda splits, angles, conv, a_tol: splits,
     "_steer": _never_steer,
     "_steer_levels": lambda levels, a_tol: [
@@ -381,14 +386,17 @@ _RULES_OFF = {
     ],
 }
 # How many inputs of each family a rule shortens at least, on every
-# OpenBLAS core tried (the product families' counts move with the core:
-# their CSD angles are equal, so rounding picks their CSD bases).  With
-# the rule off as a mutant, the family shortens none.
+# OpenBLAS core tried (the counts of kron42 and builtin_x move with the
+# core: their 4+4 angles are equal in pairs, so rounding picks their CSD
+# bases).  With the rule off as a mutant, the family shortens none.
+# _equal_angles takes the 2x4 products (kron24, x_builtin) at their 4+4
+# level first, so the other rules find nothing left to shorten there but
+# x_builtin's free phases.
 _SHRANK = {
-    "_equal_angles": {"kron42": 24, "builtin_x": 12},
-    "_free_phases": {"signed_perm": 112, "kron24": 6, "x_builtin": 5},
-    "_steer": {"kron42": 14, "kron24": 24, "builtin_x": 6, "x_builtin": 9},
-    "_steer_levels": {"kron42": 12, "kron24": 24, "builtin_x": 5, "x_builtin": 7},
+    "_equal_angles": {"kron42": 24, "kron24": 24, "builtin_x": 12, "x_builtin": 11},
+    "_free_phases": {"signed_perm": 112, "x_builtin": 5},
+    "_steer": {"kron42": 14, "kron24": 24, "builtin_x": 6},
+    "_steer_levels": {"kron42": 12, "builtin_x": 5},
 }
 # Inputs of _perm_inputs() that a rule lengthens today, each pinned below
 _GROWERS = {"_free_phases": {46}}
@@ -405,6 +413,61 @@ def compiled8():
         assert np.abs(simulate(circuit) - U).max() <= 1e-12, family
         circuits.append(circuit)
     return inputs, circuits
+
+
+def _structure_sha256(circuits) -> str:
+    """One digest of each circuit's element kinds and modes, as tests/test_golden.py takes it."""
+    h = hashlib.sha256()
+    for c in circuits:
+        h.update(" ".join(f"{e.kind}{list(e.modes)}" for e in c.elements).encode() + b"\n")
+    return h.hexdigest()
+
+
+# The 2x4 products of _dim8_inputs(): their element totals, and one digest
+# of their element kinds and modes in input order.  The same under
+# OPENBLAS_CORETYPE=SkylakeX, Haswell, Zen, Nehalem and SandyBridge, and
+# with numpy's X86_V3 and X86_V4 loops off: the 4+4 equal-angle rule picks
+# the basis that the CSD left to rounding
+_PRODUCTS_2X4 = {"kron24": 1200, "x_builtin": 504}
+_PRODUCTS_2X4_SHA256 = "c8d5af3b144012990699179317170dd2ec20691fede6486a1d2fc50daac62c8d"
+
+
+def test_the_2x4_products_compile_alike_on_every_kernel_set(compiled8):
+    inputs, circuits = compiled8
+    picked = [(fam, c) for (fam, _), c in zip(inputs, circuits) if fam in _PRODUCTS_2X4]
+    totals = {fam: sum(len(c.elements) for f, c in picked if f == fam) for fam in _PRODUCTS_2X4}
+    assert totals == _PRODUCTS_2X4
+    assert _structure_sha256(c for _, c in picked) == _PRODUCTS_2X4_SHA256
+
+
+def test_equal_4_plus_4_angles_make_the_right_top_block_the_identity():
+    a_tol = DEFAULT_TOL.angle_tol
+    products = [U for family, U in _dim8_inputs() if family == "kron24"]
+    for i, U in enumerate(products):
+        f = decompose_m4(U)
+        left, right, angles = _equal_angles(f.left_blocks, f.right_blocks, f.angles, None, a_tol)
+        assert np.array_equal(right[0], np.eye(4)), i
+        # four angles snapped to their mean: each moves by at most 3/4 angle_tol
+        assert len(set(angles)) == 1 and len(angles) == 4, i
+        assert max(abs(t - s) for t, s in zip(angles, f.angles)) <= 0.75 * a_tol, i
+        assert np.abs(reassemble_m4(RecursiveFactors(left, right, angles)) - U).max() <= 1e-12, i
+    assert len(products) == 24
+
+
+def test_the_4_plus_4_rule_leaves_unequal_and_end_angles_alone():
+    # builtin_x's angles are equal in pairs only (the walk's at (pi/2, pi/2,
+    # 0, 0)); a diagonal's are all 0, and a half-swapping permutation's all pi/2
+    a_tol = DEFAULT_TOL.angle_tol
+    swapped = 0
+    for family, U in _dim8_inputs():
+        f = decompose_m4(U)
+        if family == "signed_perm" and min(f.angles) >= math.pi / 2 - a_tol:
+            swapped += 1
+        elif family not in ("builtin_x", "diag_phase"):
+            continue
+        got = _equal_angles(f.left_blocks, f.right_blocks, f.angles, None, a_tol)
+        assert all(g is w for g, w in zip(got, (f.left_blocks, f.right_blocks, f.angles))), family
+    assert swapped == 24
 
 
 @pytest.mark.parametrize("rule", list(_RULES_OFF), ids=[r.lstrip("_") for r in _RULES_OFF])
