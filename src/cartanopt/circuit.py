@@ -19,8 +19,8 @@ from .dof import DofConvention
 from .linalg import DEFAULT_TOL, ToleranceConfig, _parse_json
 from .waveplates import (
     _canon_phase,
+    _chain_products,
     _elide_phase,
-    chain_matrix,
     synthesize_u2,
 )
 
@@ -302,7 +302,10 @@ def _rewrite_resynthesize_run(elems: list, tol: ToleranceConfig) -> bool:
     # first that shrinks is rewritten.  Only whole runs are candidates:
     # synthesize_u2 returns the shortest chain, so a part of a run that
     # shrinks would shorten the whole run too.  Each run is its element
-    # indices and its (kind, angle) sequence, gathered in the one scan.
+    # indices and its (kind, angle) sequence, gathered in the one scan;
+    # the products of all runs of two or more elements are taken in one
+    # batch before the first synthesize_u2: on a Haar 8x8 compile's 16
+    # runs, four stacked products instead of about 50 single ones.
     runs, open_runs = [], {}
     for i, e in enumerate(elems):
         if e.kind == "pbs":
@@ -316,10 +319,10 @@ def _rewrite_resynthesize_run(elems: list, tol: ToleranceConfig) -> bool:
             runs.append(run)
         run[0].append(i)
         run[1].append((e.kind, e.angle_rad))
-    for run, pairs in runs:
-        if len(run) < 2:
-            continue
-        plates = synthesize_u2(chain_matrix(pairs), tol)
+    runs = [(run, pairs) for run, pairs in runs if len(run) >= 2]
+    products = _chain_products([pairs for _, pairs in runs])
+    for (run, pairs), U in zip(runs, products):
+        plates = synthesize_u2(U, tol)
         if len(plates) < len(pairs):
             i = run[0]
             mode = elems[i].modes[0]

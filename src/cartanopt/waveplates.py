@@ -89,14 +89,37 @@ _I2 = _identity(2)
 def chain_matrix(plates) -> np.ndarray:
     """Ordered product of (kind, angle) plates, first plate applied first.
 
-    The empty chain is the identity.  The plates come from one
-    _plate_stack and fold onto the identity by left .dot products, the
-    same zgemm calls and bits as multiplying PLATE_MATRIX entries with @.
+    The empty chain is the identity, a fresh array.  This is the one-chain
+    case of _chain_products, with the bits of multiplying PLATE_MATRIX
+    entries onto the identity with @.
     """
+    return _chain_products([list(plates)])[0]
+
+
+# a PS of angle 0: exactly the identity, every zero a +0
+_PAD = ("ps", 0.0)
+
+
+def _chain_products(chains: list) -> np.ndarray:
+    """chain_matrix of each chain in a list of (kind, angle) lists, as one (n, 2, 2) array.
+
+    Each chain is padded in front with identity plates to the longest
+    length (at least 1), and one _plate_stack holds every plate, laid out
+    by position: each chain's first plate, then each chain's second, and
+    so on.  One np.matmul per position folds that position's plates onto
+    the products from the left, starting from the identity.  Every item
+    of a stacked matmul is the zgemm call of P.dot(M) and of P @ M, and a
+    pad meets the identity, whose product is the identity exactly (every
+    operand is 0 or 1, so nothing rounds and no zero turns negative), so
+    each product keeps the bits of its own chain's fold.
+    """
+    longest = max(1, max(map(len, chains), default=0))
+    padded = [[_PAD] * (longest - len(chain)) + chain for chain in chains]
+    stack = _plate_stack([plate for column in zip(*padded) for plate in column])
     M = _I2
-    for P in _plate_stack(plates):
-        M = P.dot(M)
-    return M.copy() if M is _I2 else M
+    for P in stack.reshape(longest, len(chains), 2, 2):
+        M = P @ M
+    return M
 
 
 def _canon_plate(angle: float) -> float:

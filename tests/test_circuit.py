@@ -1,5 +1,6 @@
 """Element IR: validation, counting, wire format, and peephole rewrites."""
 
+import collections
 import json
 import math
 import pathlib
@@ -7,6 +8,8 @@ import pathlib
 import numpy as np
 import pytest
 
+from cartanopt import circuit as circuit_module
+from cartanopt import waveplates
 from cartanopt.circuit import (
     OpticalCircuit,
     OpticalElement,
@@ -23,6 +26,7 @@ from cartanopt.circuit import (
     qwp,
     serialize,
 )
+from cartanopt.compiler import CompileOptions, compile_m4
 from cartanopt.linalg import DEFAULT_TOL, haar_random_unitary
 from cartanopt.simulate import simulate
 from cartanopt.waveplates import chain_matrix, synthesize_u2
@@ -358,6 +362,48 @@ def test_resynthesize_run_rule_rewrites_only_the_shrinking_run():
     kept = list(elems)
     assert not _rewrite_resynthesize_run(elems, DEFAULT_TOL)
     assert elems == kept
+
+
+def test_resynthesize_run_rule_rewrites_a_run_from_its_own_product():
+    # the run products are taken in one batch, shorter runs padded; the
+    # first run in element order is the shorter one, two QWPs that make
+    # one HWP, and it is rewritten from its own product.  Given the full
+    # chain's product instead, it would keep its two plates, and the full
+    # chain given its product would shrink to one HWP
+    short = [qwp(0, 0.3), qwp(0, 0.3)]
+    full = _full_chain_on(1, 18)
+    before = [short[0], full[0], short[1], *full[1:]]
+    elems = list(before)
+    assert _rewrite_resynthesize_run(elems, DEFAULT_TOL)
+    shorter = chain_elements(synthesize_u2(chain_matrix([("qwp", 0.3), ("qwp", 0.3)])), 0)
+    assert shorter == [hwp(0, 0.3)]
+    assert elems == [*shorter, *full]
+    got, want = simulate(_circ(elems)), simulate(_circ(before))
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_optimize_stacks_the_plates_of_a_haar_compile_once_per_resynthesis_pass(monkeypatch):
+    # each resynthesis pass takes all its run products from one plate
+    # stack, and then calls synthesize_u2 once on each of the Haar 8x8
+    # circuit's 16 same-mode runs of two or more elements
+    calls = collections.Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    counted(waveplates, "_plate_stack")
+    counted(circuit_module, "_rewrite_resynthesize_run")
+    counted(circuit_module, "synthesize_u2")
+    compile_m4(haar_random_unitary(8, 5), CompileOptions(convention="sp", optimize=True))
+    assert calls["_rewrite_resynthesize_run"] >= 1
+    assert calls["_plate_stack"] == calls["_rewrite_resynthesize_run"]
+    assert calls["synthesize_u2"] == 16
 
 
 def test_optimize_collapses_plate_run():

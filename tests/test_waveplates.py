@@ -86,6 +86,29 @@ def test_chain_matrix_keeps_the_bits_of_the_matmul_fold(n):
         assert chain_matrix(plates).tobytes() == _matmul_chain(plates).tobytes()
 
 
+@pytest.mark.parametrize("order", ["shuffled", "longest first", "shortest first"])
+def test_each_chain_product_keeps_the_bits_of_the_matmul_fold(order):
+    # ragged batches of 1 to 20 chains of 0 to 6 plates: each product has
+    # the bytes of its own @ fold, wherever its chain sits in the batch.
+    # One chain in three is PS only, a product of plates whose
+    # off-diagonal entries are exact zeros
+    rng = np.random.default_rng([len(order), 7])
+    for _ in range(100):
+        chains = []
+        for _ in range(int(rng.integers(1, 21))):
+            kinds = ("ps",) if rng.random() < 1 / 3 else ("ps", "hwp", "qwp")
+            chains.append([
+                (str(rng.choice(kinds)), float(rng.uniform(-7.0, 7.0)))
+                for _ in range(int(rng.integers(0, 7)))
+            ])
+        if order != "shuffled":
+            chains.sort(key=len, reverse=order == "longest first")
+        products = waveplates._chain_products(chains)
+        assert len(products) == len(chains)
+        for chain, P in zip(chains, products):
+            assert P.tobytes() == _matmul_chain(chain).tobytes(), chain
+
+
 def _old_su2(U):
     """_su2 as it read on numpy scalars, indexed entry by entry."""
     det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
