@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from .dof import PS_TO_SP_IX, DofConvention
-from .lie import SX
 from .linalg import (
+    _EYE2,
     DEFAULT_TOL,
     ToleranceConfig,
     _as_square,
@@ -37,9 +37,9 @@ _PS_TO_BLOCK = PS_TO_SP_IX[2]
 # polarization pair aligns the central coupling with the CSD layout.
 _SP_TO_BLOCK = np.ix_([0, 1, 3, 2], [0, 1, 3, 2])
 
-_D = np.diag([-1.0 + 0j, 1.0])
-# left factor of the SP right fold ((D . SX) . W2) . SX, formed once
-_D_SX = _D.dot(SX)
+# D . SX with D = diag(-1, 1), the left factor of SP's right fold, as a
+# row-major 4-tuple (compiler._equal_angles folds by it)
+_D_SX = (0j, -1 + 0j, 1 + 0j, 0j)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,8 +136,12 @@ def _csd_level(U, n: int, name: str, tol: ToleranceConfig, perm=None):
         raise _not_unitary(name, U)
     if perm is not None:
         U = U[perm]
-    k = n // 2
-    if np.abs(U[:k, k:]).max() <= tol.angle_tol and np.abs(U[k:, :k]).max() <= tol.angle_tol:
+    # the off-diagonal blocks' moduli on Python complex: no numpy call, and
+    # the first entry above angle_tol, on a Haar input the first one, ends it
+    k, a_tol, rows = n // 2, tol.angle_tol, U.tolist()
+    if all(abs(x) <= a_tol for r in rows[:k] for x in r[k:]) and all(
+        abs(x) <= a_tol for r in rows[k:] for x in r[:k]
+    ):
         return U, None
     return U, _cosine_sine(U, k)
 
@@ -147,36 +151,38 @@ def decompose(U, convention, tol: ToleranceConfig = DEFAULT_TOL) -> CartanFactor
 
     Deterministic: the CSD gauge is pinned, so identical inputs give
     identical factors.  Central angles satisfy theta1 >= theta2 >= 0.
+    The gates are formed on row-major 4-tuples of Python complex, as the
+    CSD at half=2 gives them (see linalg's kernel note), and become
+    arrays in one np.array call.  The convention's folds are signed
+    permutations, applied as index shuffles, which round nothing.
     """
     conv = DofConvention(convention)
-    perm = _PS_TO_BLOCK if conv is DofConvention.PS else _SP_TO_BLOCK
-    Uq, csd = _csd_level(U, 4, "decompose", tol, perm)
+    sp = conv is DofConvention.SP
+    Uq, csd = _csd_level(U, 4, "decompose", tol, _SP_TO_BLOCK if sp else _PS_TO_BLOCK)
     if csd is None:
         # already local: both central angles vanish and the gates can be
-        # read off directly, with identity right gates
-        g1 = Uq[:2, :2].copy()
-        g2 = Uq[2:, 2:].copy()
-        if conv is DofConvention.SP:
-            g2 = SX.dot(g2).dot(SX)
-        return CartanFactors(
-            convention=conv,
-            left_gates=(g1, g2),
-            right_gates=(np.eye(2, dtype=complex), np.eye(2, dtype=complex)),
-            alpha=0.0,
-            beta=0.0,
-        )
-    V1, V2, thetas, W1, W2 = csd
-    t1, t2 = float(thetas[0]), float(thetas[1])
-    if conv is DofConvention.PS:
-        left = (V1, 1j * V2)
-        right = (W1, -1j * W2)
+        # read off directly, with identity right gates; SP's second gate
+        # is SX . g2 . SX
+        r0, r1, r2, r3 = Uq.tolist()
+        g2 = (r3[3], r3[2], r2[3], r2[2]) if sp else (r2[2], r2[3], r3[2], r3[3])
+        left, right = ((r0[0], r0[1], r1[0], r1[1]), g2), (_EYE2, _EYE2)
+        t1 = t2 = 0.0
     else:
-        left = (V1, SX.dot(V2).dot(SX).dot(_D))
-        right = (W1, _D_SX.dot(W2).dot(SX))
+        V1, V2, (t1, t2), W1, W2 = csd
+        if sp:
+            # SX . V2 . SX . D and (D . SX) . W2 . SX, with D = diag(-1, 1)
+            a, b, c, d = V2
+            left = (V1, (-d, c, -b, a))
+            a, b, c, d = W2
+            right = (W1, (-d, -c, b, a))
+        else:
+            left = (V1, tuple(1j * v for v in V2))
+            right = (W1, tuple(-1j * w for w in W2))
+    gates = np.array((*left, *right), dtype=complex).reshape(4, 2, 2)
     return CartanFactors(
         convention=conv,
-        left_gates=left,
-        right_gates=right,
+        left_gates=(gates[0], gates[1]),
+        right_gates=(gates[2], gates[3]),
         alpha=(t1 + t2) / 2.0,
         beta=(t1 - t2) / 2.0,
     )

@@ -49,12 +49,16 @@ from . import __version__
 from .cartan import _D_SX, decompose, decompose_m4
 from .circuit import OpticalCircuit, _sweep_if_shorter, chain_elements, hwp, optimize, pbs
 from .dof import DofConvention
-from .lie import SX, SY, SZ
+from .lie import SX
 from .linalg import (
+    _EYE2,
     DEFAULT_TOL,
     ToleranceConfig,
+    _adj2,
     _as_square,
+    _entries2,
     _identity,
+    _mul2,
     _not_unitary,
     dump_matrix,
     is_unitary,
@@ -115,13 +119,10 @@ class CompileOptions:
 
 
 # Fixed unit gates completing the central-layer identity, folded into
-# the adjacent single-qubit gates.  PS convention: the central block
-# equals (bL1, bL2-embedded) . PBS . HWPs . PBS . (bR1, bR2-embedded);
-# SP convention has the same shape with both left corrections equal and
-# no right correction.
-_PS_BOOKEND_L = (1j * SX, SZ.astype(complex))
-_PS_BOOKEND_R = (-1j * SY, -1j * np.eye(2))
-_SP_BOOKEND_L = np.diag([-1j, 1j])
+# the adjacent single-qubit gates (_bookends).  PS convention: the central
+# block equals (bL1, bL2-embedded) . PBS . HWPs . PBS . (bR1, bR2-embedded)
+# with bL = (i SX, SZ) and bR = (-i SY, -i I); SP convention has the same
+# shape with both left corrections diag(-i, i) and no right correction.
 
 # Corrections folding the 8x8 cosine-sine central factor into the two
 # pair gadgets: CS = Xswap . diag(dL) . G . diag(dR) . Xswap, with the
@@ -269,26 +270,32 @@ def _steer_levels(levels: list, a_tol: float) -> list:
 def _equal_angles(left, right, angles: tuple, fold, a_tol: float):
     """A CSD level's blocks and angles with its first right block moved into its left blocks.
 
-    The blocks are a 4x4 level's gates or the 4+4 level's 4x4 blocks.  When
-    all the angles lie within angle_tol of each other and strictly inside
-    (0, pi/2), C and S are multiples of I, so blkdiag(Q, Q) commutes with
-    the central factor for every unitary Q: V_k -> V_k Q, W_k -> Q^dag W_k,
-    and Q = W1 makes W1 the identity.  Through a fold F of the second blocks
-    (cartan.decompose) Q_1 = F Q F^dag takes the place of Q: fold is None
-    for F = I (the 4+4 level, and PS) and cartan._D_SX in SP.  Each of the n
-    angles becomes their mean, a move of at most (n - 1) / n angle_tol.  Any
-    other level comes back as it was.  (An angle at 0 or pi/2 is left to
-    _free_phases: there, taking Q = W1 lengthens some permutations.)
+    The blocks are a 4x4 level's gates, row-major 4-tuples of Python
+    complex multiplied by linalg._mul2, or the 4+4 level's 4x4 arrays.
+    When all the angles lie within angle_tol of each other and strictly
+    inside (0, pi/2), C and S are multiples of I, so blkdiag(Q, Q) commutes
+    with the central factor for every unitary Q: V_k -> V_k Q,
+    W_k -> Q^dag W_k, and Q = W1 makes W1 the identity.  Through a fold F
+    of the second blocks (cartan.decompose) Q_1 = F Q F^dag takes the place
+    of Q: fold is None for F = I (the 4+4 level, and PS) and the 4-tuple
+    cartan._D_SX in SP.  Each of the n angles becomes their mean, a move of
+    at most (n - 1) / n angle_tol.  Any other level comes back as it was.
+    (An angle at 0 or pi/2 is left to _free_phases: there, taking Q = W1
+    lengthens some permutations.)
     """
     lo, hi = min(angles), max(angles)
     # the smallest angle has the smallest sine and the largest the smallest cosine
     if hi - lo > a_tol or math.sin(lo) <= a_tol or math.cos(hi) <= a_tol:
         return left, right, angles
-    Q = right[0]
-    Q1 = Q if fold is None else fold.dot(Q).dot(fold.T)
-    mean = sum(angles) / len(angles)
-    left = (left[0].dot(Q), left[1].dot(Q1))
-    return left, (_identity(len(Q)), Q1.conj().T.dot(right[1])), (mean,) * len(angles)
+    Q, mean = right[0], sum(angles) / len(angles)
+    if isinstance(Q, tuple):
+        Q1 = Q if fold is None else _mul2(_mul2(fold, Q), _adj2(fold))
+        left = (_mul2(left[0], Q), _mul2(left[1], Q1))
+        right = (_EYE2, _mul2(_adj2(Q1), right[1]))
+    else:
+        left = (left[0].dot(Q), left[1].dot(Q))
+        right = (_identity(len(Q)), Q.conj().T.dot(right[1]))
+    return left, right, (mean,) * len(angles)
 
 
 def _phase_rotated(split: tuple, u: float, t: float, on_right: bool) -> tuple:
@@ -356,6 +363,30 @@ def _free_phases(splits: list, angles, conv: DofConvention, a_tol: float) -> lis
     return moved if fewer > grown else splits
 
 
+def _bookends(left: tuple, right: tuple, conv: DofConvention) -> tuple:
+    """The gates R0, R1, L0, L1 with the convention's bookends folded in.
+
+    Each bookend is a signed permutation times a unit scalar, so each fold
+    is an index shuffle, a sign or a product by +-i, entry by entry.
+    """
+    (a, b, c, d), (e, f, g, h) = left
+    if conv is DofConvention.SP:
+        # L_k . diag(-i, i)
+        return (
+            *right,
+            (a * -1j, b * 1j, c * -1j, d * 1j),
+            (e * -1j, f * 1j, g * -1j, h * 1j),
+        )
+    (p, q, r, s), R1 = right
+    # (-i SY) . R0, (-i I) . R1, L0 . (i SX) and L1 . SZ
+    return (
+        (-r, -s, p, q),
+        tuple(-1j * x for x in R1),
+        (b * 1j, a * 1j, d * 1j, c * 1j),
+        (e, -f, g, -h),
+    )
+
+
 def _level4(U: np.ndarray, conv: DofConvention, tol: ToleranceConfig, collapse: bool):
     """A 4x4 level factored and not yet emitted: (f, gates, central).
 
@@ -365,23 +396,21 @@ def _level4(U: np.ndarray, conv: DofConvention, tol: ToleranceConfig, collapse: 
     angles (_equal_angles, _free_phases).  When collapse is set and the
     level skipped its CSD split (cartan._csd_level found it block-diagonal,
     so both angles are zero), central is None and gates are the shortest
-    chains of L0 R0 and L1 R1.
+    chains of L0 R0 and L1 R1.  The gates are taken from f as row-major
+    4-tuples and every product and fold on them runs on Python complex
+    (linalg's kernel note).
     """
     f = decompose(U, conv, tol)
-    left, right, angles = f.left_gates, f.right_gates, (f.theta1, f.theta2)
+    L0, L1, R0, R1 = map(_entries2, f.left_gates + f.right_gates)
+    left, right, angles = (L0, L1), (R0, R1), (f.theta1, f.theta2)
     if collapse and not any(angles):
-        return f, [synthesize_u2(left[k].dot(right[k]), tol) for k in (0, 1)], None
+        products = (np.array(_mul2(left[k], right[k])).reshape(2, 2) for k in (0, 1))
+        return f, [synthesize_u2(P, tol) for P in products], None
     if collapse:
         fold = None if conv is DofConvention.PS else _D_SX
         left, right, angles = _equal_angles(left, right, angles, fold, tol.angle_tol)
-    if conv is DofConvention.PS:
-        left = (left[0].dot(_PS_BOOKEND_L[0]), left[1].dot(_PS_BOOKEND_L[1]))
-        right = (_PS_BOOKEND_R[0].dot(right[0]), _PS_BOOKEND_R[1].dot(right[1]))
-        central = (angles[0], angles[1])
-    else:
-        left = (left[0].dot(_SP_BOOKEND_L), left[1].dot(_SP_BOOKEND_L))
-        central = (angles[1], angles[0])
-    splits = [_su2(g) for g in (*right, *left)]
+    central = (angles[0], angles[1]) if conv is DofConvention.PS else (angles[1], angles[0])
+    splits = [_su2(g) for g in _bookends(left, right, conv)]
     if collapse:
         splits = _free_phases(splits, angles, conv, tol.angle_tol)
     return f, splits, central

@@ -120,22 +120,32 @@ def _as_square(M) -> np.ndarray:
 # Small products on the per-element and per-gate paths (2x2 to 8x8) are
 # written A.dot(B), not A @ B: both call the same BLAS zgemm and give the
 # same bits, and .dot skips the ufunc dispatch of @ (timeit, 2x2 by 2x8
-# product: 1.4 against 2.1 us on a 2-core Xeon VM).  Those bits are
-# pinned: the golden and optimizer corpora hash simulate's output
-# (SIMULATE_SHA256) and every circuit's angles.  They are the bits of one
-# CPU kernel set, the OpenBLAS core under zgemm and the SIMD loops numpy
-# dispatches to (tests/kernels.py names it).  Those kernels fuse multiply
-# and add, so products and array arithmetic stay in numpy: the same
-# products on Python complex round otherwise in the last bit, and only
-# bookkeeping (indexing, allocation, formatting) moves out of it.
-# _cosine_sine's test of its angles' order is such bookkeeping: it runs on
-# Python floats and decides only whether the factors are permuted, never
-# how a product rounds.  A transcendental of one Python number may move to
-# cmath where a bit test shows numpy's loop rounds as libm does on every
-# kernel set: e^{i phase} does (on glibc numpy's complex exp takes libm's
-# sin and cos), atan2 does not (numpy's X86_V4 arctan2 loop differs from
-# libm's in the last bit on about 1 in 13 Gaussian points), so
-# phase_distance takes its phase from np.arctan2.
+# product: 1.4 against 2.1 us on a 2-core Xeon VM).  Those bits are the
+# bits of one CPU kernel set, the OpenBLAS core under zgemm and the SIMD
+# loops numpy dispatches to (tests/kernels.py names it): those kernels may
+# fuse multiply and add, so their products and complex multiplies round
+# otherwise from one set to the next.  Every 2x2 product and multiply of a
+# 4x4 Cartan level therefore runs on row-major 4-tuples of Python complex
+# (_mul2, _adj2), from cossin at half=2 through the gate quaternions
+# (waveplates._su2): CPython's complex product is the textbook formula,
+# which an x86-64 build without -march contracts into no FMA, so the bytes
+# of a dim-4 circuit do not depend on the kernel set.  (A C compiler that
+# contracts by default, such as GCC on aarch64, would round otherwise; this
+# was checked on x86-64 only.)  Left on numpy, each for its reason: the 4+4
+# split (cossin at half=4) calls LAPACK's SVD and QR, whose rounding is the
+# core's; simulate and is_unitary are slower on scalars and their results
+# are not in the circuit bytes; the optimizer's run products
+# (waveplates._chain_products) are zgemm calls still, since on scalars they
+# lengthen one optimizer-corpus circuit at an angle_tol edge.  A phase is
+# taken as atan2(imag + 0.0, real): adding +0.0 turns -0.0 into +0.0, so a
+# signed zero that one product leaves where another leaves +0 gives the
+# same phase; _phase adds it to the real part too, so a zero trace gives
+# 0.0 with no branch.  A transcendental
+# of one Python number may move to cmath where a bit test shows numpy's
+# loop rounds as libm does on every kernel set: e^{i phase} does (on glibc
+# numpy's complex exp takes libm's sin and cos), atan2 does not (numpy's
+# X86_V4 arctan2 loop differs from libm's in the last bit on about 1 in 13
+# Gaussian points), so phase_distance takes its phase from np.arctan2.
 
 
 @functools.lru_cache(maxsize=8)
@@ -171,6 +181,12 @@ def _not_unitary(name: str, M) -> ValueError:
     return ValueError(f"{name} requires a unitary input (residual {unitarity_residual(M):.3e})")
 
 
+def _phase(t) -> float:
+    """arg t as np.angle's arctan2, without np.angle's wrapper (see the note
+    above), with both signed zeros made +0: a zero t gives 0.0."""
+    return float(np.arctan2(t.imag + 0.0, t.real + 0.0))
+
+
 def phase_distance(A, B) -> tuple[float, float]:
     """Max-entry distance between A and B after optimal global phase.
 
@@ -183,9 +199,7 @@ def phase_distance(A, B) -> tuple[float, float]:
     B = _as_square(B)
     if A.shape != B.shape:
         raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    t = A.conj().T.dot(B).trace()
-    # np.angle's arctan2 without np.angle's wrapper (see the note above)
-    phase = float(np.arctan2(t.imag, t.real)) if abs(t) > 0 else 0.0
+    phase = _phase(A.conj().T.dot(B).trace())
     distance = float(np.abs(A * cmath.exp(1j * phase) - B).max())
     return distance, phase
 
@@ -214,9 +228,10 @@ def cossin(U: np.ndarray, half: int):
 
     C = diag(cos theta), S = diag(sin theta), theta in [0, pi/2] and
     descending but for rounding between nearly equal angles.  U is not
-    checked.  The factors are unitary to rounding and separate
-    contiguous arrays; their gauge is whatever the split leaves
-    (_cosine_sine pins it).
+    checked.  The factors are unitary to rounding; their gauge is
+    whatever the split leaves (_cosine_sine pins it).  At half=2 they are
+    row-major 4-tuples of Python complex and theta a tuple of two floats;
+    otherwise separate contiguous arrays and an array of angles.
     """
     if half == 2:
         return _cossin_2x2(U)
@@ -247,7 +262,16 @@ def cossin(U: np.ndarray, half: int):
 
 # 2x2 matrices as row-major 4-tuples of Python scalars: at half=2 numpy's
 # per-call cost is several times the arithmetic, so cossin runs the same
-# split on scalars there.
+# split on scalars there, and a 4x4 Cartan level keeps its gates so to the
+# end (see the kernel note above).
+
+_EYE2 = (1 + 0j, 0j, 0j, 1 + 0j)
+
+
+def _entries2(M):
+    """A 2x2 array's entries as a row-major 4-tuple of Python complex."""
+    (a, b), (c, d) = M.tolist()
+    return a, b, c, d
 
 
 def _mul2(A, B):
@@ -316,15 +340,44 @@ def _cossin_2x2(U):
             W2[2 * t], W2[2 * t + 1] = CW2[2 * t] / cs[t], CW2[2 * t + 1] / cs[t]
         else:
             W2[2 * t], W2[2 * t + 1] = SW2[2 * t] / ss[t], SW2[2 * t + 1] / ss[t]
-    theta = np.array([math.atan2(s0, cs[0]), math.atan2(s1, cs[1])])
-    V1, V2, W1, W2 = np.array((V1, V2, W1, W2), dtype=complex).reshape(4, 2, 2)
-    return V1, V2, theta, W1, W2
+    theta = (math.atan2(s0, cs[0]), math.atan2(s1, cs[1]))
+    return tuple(V1), V2, theta, W1, tuple(W2)
+
+
+def _lead_phase(col) -> complex:
+    """Unit phase of a column's first entry above _GAUGE_FLOOR."""
+    x = next(x for x in col if abs(x) > _GAUGE_FLOOR)
+    return x / abs(x)
 
 
 def _lead_phases(M: np.ndarray) -> np.ndarray:
     """Unit phase of each column's first entry above _GAUGE_FLOOR."""
-    firsts = [next(x for x in col if abs(x) > _GAUGE_FLOOR) for col in M.T.tolist()]
-    return np.array([x / abs(x) for x in firsts])
+    return np.array([_lead_phase(col) for col in M.T.tolist()])
+
+
+def _gauge_2x2(V1, V2, ts, W1, W2):
+    """_cosine_sine's order and gauge at half=2, on cossin's 4-tuples.
+
+    Column k of a 4-tuple is entries (k, 2 + k), row k entries (2k, 2k + 1).
+    """
+    if ts[0] < ts[1]:
+        ts = (ts[1], ts[0])
+        V1, V2 = (V1[1], V1[0], V1[3], V1[2]), (V2[1], V2[0], V2[3], V2[2])
+        W1, W2 = W1[2:] + W1[:2], W2[2:] + W2[:2]
+    p0, p1 = _lead_phase(V1[0::2]), _lead_phase(V1[1::2])
+    c0, c1 = p0.conjugate(), p1.conjugate()
+    V1 = (V1[0] * c0, V1[1] * c1, V1[2] * c0, V1[3] * c1)
+    V2 = [V2[0] * c0, V2[1] * c1, V2[2] * c0, V2[3] * c1]
+    W1 = [W1[0] * p0, W1[1] * p0, W1[2] * p1, W1[3] * p1]
+    W2 = [W2[0] * p0, W2[1] * p0, W2[2] * p1, W2[3] * p1]
+    for i, t in enumerate(ts):
+        sin_free = math.sin(t) <= _FREE_PHASE_FLOOR
+        if sin_free or math.cos(t) <= _FREE_PHASE_FLOOR:
+            p = _lead_phase(V2[i::2])
+            V2[i], V2[2 + i] = V2[i] * p.conjugate(), V2[2 + i] * p.conjugate()
+            W = W2 if sin_free else W1
+            W[2 * i], W[2 * i + 1] = W[2 * i] * p, W[2 * i + 1] * p
+    return V1, tuple(V2), ts, tuple(W1), tuple(W2)
 
 
 def _cosine_sine(U: np.ndarray, half: int):
@@ -344,9 +397,12 @@ def _cosine_sine(U: np.ndarray, half: int):
     _FREE_PHASE_FLOOR the V2 column and W2 row have a free relative
     phase, and where cos theta is, the V2 column and W1 row do; that
     phase is chosen so the first non-negligible entry of the V2 column is
-    real and positive.
+    real and positive.  At half=2 the factors are 4-tuples and thetas a
+    tuple, as cossin gives them there.
     """
     V1, V2, thetas, W1, W2 = cossin(U, half)
+    if half == 2:
+        return _gauge_2x2(V1, V2, thetas, W1, W2)
     ts = thetas.tolist()
     if any(a < b for a, b in zip(ts, ts[1:])):
         order = np.argsort(-thetas, kind="stable")

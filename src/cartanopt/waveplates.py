@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ToleranceConfig, _identity, _not_unitary, is_unitary
+from .linalg import DEFAULT_TOL, ToleranceConfig, _entries2, _identity, _not_unitary, is_unitary
 
 _TWO_PI = 2.0 * math.pi
 # |w| of a single quarter-wave plate's quaternion
@@ -111,7 +111,11 @@ def _chain_products(chains: list) -> np.ndarray:
     of a stacked matmul is the zgemm call of P.dot(M) and of P @ M, and a
     pad meets the identity, whose product is the identity exactly (every
     operand is 0 or 1, so nothing rounds and no zero turns negative), so
-    each product keeps the bits of its own chain's fold.
+    each product keeps the bits of its own chain's fold.  These products
+    stay zgemm calls, unlike a Cartan level's (linalg's kernel note): the
+    same folds on Python complex lengthen the optimizer corpus's
+    c0420_default from 6 to 7 elements at an angle_tol edge, which waits
+    on ROADMAP item 17's snap.
     """
     longest = max(1, max(map(len, chains), default=0))
     padded = [[_PAD] * (longest - len(chain)) + chain for chain in chains]
@@ -133,19 +137,23 @@ def _canon_phase(angle: float) -> float:
     return a + _TWO_PI if a < 0 else a + 0.0
 
 
-def _su2(U: np.ndarray) -> tuple[float, float, float, float, float]:
+def _su2(U: tuple) -> tuple[float, float, float, float, float]:
     """(delta, w, x, y, z) with U = e^{i delta} (w I + i(x sx + y sy + z sz)), in SU(2).
 
-    The determinant is formed on Python complex, which rounds as numpy's
-    scalar product does, and so is e^{-i delta}, whose libm sin and cos
-    numpy's complex exp calls too; V = U e^{-i delta} stays one numpy
-    multiply, whose SIMD loop may fuse multiply and add and so round
-    otherwise.
+    U is a row-major 4-tuple of Python complex (linalg._entries2 of an
+    array).  Everything runs on Python complex: the determinant, e^{-i
+    delta} by cmath, and V = U e^{-i delta}, so no SIMD loop decides a bit
+    (see linalg's kernel note).  The determinant's phase is taken as
+    atan2(imag + 0.0, real): a determinant on the negative real axis whose
+    imaginary part comes out -0.0 gives delta = pi/2, as a +0.0 one does,
+    not -pi/2, so the split does not hang on the sign a shuffle or a
+    product left on a zero.
     """
-    (a, b), (c, d) = U.tolist()
+    a, b, c, d = U
     det = a * d - b * c
-    delta = math.atan2(det.imag, det.real) / 2.0
-    (va, vb), _ = (U * cmath.exp(-1j * delta)).tolist()
+    delta = math.atan2(det.imag + 0.0, det.real) / 2.0
+    e = cmath.exp(-1j * delta)
+    va, vb = a * e, b * e
     return delta, va.real, vb.imag, vb.real, va.imag
 
 
@@ -268,7 +276,7 @@ def synthesize_u2(U, tol: ToleranceConfig = DEFAULT_TOL) -> list[tuple[str, floa
         raise ValueError(f"synthesize_u2 expects a 2x2 matrix, got {U.shape}")
     if not is_unitary(U, tol):
         raise _not_unitary("synthesize_u2", U)
-    return _synthesize(*_su2(U), tol.angle_tol)
+    return _synthesize(*_su2(_entries2(U)), tol.angle_tol)
 
 
 def _synthesize(

@@ -24,7 +24,7 @@ from cartanopt.compiler import (
     compile,
 )
 from cartanopt.lie import SZ
-from cartanopt.linalg import haar_random_unitary
+from cartanopt.linalg import _entries2, haar_random_unitary
 from cartanopt.simulate import simulate
 from cartanopt.waveplates import _su2
 
@@ -152,8 +152,8 @@ def test_phase_rotated_is_the_split_of_the_product(on_right):
         V = haar_random_unitary(2, 1200 + seed)
         u, t = rng.uniform(-2 * math.pi, 2 * math.pi, 2)
         R = np.diag(np.exp(1j * t * np.diag(SZ)))
-        want = _su2(np.exp(1j * u) * (V.dot(R) if on_right else R.dot(V)))
-        got = _phase_rotated(_su2(V), u, t, on_right)
+        want = _su2(_entries2(np.exp(1j * u) * (V.dot(R) if on_right else R.dot(V))))
+        got = _phase_rotated(_su2(_entries2(V)), u, t, on_right)
         assert abs(got[0]) <= math.pi / 2
         # the same split, phase and quaternion sign included, away from
         # the phase pi/2 where either sign is the split

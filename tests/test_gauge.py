@@ -43,7 +43,7 @@ from cartanopt.compiler import (
     compile,
 )
 from cartanopt.dof import PS_TO_SP_IX, DofConvention
-from cartanopt.linalg import DEFAULT_TOL, haar_random_unitary
+from cartanopt.linalg import _EYE2, DEFAULT_TOL, _entries2, haar_random_unitary
 from cartanopt.simulate import simulate
 from cartanopt.waveplates import (
     _QWP_W,
@@ -107,8 +107,8 @@ def test_the_scalar_rotation_is_the_matrix_product(on_right):
     for seed in range(200):
         U = haar_random_unitary(2, seed)
         t = float(rng.uniform(-math.pi, math.pi))
-        delta, *q = _su2(U)
-        want_delta, *want = _su2(U.dot(_rz(t)) if on_right else _rz(t).dot(U))
+        delta, *q = _su2(_entries2(U))
+        want_delta, *want = _su2(_entries2(U.dot(_rz(t)) if on_right else _rz(t).dot(U)))
         got = np.array(_rotate_z(tuple(q), math.cos(t), math.sin(t), on_right))
         # det e^{i t sz} = 1 keeps delta up to the quaternion's sign
         sign = 1.0 if np.dot(got, want) > 0 else -1.0
@@ -180,7 +180,7 @@ def test_steering_never_adds_plates(monkeypatch):
 def test_steer_takes_the_first_gate_that_shortens():
     for seed in range(20):
         f = compiler.decompose(haar_random_unitary(4, seed), DofConvention.SP, DEFAULT_TOL)
-        splits = [_su2(g) for g in (*f.right_gates, *f.left_gates)]
+        splits = [_su2(_entries2(g)) for g in (*f.right_gates, *f.left_gates)]
         splits, plates = _steer(splits, DEFAULT_TOL.angle_tol)
         chains = _chains(splits, plates, DEFAULT_TOL.angle_tol)
         # R0, tried first, takes the QWP-HWP form; the other three stay whole
@@ -203,7 +203,7 @@ def _near_forms(a_tol: float) -> list:
     for form in forms:
         for eps in np.linspace(0.0, 2 * a_tol, 9):
             a, b = rng.uniform(0.0, math.pi, 2)
-            delta, *q = _su2(np.exp(1j * rng.uniform(-math.pi, math.pi)) * form(a, b))
+            delta, *q = _su2(_entries2(np.exp(1j * rng.uniform(-math.pi, math.pi)) * form(a, b)))
             # a step of length eps away from q on the sphere
             d = rng.standard_normal(4)
             d -= np.dot(d, q) * np.array(q)
@@ -246,7 +246,7 @@ def test_steer_hands_on_the_plates_of_the_chains_it_gives(monkeypatch):
     for s in range(len(near) // 3):
         # a generic gate in each place in turn, so that a phi is proposed
         three = near[3 * s:3 * s + 3]
-        groups.append(three[:s % 4] + [_su2(haar_random_unitary(2, 1500 + s))] + three[s % 4:])
+        groups.append(three[:s % 4] + [_su2(_entries2(haar_random_unitary(2, 1500 + s)))] + three[s % 4:])
     for group in groups:
         for order in (compiler._RIGHT_FIRST, compiler._LEFT_FIRST):
             recording(group, a_tol, order)
@@ -313,7 +313,7 @@ def _r_first_level(seed: int, a_tol: float) -> list:
     gates = [hwp_matrix(b).dot(qwp_matrix(a)), hwp_matrix(d).dot(qwp_matrix(c))]
     gates += [haar_random_unitary(2, 1600 + 2 * seed + j) for j in (0, 1)]
     c, s = math.cos(phi), math.sin(phi)
-    splits = [_su2(g) for g in gates]
+    splits = [_su2(_entries2(g)) for g in gates]
     splits = [(sp[0], *_rotate_z(sp[1:], c, g * s, r)) for sp, (g, r) in zip(splits, _GAUGE)]
     # each order takes its first proposer's phi, so L0 first saves less
     assert _steer(splits, a_tol)[1] == [2, 2, 3, 3]
@@ -327,7 +327,7 @@ def test_without_a_4_plus_4_gauge_every_level_steers_alone():
     # steer as 4x4 levels alone, and the emission is the one without the
     # 4+4 rule
     a_tol = DEFAULT_TOL.angle_tol
-    eye = (None, [_su2(np.eye(2))] * 4, (0.1, 0.2))
+    eye = (None, [_su2(_EYE2)] * 4, (0.1, 0.2))
     left = [(None, _r_first_level(seed, a_tol), (0.1, 0.2)) for seed in range(20)]
     for lt, lb in zip(left[::2], left[1::2]):
         levels = [lt, eye, lb, (None, [], None)]

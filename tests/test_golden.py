@@ -4,14 +4,19 @@ Every case compiles a fixed matrix and compares the circuit JSON text,
 metadata included, byte for byte against tests/data/golden_circuits.json.
 A change that is meant to leave the emitted circuits alone (a faster
 simulator, a cheaper optimizer scan, a leaner CSD call) must pass this
-test unchanged.  The recorded angles are the bits this code produces on
+test unchanged.  The inputs drawn at random are read from wire text
+(INPUTS), so no draw's QR rounds here.  The dim-4 cases then hold on
+every kernel set tried: each 4x4 Cartan level runs its products on
+Python complex (see the kernel note in cartanopt/linalg.py), and CI
+reruns them with numpy's X86_V3/X86_V4 loops off and on OpenBLAS's
+Haswell core.  The Haar 8x8 cases and SIMULATE_SHA256 are the bits of
 one CPU kernel set: numpy's version, the SIMD loops it dispatches to on
-the CPU, and the OpenBLAS core under its products, SVD and QR
-(RECORDED_KERNELS, see tests/kernels.py).  A kernel that fuses multiply
-and add rounds otherwise, so on another set these pins fail with no
-fault in the code; each failure names the recorded and the running set.
-After a deliberate change to the circuits, or to record on another
-kernel set, re-record with
+the CPU, and the OpenBLAS core under simulate's products and the 4+4
+split's SVD and QR (RECORDED_KERNELS, see tests/kernels.py).  A kernel
+that fuses multiply and add rounds otherwise, so on another set these
+pins fail with no fault in the code; each failure names the recorded and
+the running set.  After a deliberate change to the circuits, or to
+record on another kernel set, re-record with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -36,7 +41,7 @@ import pytest
 
 from cartanopt.circuit import serialize
 from cartanopt.compiler import CompileOptions, builtin_target, compile, compile_m4
-from cartanopt.linalg import dump_matrix, haar_random_unitary
+from cartanopt.linalg import dump_matrix, matrix_from_json
 from cartanopt.simulate import simulate, verify
 from kernels import fingerprint, pin_message
 
@@ -45,6 +50,11 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
 import reference  # noqa: E402  (the benchmark's independent simulator)
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_circuits.json"
+# the corpus's Haar-drawn inputs as wire text, keyed haar{dim}_s{seed} for
+# haar_random_unitary(dim, seed), and kron_ps, kron_sp for the products of
+# two 2x2 draws: drawn once on RECORDED_KERNELS, since LAPACK's QR in a
+# draw and numpy's complex multiply in np.kron round by the kernel set
+INPUTS = pathlib.Path(__file__).parent / "data" / "golden_inputs.json"
 
 HAAR4_SEEDS = (0, 1, 2, 3, 4)
 HAAR8_SEEDS = (0, 1, 2)
@@ -53,7 +63,7 @@ PLAIN_TOL = 1e-12
 # SHA-256 over dump_matrix(simulate(c)) and repr of verify's distance and
 # global_phase, for the compiled circuits of the corpus in order: pins the
 # simulator and the phase-aware distance to the bit
-SIMULATE_SHA256 = "b171e1636e560e4893f31c82ae9f9116fd92b2f2746a05b6a95589013e33c3bc"
+SIMULATE_SHA256 = "9f60b2ad434a41d84c74db042d60bff2c08d11da01acb0e9290904eb9c51b6f8"
 # the kernel set the corpus and SIMULATE_SHA256 were recorded on
 RECORDED_KERNELS = "numpy 2.4.6, X86_V3 on, OpenBLAS SkylakeX"
 # SHA-256 over the element kinds and modes of the compiled circuits of the
@@ -74,19 +84,20 @@ def _path_block(g1, g2, convention):
 
 def _cases():
     """(name, matrix, convention, optimize) for every corpus entry."""
+    drawn = {k: matrix_from_json(v) for k, v in json.loads(INPUTS.read_text(encoding="utf-8")).items()}
     cases = []
     for conv in ("ps", "sp"):
         for opt in (False, True):
             for seed in HAAR4_SEEDS:
                 cases.append((f"haar4_{conv}_opt{int(opt)}_s{seed}",
-                              haar_random_unitary(4, seed), conv, opt))
+                              drawn[f"haar4_s{seed}"], conv, opt))
             for name in ("walk", "qft"):
                 cases.append((f"{name}_{conv}_opt{int(opt)}",
                               builtin_target(name, conv), conv, opt))
     for opt in (False, True):
         for seed in HAAR8_SEEDS:
             cases.append((f"haar8_sp_opt{int(opt)}_s{seed}",
-                          haar_random_unitary(8, seed), "sp", opt))
+                          drawn[f"haar8_s{seed}"], "sp", opt))
     # inputs that take the local short-cut (optimize on): no central layer
     phases = np.exp(1j * np.array([0.3, -1.2, 2.5, 0.9]))
     flip = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -96,15 +107,15 @@ def _cases():
                       _path_block(flip, np.eye(2), conv), conv, True))
     # spatially block-diagonal 8x8: two independent 4x4 problems
     block8 = np.zeros((8, 8), dtype=complex)
-    block8[:4, :4] = haar_random_unitary(4, 5)
-    block8[4:, 4:] = haar_random_unitary(4, 6)
+    block8[:4, :4] = drawn["haar4_s5"]
+    block8[4:, 4:] = drawn["haar4_s6"]
     cases.append(("block8_sp", block8, "sp", True))
     # a path (x) polarization product: its two CSD angles are equal, and
     # the level spends the basis that leaves free (compiler._equal_angles)
-    path, pol = haar_random_unitary(2, 7), haar_random_unitary(2, 8)
+    # (np.kron of path = haar_random_unitary(2, 7) and pol = (2, 8), path
+    # first in sp and polarization first in ps)
     for conv in ("ps", "sp"):
-        U = np.kron(path, pol) if conv == "sp" else np.kron(pol, path)
-        cases.append((f"kron_{conv}", U, conv, True))
+        cases.append((f"kron_{conv}", drawn[f"kron_{conv}"], conv, True))
     # dim-8 branches that no Haar input reaches: a signed permutation,
     # whose sub-levels keep their central layers while the 4+4 gauge pays
     # nowhere (46 elements); the reversal, whose 4+4 level has a central

@@ -1,6 +1,7 @@
 """Tolerances, phase-aware distance, the cosine-sine split, and matrix I/O."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -16,6 +17,7 @@ from cartanopt.linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
     _cosine_sine,
+    _phase,
     _residual,
     dump_matrix,
     haar_random_unitary,
@@ -192,6 +194,14 @@ def test_phase_distance_of_a_zero_trace_pair():
     assert (d.hex(), ph.hex()) == ((2.0).hex(), (0.0).hex())
 
 
+def test_a_zero_trace_has_phase_zero_whatever_its_signed_zeros():
+    # zgemm leaves +0 in a trace that cancels, but arctan2 of a -0.0 real
+    # part is pi, not 0: phase_distance's phase adds +0.0 to both parts
+    for re, im in itertools.product((0.0, -0.0), repeat=2):
+        assert _phase(complex(re, im)).hex() == (0.0).hex(), (re, im)
+    assert _phase(complex(-1.0, -0.0)) == math.pi
+
+
 def _numpy_scalar_phase_distance(A, B):
     """phase_distance as it read on numpy 0-d calls: np.trace, np.angle, np.exp."""
     t = np.trace(A.conj().T.dot(B))
@@ -221,8 +231,18 @@ def test_phase_distance_keeps_the_bits_of_the_numpy_scalar_version(dim):
         assert [v.hex() for v in got] == [v.hex() for v in want], i
 
 
+def _csd(U, half):
+    """_cosine_sine's output with arrays for factors and angles: at half=2
+    it gives 4-tuples of Python complex and a tuple of angles."""
+    V1, V2, thetas, W1, W2 = _cosine_sine(U, half)
+    if half == 2:
+        V1, V2, W1, W2 = (np.array(F).reshape(2, 2) for F in (V1, V2, W1, W2))
+        thetas = np.array(thetas)
+    return V1, V2, thetas, W1, W2
+
+
 def _block_csd(U):
-    V1, V2, thetas, W1, W2 = _cosine_sine(U, 2)
+    V1, V2, thetas, W1, W2 = _csd(U, 2)
     return (V1, V2), tuple(float(t) for t in thetas), (W1, W2)
 
 
@@ -343,7 +363,7 @@ def _csd_inputs(draw, n):
 
 def _check_csd(U):
     k = U.shape[0] // 2
-    V1, V2, thetas, W1, W2 = _cosine_sine(U, k)
+    V1, V2, thetas, W1, W2 = _csd(U, k)
     left = scipy.linalg.block_diag(V1, V2)
     right = scipy.linalg.block_diag(W1, W2)
     assert np.abs(left @ _cs(thetas) @ right - U).max() <= 1e-13
@@ -360,7 +380,7 @@ def _check_csd(U):
         for col in pinned:
             lead = col[np.abs(col) > _GAUGE_FLOOR][0]
             assert lead.real > 0 and abs(lead.imag) <= 1e-15
-    again = _cosine_sine(U, k)
+    again = _csd(U, k)
     for A, B in zip((V1, V2, thetas, W1, W2), again):
         assert A.tobytes() == B.tobytes()
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cartanopt import waveplates
-from cartanopt.linalg import DEFAULT_TOL, haar_random_unitary
+from cartanopt.linalg import DEFAULT_TOL, _entries2, haar_random_unitary
 from cartanopt.waveplates import (
     PLATE_MATRIX,
     _su2,
@@ -109,12 +109,20 @@ def test_each_chain_product_keeps_the_bits_of_the_matmul_fold(order):
             assert P.tobytes() == _matmul_chain(chain).tobytes(), chain
 
 
-def _old_su2(U):
-    """_su2 as it read on numpy scalars, indexed entry by entry."""
-    det = U[0, 0] * U[1, 1] - U[0, 1] * U[1, 0]
-    delta = math.atan2(det.imag, det.real) / 2.0
-    V = U * np.exp(-1j * delta)
-    return delta, V[0, 0].real, V[0, 1].imag, V[0, 1].real, V[0, 0].imag
+def _written_out_su2(U):
+    """_su2 on floats, each complex product written out as CPython forms it.
+
+    cmath.exp(z) for a z of real part +-0 is exactly (cos z.imag, sin z.imag),
+    and -1j * delta has imaginary part -delta.
+    """
+    (ar, ai), (br, bi), (cr, ci), (dr, di) = [(z.real, z.imag) for z in U]
+    det_r = (ar * dr - ai * di) - (br * cr - bi * ci)
+    det_i = (ar * di + ai * dr) - (br * ci + bi * cr)
+    delta = math.atan2(det_i + 0.0, det_r) / 2.0
+    er, ei = math.cos(-delta), math.sin(-delta)
+    va_r, va_i = ar * er - ai * ei, ar * ei + ai * er
+    vb_r, vb_i = br * er - bi * ei, br * ei + bi * er
+    return delta, va_r, vb_i, vb_r, va_i
 
 
 def _seeded_2x2(rng, n):
@@ -128,13 +136,25 @@ def _seeded_2x2(rng, n):
     return [M.copy() for M in G] + [M.copy() for M in W]
 
 
-def test_su2_keeps_the_bits_of_the_numpy_scalar_version():
-    # Python complex products round as numpy's scalar ones, and cmath.exp
-    # as np.exp (on glibc both take libm's sin and cos); the product with
-    # e^{-i delta} is the same numpy multiply in both
+def test_su2_keeps_the_bits_of_the_written_out_products():
+    # _su2 runs on Python complex, whose product is the textbook formula
+    # with no fused multiply-add: the same float operations written out in
+    # Python give the same bits on every kernel set
     for U in _seeded_2x2(np.random.default_rng(20), 10_000):
-        got, want = _su2(U), _old_su2(U)
-        assert [v.hex() for v in got] == [float(v).hex() for v in want], U
+        U = _entries2(U)
+        got, want = _su2(U), _written_out_su2(U)
+        assert [v.hex() for v in got] == [v.hex() for v in want], U
+
+
+def test_su2_splits_a_zero_imaginary_determinant_alike_for_either_sign():
+    # diag(-1, 1) with its first entry's imaginary part -0.0 or +0.0 has
+    # determinant -1 - 0j or -1 + 0j, which atan2 puts at -pi and pi; the
+    # +0.0 of _su2's rule gives both delta = pi/2 and one split
+    minus, plus = (complex(-1.0, -0.0), 0j, 0j, 1 + 0j), (complex(-1.0, 0.0), 0j, 0j, 1 + 0j)
+    dets = [a * d - b * c for a, b, c, d in (minus, plus)]
+    assert [z.imag.hex() for z in dets] == [(-0.0).hex(), (0.0).hex()]
+    assert [v.hex() for v in _su2(minus)] == [v.hex() for v in _su2(plus)]
+    assert _su2(plus)[0] == math.pi / 2
 
 
 def test_chain_matrix_phase_only():
