@@ -151,9 +151,9 @@ def decompose(U, convention, tol: ToleranceConfig = DEFAULT_TOL) -> CartanFactor
 
     Deterministic: the CSD gauge is pinned, so identical inputs give
     identical factors.  Central angles satisfy theta1 >= theta2 >= 0.
-    The gates are formed on row-major 4-tuples of Python complex, as the
-    CSD at half=2 gives them (see linalg's kernel note), and become
-    arrays in one np.array call.  The convention's folds are signed
+    The gates are formed on flat row-major 2x2s of Python complex, as the
+    CSD gives its factors (see linalg's kernel note), and become arrays
+    in one np.array call.  The convention's folds are signed
     permutations, applied as index shuffles, which round nothing.
     """
     conv = DofConvention(convention)
@@ -204,7 +204,10 @@ def decompose_m4(U, tol: ToleranceConfig = DEFAULT_TOL) -> RecursiveFactors:
     a4V).  Angle k couples position k with k+4.  The 4x4 blocks are
     returned in the plain CSD frame; the unit corrections that express
     the central factor through physical elements belong to the compile
-    stage, which folds them into the blocks it recurses on.
+    stage, which folds them into the blocks it recurses on.  The CSD
+    gives them as row-major lists of Python complex, in the gauge it
+    pins at every half (linalg._cosine_sine), and they become arrays in
+    one np.array call, as decompose's gates do.
     """
     U, csd = _csd_level(U, 8, "decompose_m4", tol)
     if csd is None:
@@ -214,10 +217,11 @@ def decompose_m4(U, tol: ToleranceConfig = DEFAULT_TOL) -> RecursiveFactors:
             angles=(0.0, 0.0, 0.0, 0.0),
         )
     V1, V2, thetas, W1, W2 = csd
+    blocks = np.array((V1, V2, W1, W2), dtype=complex).reshape(4, 4, 4)
     return RecursiveFactors(
-        left_blocks=(V1, V2),
-        right_blocks=(W1, W2),
-        angles=tuple(float(t) for t in thetas),
+        left_blocks=(blocks[0], blocks[1]),
+        right_blocks=(blocks[2], blocks[3]),
+        angles=thetas,
     )
 
 

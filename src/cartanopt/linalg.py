@@ -4,7 +4,8 @@ Holds the tolerance configuration, unitarity and phase-aware distance
 checks, the cosine-sine decomposition that drives both factorization
 routes, Haar-random sampling for tests, and the matrix JSON wire format.
 numpy is the only dependency: the CSD is Stewart's split on numpy's SVD
-and QR, run on Python scalars for 2+2 blocks, with a fixed gauge.
+and QR, run on Python scalars for 2+2 blocks, with one fixed gauge on
+Python scalars for both.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -125,16 +127,23 @@ def _as_square(M) -> np.ndarray:
 # loops numpy dispatches to (tests/kernels.py names it): those kernels may
 # fuse multiply and add, so their products and complex multiplies round
 # otherwise from one set to the next.  Every 2x2 product and multiply of a
-# 4x4 Cartan level therefore runs on row-major 4-tuples of Python complex
+# 4x4 Cartan level therefore runs on flat row-major 2x2s of Python complex
 # (_mul2, _adj2), from cossin at half=2 through the gate quaternions
 # (waveplates._su2): CPython's complex product is the textbook formula,
 # which an x86-64 build without -march contracts into no FMA, so the bytes
 # of a dim-4 circuit do not depend on the kernel set.  (A C compiler that
 # contracts by default, such as GCC on aarch64, would round otherwise; this
-# was checked on x86-64 only.)  Left on numpy, each for its reason: the 4+4
-# split (cossin at half=4) calls LAPACK's SVD and QR, whose rounding is the
-# core's; simulate and is_unitary are slower on scalars and their results
-# are not in the circuit bytes; the optimizer's run products
+# was checked on x86-64 only.)  cossin gives its factors so at both halves,
+# and the one CSD gauge (_cosine_sine) multiplies them on scalars.  Left on
+# numpy, each for its reason: the 4+4 split (cossin at half=4) calls
+# LAPACK's SVD and QR, whose rounding is the core's, and takes its rebuilt
+# cosines' column norms (np.linalg.norm) in numpy's SIMD loops.  Of 100
+# fixed Haar 8x8 inputs (haar_random_unitary(8, 6000 + s) as wire text),
+# 12 split otherwise with X86_V3/X86_V4 off and their 24 of 200 compiles
+# (optimize on and off) move, each traced to its split; on OpenBLAS's
+# Haswell core all 100 split otherwise and all 200 move.
+# simulate and is_unitary are slower on scalars and their results are not
+# in the circuit bytes; the optimizer's run products
 # (waveplates._chain_products) are zgemm calls still, since on scalars they
 # lengthen one optimizer-corpus circuit at an angle_tol edge.  A phase is
 # taken as atan2(imag + 0.0, real): adding +0.0 turns -0.0 into +0.0, so a
@@ -229,9 +238,10 @@ def cossin(U: np.ndarray, half: int):
     C = diag(cos theta), S = diag(sin theta), theta in [0, pi/2] and
     descending but for rounding between nearly equal angles.  U is not
     checked.  The factors are unitary to rounding; their gauge is
-    whatever the split leaves (_cosine_sine pins it).  At half=2 they are
-    row-major 4-tuples of Python complex and theta a tuple of two floats;
-    otherwise separate contiguous arrays and an array of angles.
+    whatever the split leaves (_cosine_sine pins it).  At every half they
+    are row-major lists of k*k Python complex and theta a tuple of k
+    floats: at half=2 from the split on scalars, otherwise from LAPACK's
+    SVD and QR.
     """
     if half == 2:
         return _cossin_2x2(U)
@@ -256,14 +266,14 @@ def cossin(U: np.ndarray, half: int):
         c[n:] = np.linalg.norm(Y, axis=0)
         V1[:, n:] = Y / c[n:]
         W2[n:] = (V2[:, n:].conj().T @ U22) / c[n:, None]
-    # V1 and W1 are reversed views: copies, so that a caller's @ reaches zgemm
-    return np.ascontiguousarray(V1), V2, np.arctan2(s, c), np.ascontiguousarray(W1), W2
+    theta = tuple(np.arctan2(s, c).tolist())
+    return V1.ravel().tolist(), V2.ravel().tolist(), theta, W1.ravel().tolist(), W2.ravel().tolist()
 
 
-# 2x2 matrices as row-major 4-tuples of Python scalars: at half=2 numpy's
-# per-call cost is several times the arithmetic, so cossin runs the same
-# split on scalars there, and a 4x4 Cartan level keeps its gates so to the
-# end (see the kernel note above).
+# 2x2 matrices as row-major 4-tuples (or lists) of Python scalars: at half=2
+# numpy's per-call cost is several times the arithmetic, so cossin runs the
+# same split on scalars there, and a 4x4 Cartan level keeps its gates so to
+# the end (see the kernel note above).
 
 _EYE2 = (1 + 0j, 0j, 0j, 1 + 0j)
 
@@ -319,17 +329,17 @@ def _cossin_2x2(U):
     U11, U12 = (r0[0], r0[1], r1[0], r1[1]), (r0[2], r0[3], r1[2], r1[3])
     U21, U22 = (r2[0], r2[1], r3[0], r3[1]), (r2[2], r2[3], r3[2], r3[3])
     u, c1, c0, w = _svd2(U11)
-    V1, W1 = [u[1], u[0], u[3], u[2]], (w[2], w[3], w[0], w[1])  # c0 <= c1
+    V1, W1 = [u[1], u[0], u[3], u[2]], [w[2], w[3], w[0], w[1]]  # c0 <= c1
     X = tuple(-x for x in _mul2(U21, _adj2(W1)))  # = V2 S
     if c0 > _SPLIT:  # both angles small
         V2, s0, s1, B = _svd2(X)
-        W1 = _mul2(B, W1)
+        V2, W1 = list(V2), list(_mul2(B, W1))
     else:  # QR of X: angle 0 is large, angle 1 fills the complement
         q0, q1, s0 = _unit2(X[0], X[2])
         r = q0 * X[3] - q1 * X[1]
         s1 = abs(r)
         z = r / s1 if s1 else 1.0
-        V2 = (q0, -q1.conjugate() * z, q1, q0.conjugate() * z)
+        V2 = [q0, -q1.conjugate() * z, q1, q0.conjugate() * z]
     Y = _mul2(U11, _adj2(W1))  # = V1 C
     SW2 = _mul2(_adj2(V1), U12)
     CW2 = _mul2(_adj2(V2), U22)
@@ -341,43 +351,14 @@ def _cossin_2x2(U):
         else:
             W2[2 * t], W2[2 * t + 1] = SW2[2 * t] / ss[t], SW2[2 * t + 1] / ss[t]
     theta = (math.atan2(s0, cs[0]), math.atan2(s1, cs[1]))
-    return tuple(V1), V2, theta, W1, tuple(W2)
+    return V1, V2, theta, W1, W2
 
 
 def _lead_phase(col) -> complex:
     """Unit phase of a column's first entry above _GAUGE_FLOOR."""
-    x = next(x for x in col if abs(x) > _GAUGE_FLOOR)
-    return x / abs(x)
-
-
-def _lead_phases(M: np.ndarray) -> np.ndarray:
-    """Unit phase of each column's first entry above _GAUGE_FLOOR."""
-    return np.array([_lead_phase(col) for col in M.T.tolist()])
-
-
-def _gauge_2x2(V1, V2, ts, W1, W2):
-    """_cosine_sine's order and gauge at half=2, on cossin's 4-tuples.
-
-    Column k of a 4-tuple is entries (k, 2 + k), row k entries (2k, 2k + 1).
-    """
-    if ts[0] < ts[1]:
-        ts = (ts[1], ts[0])
-        V1, V2 = (V1[1], V1[0], V1[3], V1[2]), (V2[1], V2[0], V2[3], V2[2])
-        W1, W2 = W1[2:] + W1[:2], W2[2:] + W2[:2]
-    p0, p1 = _lead_phase(V1[0::2]), _lead_phase(V1[1::2])
-    c0, c1 = p0.conjugate(), p1.conjugate()
-    V1 = (V1[0] * c0, V1[1] * c1, V1[2] * c0, V1[3] * c1)
-    V2 = [V2[0] * c0, V2[1] * c1, V2[2] * c0, V2[3] * c1]
-    W1 = [W1[0] * p0, W1[1] * p0, W1[2] * p1, W1[3] * p1]
-    W2 = [W2[0] * p0, W2[1] * p0, W2[2] * p1, W2[3] * p1]
-    for i, t in enumerate(ts):
-        sin_free = math.sin(t) <= _FREE_PHASE_FLOOR
-        if sin_free or math.cos(t) <= _FREE_PHASE_FLOOR:
-            p = _lead_phase(V2[i::2])
-            V2[i], V2[2 + i] = V2[i] * p.conjugate(), V2[2 + i] * p.conjugate()
-            W = W2 if sin_free else W1
-            W[2 * i], W[2 * i + 1] = W[2 * i] * p, W[2 * i + 1] * p
-    return V1, tuple(V2), ts, tuple(W1), tuple(W2)
+    for x in col:
+        if abs(x) > _GAUGE_FLOOR:
+            return x / abs(x)
 
 
 def _cosine_sine(U: np.ndarray, half: int):
@@ -387,41 +368,43 @@ def _cosine_sine(U: np.ndarray, half: int):
 
         U = blkdiag(V1, V2) @ [[C, S], [-S, C]] @ blkdiag(W1, W2),
 
-    thetas descending in [0, pi/2], from cossin's Stewart split.  cossin
-    already returns its angles descending, large angles first; only where
-    rounding swaps two nearly equal ones does a stable sort reorder the
-    angles and the factors.  A fixed gauge makes the factors
-    deterministic.  For each index the common phase of (V1 col, V2 col,
-    W1 row, W2 row) is chosen so the first non-negligible entry of the V1
-    column is real and positive.  Where sin theta is at most
-    _FREE_PHASE_FLOOR the V2 column and W2 row have a free relative
-    phase, and where cos theta is, the V2 column and W1 row do; that
-    phase is chosen so the first non-negligible entry of the V2 column is
-    real and positive.  At half=2 the factors are 4-tuples and thetas a
-    tuple, as cossin gives them there.
+    thetas descending in [0, pi/2], from cossin's Stewart split, and the
+    factors, as cossin gives them, row-major lists of k*k Python complex
+    (column j is F[j::k], row i is F[i*k:(i + 1)*k]) and thetas a tuple.
+    cossin already returns its angles descending, large angles first; only
+    where rounding swaps two nearly equal ones does a stable sort reorder
+    the angles and the factors.  A fixed gauge, one rule for every k, makes
+    the factors deterministic.  For each index the common phase of (V1
+    col, V2 col, W1 row, W2 row) is chosen so the first non-negligible
+    entry of the V1 column is real and positive.  Where sin theta is at
+    most _FREE_PHASE_FLOOR the V2 column and W2 row have a free relative
+    phase, and where cos theta is, the V2 column and W1 row do; that phase
+    is chosen so the first non-negligible entry of the V2 column is real
+    and positive.
     """
-    V1, V2, thetas, W1, W2 = cossin(U, half)
-    if half == 2:
-        return _gauge_2x2(V1, V2, thetas, W1, W2)
-    ts = thetas.tolist()
-    if any(a < b for a, b in zip(ts, ts[1:])):
-        order = np.argsort(-thetas, kind="stable")
-        thetas = thetas[order]
-        V1, V2, W1, W2 = V1[:, order], V2[:, order], W1[order], W2[order]
-        ts = thetas.tolist()
-    ph = _lead_phases(V1)
-    phc, phr = ph.conj(), ph[:, None]
-    V1 *= phc
-    V2 *= phc
-    W1 *= phr
-    W2 *= phr
+    V1, V2, ts, W1, W2 = cossin(U, half)
+    k = half
+    if any(map(operator.lt, ts, ts[1:])):
+        order = sorted(range(k), key=ts.__getitem__, reverse=True)  # stable
+        ts = tuple(ts[j] for j in order)
+        cols = [i * k + j for i in range(k) for j in order]
+        rows = [j * k + i for j in order for i in range(k)]
+        V1, V2 = [V1[x] for x in cols], [V2[x] for x in cols]
+        W1, W2 = [W1[x] for x in rows], [W2[x] for x in rows]
+    ph = [_lead_phase(V1[j::k]) for j in range(k)]
+    phc = [p.conjugate() for p in ph] * k  # entry i*k + j takes column j's
+    phr = [p for p in ph for _ in range(k)]  # and row i's
+    V1, V2 = list(map(operator.mul, V1, phc)), list(map(operator.mul, V2, phc))
+    W1, W2 = list(map(operator.mul, W1, phr)), list(map(operator.mul, W2, phr))
     for i, t in enumerate(ts):
         sin_free = math.sin(t) <= _FREE_PHASE_FLOOR
         if sin_free or math.cos(t) <= _FREE_PHASE_FLOOR:
-            ph = _lead_phases(V2[:, i:i + 1])[0]
-            V2[:, i] *= ph.conjugate()
-            (W2 if sin_free else W1)[i] *= ph
-    return V1, V2, thetas, W1, W2
+            p = _lead_phase(V2[i::k])
+            pc = p.conjugate()
+            V2[i::k] = [v * pc for v in V2[i::k]]
+            W = W2 if sin_free else W1
+            W[i * k:(i + 1) * k] = [w * p for w in W[i * k:(i + 1) * k]]
+    return V1, V2, ts, W1, W2
 
 
 def haar_random_unitary(dim: int, seed: int) -> np.ndarray:

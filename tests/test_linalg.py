@@ -232,13 +232,11 @@ def test_phase_distance_keeps_the_bits_of_the_numpy_scalar_version(dim):
 
 
 def _csd(U, half):
-    """_cosine_sine's output with arrays for factors and angles: at half=2
-    it gives 4-tuples of Python complex and a tuple of angles."""
+    """_cosine_sine's output with arrays for factors and angles: it gives
+    row-major lists of Python complex and a tuple of angles."""
     V1, V2, thetas, W1, W2 = _cosine_sine(U, half)
-    if half == 2:
-        V1, V2, W1, W2 = (np.array(F).reshape(2, 2) for F in (V1, V2, W1, W2))
-        thetas = np.array(thetas)
-    return V1, V2, thetas, W1, W2
+    V1, V2, W1, W2 = (np.array(F).reshape(half, half) for F in (V1, V2, W1, W2))
+    return V1, V2, np.array(thetas), W1, W2
 
 
 def _block_csd(U):
